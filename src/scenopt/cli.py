@@ -5,8 +5,10 @@ stdout as JSON; tabular artifacts are written as CSV files with a JSON
 metadata sidecar that echoes the full configuration, seed and package
 version, so any artifact can be reproduced bit for bit.
 
-Exit codes: 0 success, 2 usage or input error, 3 assumption or degeneracy
-failure (the offending stage index is reported), 4 solver failure.
+Exit codes: 0 success, 2 usage or input error (including too few scenarios
+for the requested removals), 3 assumption or degeneracy failure (the
+offending stage index is reported) or every Monte Carlo trial excluded,
+4 solver failure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,12 +30,11 @@ from scenopt.engine import (
     InsufficientScenarios,
     RemovalMode,
     ScenarioProgram,
-    StageSolveError,
     greedy_removal,
     run_cascade,
     verify_compression,
 )
-from scenopt.experiments import RandomSource
+from scenopt.experiments import AllTrialsExcluded, RandomSource
 from scenopt.lp import DEFAULT_TOL, LpInputError, LpTolerances
 
 EXIT_OK = 0
@@ -43,43 +43,6 @@ EXIT_ASSUMPTION = 3
 EXIT_SOLVER = 4
 
 OUTDIR_ENV = "SCENOPT_OUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Validated knob set for a cascade/greedy/experiment invocation."""
-
-    command: str
-    m: Optional[int] = None
-    d: Optional[int] = None
-    n: Optional[int] = None
-    ell: Optional[int] = None
-    r: Optional[int] = None
-    epsilon: Optional[float] = None
-    beta: Optional[float] = None
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    mode: Optional[RemovalMode] = None
-    input_path: Optional[str] = None
-    out_dir: Optional[str] = None
-    tol: LpTolerances = DEFAULT_TOL
-
-    def validate(self) -> None:
-        if self.ell is not None and self.r is not None and self.d is not None:
-            if self.ell * self.d != self.r:
-                raise LpInputError(
-                    f"inconsistent removal sizing: ell*d = {self.ell * self.d} "
-                    f"but r = {self.r}"
-                )
-        if self.ell is not None and self.d is not None and self.m is not None:
-            if (self.ell + 1) * self.d >= self.m:
-                raise LpInputError(
-                    f"(ell+1)*d = {(self.ell + 1) * self.d} must be below m = {self.m}"
-                )
-        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
-            raise LpInputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.beta is not None and self.beta <= 0.0:
-            raise LpInputError(f"beta must be positive, got {self.beta}")
 
 
 def _tolerances(args) -> LpTolerances:
@@ -200,11 +163,6 @@ def _cmd_cascade(args) -> int:
     tol = _tolerances(args)
     program = _load_program(args)
     mode = RemovalMode(args.mode)
-    config = RunConfig(
-        command="cascade", m=program.m, d=program.d, ell=args.ell,
-        seed=args.seed, mode=mode, input_path=args.input, tol=tol,
-    )
-    config.validate()
     trace = run_cascade(program, args.ell, mode=mode, tol=tol)
     out = _out_dir(args)
     trace_path = out / "cascade_trace.json"
@@ -227,7 +185,7 @@ def _cmd_cascade(args) -> int:
             len(s.removed) for s in trace.stages[:-1]
         ),
         "trace_file": str(trace_path),
-        "solve_counts": trace.to_dict()["solve_counts"],
+        "solve_counts": trace.counts.to_dict(),
     }
     if args.verify_compression:
         summary["compression_verified"] = verify_compression(
@@ -240,11 +198,6 @@ def _cmd_cascade(args) -> int:
 def _cmd_greedy(args) -> int:
     tol = _tolerances(args)
     program = _load_program(args)
-    config = RunConfig(
-        command="greedy", m=program.m, d=program.d, r=args.r,
-        seed=args.seed, input_path=args.input, tol=tol,
-    )
-    config.validate()
     trace = greedy_removal(program, args.r, tol=tol)
     out = _out_dir(args)
     trace_path = out / "greedy_trace.json"
@@ -259,7 +212,7 @@ def _cmd_greedy(args) -> int:
         "final_x": np.asarray(trace.final_x).tolist(),
         "removed_total": len(trace.steps),
         "trace_file": str(trace_path),
-        "solve_counts": trace.to_dict()["solve_counts"],
+        "solve_counts": trace.counts.to_dict(),
     })
     return EXIT_OK
 
@@ -489,13 +442,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LpInputError, ValueError) as exc:
+    except (LpInputError, ValueError, InsufficientScenarios) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssumptionViolated, DegeneracyDetected) as exc:
-        print(f"error: {exc} (stage {exc.stage})", file=sys.stderr)
+    except (AssumptionViolated, DegeneracyDetected, AllTrialsExcluded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (StageSolveError, InsufficientScenarios, CascadeError) as exc:
+    except CascadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

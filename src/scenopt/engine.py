@@ -88,6 +88,25 @@ class RemovalMode(Enum):
     REGULARIZED = "regularized"
 
 
+def _is_label(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_labels(values) -> np.ndarray:
+    """Scenario labels as an int array; they must be distinct positive integers."""
+    for v in values:
+        if not _is_label(v):
+            raise LpInputError(f"scenario label {v!r} is not an integer")
+    labels = np.asarray(values, dtype=np.int64)
+    if labels.size == 0:
+        raise LpInputError("a scenario program needs at least one scenario")
+    if labels.min() < 1:
+        raise LpInputError(f"scenario label {labels.min()} is not positive")
+    if np.unique(labels).size != labels.size:
+        raise LpInputError("scenario labels must be distinct")
+    return labels
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One sampled uncertainty realization: a label plus its affine rows."""
@@ -97,6 +116,8 @@ class Scenario:
     rhs: np.ndarray
 
     def __post_init__(self):
+        if not _is_label(self.label):
+            raise LpInputError(f"scenario label {self.label!r} is not an integer")
         coeffs = np.array(self.coeffs, dtype=float, ndmin=2)
         rhs = np.array(self.rhs, dtype=float, ndmin=1)
         if coeffs.shape[0] == 0:
@@ -116,41 +137,77 @@ class Scenario:
         return self.rhs.shape[0]
 
 
-@dataclass(frozen=True)
 class ScenarioProgram:
-    """Linear cost over a box, with labeled scenario constraint blocks."""
+    """Linear cost over a box, with labeled scenario constraint blocks.
 
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    scenarios: tuple[Scenario, ...]
+    The rows of all scenarios are stored once, stacked in ascending label
+    order, each scenario's rows in their given order: `coeffs` (R, d), `rhs`
+    (R,) and `owners` (R,), the label of each row's scenario.  The arrays are
+    read-only, and the LP over any subset of scenarios is a row selection.
+    The labels' given order is kept for serialization.
+    """
 
-    def __post_init__(self):
-        scenarios = tuple(self.scenarios)
-        if not scenarios:
-            raise LpInputError("a scenario program needs at least one scenario")
-        base = LinearProgram(
-            cost=self.cost,
-            row_coeffs=np.zeros((0, len(np.atleast_1d(self.cost)))),
-            row_rhs=np.zeros(0),
-            lower=self.lower,
-            upper=self.upper,
-        )
-        d = base.d
-        labels = [s.label for s in scenarios]
-        if len(set(labels)) != len(labels):
-            raise LpInputError("scenario labels must be distinct")
+    def __init__(self, cost, lower, upper, scenarios: Iterable[Scenario]):
+        scenarios = tuple(scenarios)
+        labels = _as_labels([s.label for s in scenarios])
+        d = len(np.atleast_1d(cost))
         for s in scenarios:
             if s.coeffs.shape[1] != d:
                 raise LpInputError(
                     f"scenario {s.label}: rows have width {s.coeffs.shape[1]}, "
                     f"expected {d}"
                 )
-        object.__setattr__(self, "cost", base.cost)
-        object.__setattr__(self, "lower", base.lower)
-        object.__setattr__(self, "upper", base.upper)
-        object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "_by_label", {s.label: s for s in scenarios})
+        self._store(
+            cost, lower, upper, labels,
+            owners=np.repeat(labels, [s.n_rows for s in scenarios]),
+            coeffs=np.concatenate([s.coeffs for s in scenarios]),
+            rhs=np.concatenate([s.rhs for s in scenarios]),
+        )
+
+    @classmethod
+    def from_rows(cls, cost, lower, upper, labels, owners, coeffs, rhs
+                  ) -> "ScenarioProgram":
+        """Program from rows coeffs (R, d) @ x <= rhs (R,), in any order, row i
+        owned by scenario owners[i]; labels gives the scenarios' order."""
+        program = cls.__new__(cls)
+        program._store(cost, lower, upper, _as_labels(labels), owners,
+                       coeffs, rhs)
+        return program
+
+    def _store(self, cost, lower, upper, labels, owners, coeffs, rhs):
+        box = LinearProgram(
+            cost=cost,
+            row_coeffs=np.zeros((0, len(np.atleast_1d(cost)))),
+            row_rhs=np.zeros(0),
+            lower=lower,
+            upper=upper,
+        )
+        owners = np.asarray(owners)
+        if not np.isin(owners, labels).all():
+            raise LpInputError("some scenario rows belong to no given label")
+        ordered = np.sort(labels)
+        pos = np.searchsorted(ordered, owners)
+        heights = np.bincount(pos, minlength=ordered.size)
+        if not heights.all():
+            raise LpInputError(
+                f"scenario {ordered[np.argmin(heights)]}: block must be non-empty"
+            )
+        coeffs = np.asarray(coeffs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if coeffs.shape != (owners.size, box.d) or rhs.shape != (owners.size,):
+            raise LpInputError(f"scenario rows of shapes {coeffs.shape} and "
+                               f"{rhs.shape} do not match {owners.size} owners")
+        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(rhs))):
+            raise LpInputError("scenario rows contain NaN or Inf")
+        rows = np.argsort(pos, kind="stable")
+        self.cost, self.lower, self.upper = box.cost, box.lower, box.upper
+        self.coeffs, self.rhs, self.owners = coeffs[rows], rhs[rows], ordered[pos[rows]]
+        for arr in (self.coeffs, self.rhs, self.owners):
+            arr.setflags(write=False)
+        self._given = labels
+        self._sorted = ordered
+        self._start = np.concatenate(([0], np.cumsum(heights)))
+        self.labels: frozenset[int] = frozenset(labels.tolist())
 
     @property
     def d(self) -> int:
@@ -158,59 +215,51 @@ class ScenarioProgram:
 
     @property
     def m(self) -> int:
-        return len(self.scenarios)
+        return self._sorted.size
 
     @property
-    def labels(self) -> frozenset[int]:
-        return frozenset(self._by_label)
-
-    @property
-    def base(self) -> LinearProgram:
-        return LinearProgram(
-            cost=self.cost,
-            row_coeffs=np.zeros((0, self.d)),
-            row_rhs=np.zeros(0),
-            lower=self.lower,
-            upper=self.upper,
-        )
+    def scenarios(self) -> tuple[Scenario, ...]:
+        """The scenarios in their given order, derived from the stored rows."""
+        return tuple(self.scenario(lab) for lab in self._given.tolist())
 
     def scenario(self, label: int) -> Scenario:
-        return self._by_label[label]
+        if label not in self.labels:
+            raise KeyError(label)
+        i = int(np.searchsorted(self._sorted, label))
+        rows = slice(self._start[i], self._start[i + 1])
+        return Scenario(label=int(label), coeffs=self.coeffs[rows],
+                        rhs=self.rhs[rows])
 
     def assemble(self, labels: Iterable[int]) -> tuple[LinearProgram, np.ndarray]:
-        """Build the LP enforcing the given labels; also map rows to owners."""
-        ordered = sorted(labels)
-        missing = [lab for lab in ordered if lab not in self._by_label]
+        """Build the LP enforcing the given labels; also map rows to owners.
+
+        Rows come in ascending label order, so the LP depends only on the
+        label set.
+        """
+        wanted = set(labels)
+        missing = sorted(wanted - self.labels)
         if missing:
             raise LpInputError(f"unknown scenario labels: {missing}")
-        if ordered:
-            blocks = [self._by_label[lab] for lab in ordered]
-            coeffs = np.vstack([b.coeffs for b in blocks])
-            rhs = np.concatenate([b.rhs for b in blocks])
-            owners = np.concatenate(
-                [np.full(b.n_rows, b.label, dtype=int) for b in blocks]
-            )
-        else:
-            coeffs = np.zeros((0, self.d))
-            rhs = np.zeros(0)
-            owners = np.zeros(0, dtype=int)
+        rows = np.isin(self.owners, list(wanted))
         lp = LinearProgram(
             cost=self.cost,
-            row_coeffs=coeffs,
-            row_rhs=rhs,
+            row_coeffs=self.coeffs[rows],
+            row_rhs=self.rhs[rows],
             lower=self.lower,
             upper=self.upper,
         )
-        return lp, owners
+        return lp, self.owners[rows]
 
     def restrict(self, labels: Iterable[int]) -> "ScenarioProgram":
-        """Program over a subset of scenarios, labels preserved."""
+        """Program over a subset of scenarios, labels and their order preserved."""
         keep = set(labels)
-        return ScenarioProgram(
-            cost=self.cost,
-            lower=self.lower,
-            upper=self.upper,
-            scenarios=tuple(s for s in self.scenarios if s.label in keep),
+        rows = np.isin(self.owners, list(keep))
+        return ScenarioProgram.from_rows(
+            self.cost, self.lower, self.upper,
+            labels=[lab for lab in self._given.tolist() if lab in keep],
+            owners=self.owners[rows],
+            coeffs=self.coeffs[rows],
+            rhs=self.rhs[rows],
         )
 
     # JSON wire format:
@@ -249,20 +298,22 @@ class ScenarioProgram:
             upper = np.array(
                 [np.inf if b[1] is None else float(b[1]) for b in bounds]
             )
-            scenarios = tuple(
-                Scenario(
-                    label=int(s["label"]),
-                    coeffs=np.asarray([row["a"] for row in s["rows"]], dtype=float),
-                    rhs=np.asarray([row["b"] for row in s["rows"]], dtype=float),
-                )
-                for s in data["scenarios"]
-            )
-        except (KeyError, TypeError, IndexError) as exc:
+            scenarios = data["scenarios"]
+            labels = [s["label"] for s in scenarios]
+            owners = [s["label"] for s in scenarios for _ in s["rows"]]
+            coeffs = [[float(v) for v in row["a"]]
+                      for s in scenarios for row in s["rows"]]
+            rhs = [float(row["b"]) for s in scenarios for row in s["rows"]]
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise LpInputError(f"malformed scenario program: {exc}") from exc
-        program = cls(cost=cost, lower=lower, upper=upper, scenarios=scenarios)
-        if program.d != d:
-            raise LpInputError(f"declared d={d} but cost has length {program.d}")
-        return program
+        if cost.shape != (d,):
+            raise LpInputError(f"declared d={d} but cost has shape {cost.shape}")
+        for label, a in zip(owners, coeffs):
+            if len(a) != d:
+                raise LpInputError(
+                    f"scenario {label}: a row has {len(a)} coefficients, expected {d}"
+                )
+        return cls.from_rows(cost, lower, upper, labels, owners, coeffs, rhs)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -285,13 +336,13 @@ class SolveCounts:
     candidate_solves: int = 0
     degeneracy_solves: int = 0
 
-    def total(self) -> int:
-        return (
-            self.stage_solves
-            + self.support_solves
-            + self.candidate_solves
-            + self.degeneracy_solves
-        )
+    def to_dict(self) -> dict:
+        return {
+            "stage": self.stage_solves,
+            "support": self.support_solves,
+            "candidate": self.candidate_solves,
+            "degeneracy": self.degeneracy_solves,
+        }
 
 
 @dataclass(frozen=True)
@@ -337,12 +388,7 @@ class CascadeTrace:
             "final_x": np.asarray(self.final_x).tolist(),
             "final_objective": self.final_objective,
             "compression_candidate": sorted(self.compression_candidate),
-            "solve_counts": {
-                "stage": self.counts.stage_solves,
-                "support": self.counts.support_solves,
-                "candidate": self.counts.candidate_solves,
-                "degeneracy": self.counts.degeneracy_solves,
-            },
+            "solve_counts": self.counts.to_dict(),
         }
 
 
@@ -369,12 +415,7 @@ class GreedyTrace:
             ],
             "final_x": np.asarray(self.final_x).tolist(),
             "final_objective": self.final_objective,
-            "solve_counts": {
-                "stage": self.counts.stage_solves,
-                "support": self.counts.support_solves,
-                "candidate": self.counts.candidate_solves,
-                "degeneracy": self.counts.degeneracy_solves,
-            },
+            "solve_counts": self.counts.to_dict(),
         }
 
 
@@ -387,12 +428,11 @@ def solve_stage(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
     tol: LpTolerances = DEFAULT_TOL,
-    refine: bool = True,
 ) -> LpSolution:
     """Solve the program restricted to the given labels (all by default)."""
     labels = program.labels if active_labels is None else set(active_labels)
     lp, _ = program.assemble(labels)
-    return solve(lp, tol=tol, refine=refine)
+    return solve(lp, tol=tol)
 
 
 def _solved_stage(program, labels, tol, stage=None):
@@ -403,27 +443,20 @@ def _solved_stage(program, labels, tol, stage=None):
     return lp, owners, sol
 
 
-def _support_from_solution(program, labels, sol, owners, tol, counts,
-                           shortcut=True):
+def _support_from_solution(program, labels, sol, owners, tol, counts):
     """Labels whose removal moves the minimizer by more than tol.x.
 
-    With the shortcut, only scenarios owning at least one active row are
-    tested: a scenario whose rows are all slack at the tie-broken minimizer
-    cannot change it, because the minimizer stays feasible and lexicographic
-    optimality is preserved on any enlargement of the feasible set that
-    keeps a neighborhood of the optimum.
+    Only scenarios owning at least one active row are tested: a scenario
+    whose rows are all slack at the tie-broken minimizer cannot change it,
+    because the minimizer stays feasible and lexicographic optimality is
+    preserved on any enlargement of the feasible set that keeps a
+    neighborhood of the optimum.
     """
-    if shortcut:
-        candidate_labels = sorted({int(owners[i]) for i in sol.active_rows})
-    else:
-        candidate_labels = sorted(labels)
     support = []
-    for lab in candidate_labels:
-        reduced = set(labels) - {lab}
-        lp_red, _ = program.assemble(reduced)
+    for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+        lp_red, _ = program.assemble(labels - {lab})
         sol_red = solve(lp_red, tol=tol)
-        if counts is not None:
-            counts.support_solves += 1
+        counts.support_solves += 1
         if sol_red.status is LpStatus.UNBOUNDED:
             # the minimizer ceased to exist, which certainly changes it
             support.append(lab)
@@ -435,17 +468,27 @@ def _support_from_solution(program, labels, sol, owners, tol, counts,
     return frozenset(support)
 
 
+def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool:
+    """True iff the support-only solve lands on the stage minimizer."""
+    return bool(sol_sup.is_optimal
+                and np.max(np.abs(sol_sup.x - sol.x)) <= tol.x)
+
+
+def _stage_support(program, active_labels, tol):
+    """Minimizer of the restricted program and its support scenarios."""
+    labels = program.labels if active_labels is None else set(active_labels)
+    _, owners, sol = _solved_stage(program, labels, tol)
+    return sol, _support_from_solution(program, labels, sol, owners, tol,
+                                       SolveCounts())
+
+
 def support_set(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
     tol: LpTolerances = DEFAULT_TOL,
-    shortcut: bool = True,
 ) -> frozenset[int]:
     """Support scenarios of the restricted program's minimizer."""
-    labels = program.labels if active_labels is None else set(active_labels)
-    _, owners, sol = _solved_stage(program, labels, tol)
-    return _support_from_solution(program, labels, sol, owners, tol, None,
-                                  shortcut=shortcut)
+    return _stage_support(program, active_labels, tol)[1]
 
 
 def is_nondegenerate(
@@ -454,14 +497,9 @@ def is_nondegenerate(
     tol: LpTolerances = DEFAULT_TOL,
 ) -> bool:
     """True iff enforcing only the support set reproduces the minimizer."""
-    labels = program.labels if active_labels is None else set(active_labels)
-    _, owners, sol = _solved_stage(program, labels, tol)
-    support = _support_from_solution(program, labels, sol, owners, tol, None)
+    sol, support = _stage_support(program, active_labels, tol)
     lp_sup, _ = program.assemble(support)
-    sol_sup = solve(lp_sup, tol=tol)
-    if not sol_sup.is_optimal:
-        return False
-    return bool(np.max(np.abs(sol_sup.x - sol.x)) <= tol.x)
+    return _reproduces(solve(lp_sup, tol=tol), sol, tol)
 
 
 def padding_set(
@@ -533,12 +571,8 @@ def run_cascade(
         degenerate: Optional[bool] = None
         if record_degeneracy:
             lp_sup, _ = program.assemble(support)
-            sol_sup = solve(lp_sup, tol=tol)
+            degenerate = not _reproduces(solve(lp_sup, tol=tol), sol, tol)
             counts.degeneracy_solves += 1
-            degenerate = not (
-                sol_sup.is_optimal
-                and np.max(np.abs(sol_sup.x - sol.x)) <= tol.x
-            )
         stages.append(
             StageRecord(
                 k=k,

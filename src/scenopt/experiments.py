@@ -38,10 +38,10 @@ import numpy as np
 from scenopt import bounds
 from scenopt.engine import (
     AssumptionViolated,
+    CascadeError,
     CascadeTrace,
     GreedyTrace,
     RemovalMode,
-    Scenario,
     ScenarioProgram,
     greedy_removal,
     run_cascade,
@@ -49,6 +49,15 @@ from scenopt.engine import (
 from scenopt.lp import DEFAULT_TOL, LpTolerances
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+class AllTrialsExcluded(CascadeError):
+    """Every Monte Carlo trial was excluded, so nothing can be estimated."""
+
+    def __init__(self, trials: int):
+        self.trials = trials
+        super().__init__(f"all {trials} trials were excluded (a support set "
+                         "differed from d in fully-supported mode)")
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,15 @@ def _half_width(point: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _program_from_blocks(cost, lower, upper, coeffs, rhs) -> ScenarioProgram:
+    """Program over blocks coeffs (m, n, d) and rhs (m, n), labels 1..m."""
+    m, n, d = coeffs.shape
+    labels = np.arange(1, m + 1)
+    return ScenarioProgram.from_rows(cost, lower, upper, labels,
+                                     np.repeat(labels, n),
+                                     coeffs.reshape(m * n, d), rhs.reshape(m * n))
+
+
 @dataclass(frozen=True)
 class AnalyticFamily:
     """1-D uniform family: min x on [0,1] with x >= delta_i."""
@@ -126,16 +144,7 @@ class AnalyticFamily:
 
     def generate(self, rng: np.random.Generator) -> ScenarioProgram:
         coeffs, rhs = self.sample_blocks(self.m, rng)
-        scenarios = tuple(
-            Scenario(label=i + 1, coeffs=coeffs[i], rhs=rhs[i])
-            for i in range(self.m)
-        )
-        return ScenarioProgram(
-            cost=np.array([1.0]),
-            lower=np.array([0.0]),
-            upper=np.array([1.0]),
-            scenarios=scenarios,
-        )
+        return _program_from_blocks([1.0], [0.0], [1.0], coeffs, rhs)
 
     @staticmethod
     def exact_violation(x: np.ndarray) -> float:
@@ -163,16 +172,8 @@ class ResourceFamily:
 
     def generate(self, rng: np.random.Generator) -> ScenarioProgram:
         coeffs, rhs = self.sample_blocks(self.m, rng)
-        scenarios = tuple(
-            Scenario(label=i + 1, coeffs=coeffs[i], rhs=rhs[i])
-            for i in range(self.m)
-        )
-        return ScenarioProgram(
-            cost=-np.ones(self.d),
-            lower=np.zeros(self.d),
-            upper=np.full(self.d, np.inf),
-            scenarios=scenarios,
-        )
+        return _program_from_blocks(-np.ones(self.d), np.zeros(self.d),
+                                    np.full(self.d, np.inf), coeffs, rhs)
 
     exact_violation = None
 
@@ -240,9 +241,12 @@ def outer_probability_mc(
     with ell stages of removal, or greedy with r single removals), and
     measures the violation of the final solution: exactly where the family
     provides a closed form, otherwise with n_inner fresh scenarios.  Trials
-    aborted by AssumptionViolated are excluded and counted.  When per_trial
+    aborted by AssumptionViolated are excluded and counted; AllTrialsExcluded
+    is raised when no trial is left to estimate from.  When per_trial
     is a list, one row dict per trial is appended for CSV emission.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     exceed = 0
     excluded = 0
     borderline = 0
@@ -287,7 +291,7 @@ def outer_probability_mc(
                  "violation": viol, "exceed": int(hit), "excluded": 0}
             )
     if evaluated == 0:
-        raise AssumptionViolated(0, 0, family.d)
+        raise AllTrialsExcluded(trials)
     point = exceed / evaluated
     return OuterProbabilityEstimate(
         epsilon=epsilon,

@@ -122,12 +122,12 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.row_rhs.shape[0]
 
-    def with_rows(self, extra_coeffs, extra_rhs, cost=None) -> "LinearProgram":
-        """Copy with rows appended and, optionally, a replaced cost."""
+    def with_rows(self, extra_coeffs, extra_rhs) -> "LinearProgram":
+        """Copy with rows appended."""
         coeffs = np.vstack([self.row_coeffs, np.atleast_2d(extra_coeffs)])
         rhs = np.concatenate([self.row_rhs, np.atleast_1d(extra_rhs)])
         return LinearProgram(
-            cost=self.cost if cost is None else cost,
+            cost=self.cost,
             row_coeffs=coeffs,
             row_rhs=rhs,
             lower=self.lower,

@@ -3,7 +3,9 @@
 Everything here recomputes expected values from first principles, without
 touching the code paths under test: exact rational arithmetic for the tail
 bounds, exhaustive vertex enumeration for small LPs, and the definitional
-remove-one-scenario loop for support sets.
+remove-one-scenario loop for support sets.  The block-by-block stacking
+that `ScenarioProgram.assemble` replaced is kept as the reference for the
+stored row layout.
 """
 
 from fractions import Fraction
@@ -104,3 +106,19 @@ def support_set_definitional(program, labels, tol_x: float = 1e-6):
         if not red.is_optimal or np.max(np.abs(red.x - base.x)) > tol_x:
             support.add(lab)
     return frozenset(support)
+
+
+def assemble_blocks(scenarios, labels, d: int):
+    """Stack the blocks of the given labels in ascending label order.
+
+    Returns (row_coeffs, row_rhs, owners) built from Scenario objects one
+    block at a time, the construction that predates the stored row layout.
+    """
+    by_label = {s.label: s for s in scenarios}
+    blocks = [by_label[lab] for lab in sorted(labels)]
+    if not blocks:
+        return np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=int)
+    coeffs = np.vstack([b.coeffs for b in blocks])
+    rhs = np.concatenate([b.rhs for b in blocks])
+    owners = np.concatenate([np.full(b.n_rows, b.label, dtype=int) for b in blocks])
+    return coeffs, rhs, owners

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scenopt import experiments
 from scenopt.cli import (
     EXIT_ASSUMPTION,
     EXIT_INPUT,
@@ -149,6 +150,15 @@ class TestGreedyCommand:
         assert steps[0] == "step,removed_label,objective"
         assert len(steps) == 4
 
+    def test_too_many_removals_exits_2(self, capsys, tmp_path):
+        # r >= m - d is a sizing error in the input, like the cascade's
+        code, _, err = run_cli(
+            capsys, "greedy", "--generator", "resource", "--m", "10",
+            "--d", "2", "--n", "2", "--r", "8", "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert "r < m - d" in err
+
 
 class TestExperimentCommand:
     def test_analytic_tightness_artifacts(self, capsys, tmp_path):
@@ -193,6 +203,19 @@ class TestExperimentCommand:
         )
         trials = (tmp_path / "resource_compare_trials.csv").read_text()
         assert trials.splitlines()[0].startswith("epsilon,r_cascade")
+
+    def test_all_trials_excluded_exits_3(self, capsys, tmp_path, monkeypatch):
+        def excluded(*args, **kwargs):
+            raise experiments.AllTrialsExcluded(10)
+
+        monkeypatch.setattr(experiments, "outer_probability_mc", excluded)
+        code, _, err = run_cli(
+            capsys, "experiment", "analytic-tightness", "--m", "20",
+            "--ell", "1", "--eps", "0.3", "--trials", "10",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_ASSUMPTION
+        assert "all 10 trials" in err
 
     def test_outdir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))

@@ -21,7 +21,7 @@ from scenopt.engine import (
 )
 from scenopt.lp import LpInputError
 
-from oracles import support_set_definitional
+from oracles import assemble_blocks, support_set_definitional
 
 
 def analytic_program(deltas, lower=0.0, upper=1.0):
@@ -423,3 +423,95 @@ class TestSerialization:
                     Scenario(label=1, coeffs=[[-1.0]], rhs=[-0.2]),
                 ),
             )
+
+
+def program_dict(scenarios, d=1):
+    return {"d": d, "cost": [1.0] * d, "bounds": [[0.0, 1.0]] * d,
+            "scenarios": scenarios}
+
+
+@pytest.mark.parametrize("scenarios, d, message", [
+    ([{"label": 1.7, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+     "not an integer"),
+    ([{"label": 1.2, "rows": [{"a": [-1.0], "b": -0.1}]},
+      {"label": 1.7, "rows": [{"a": [-1.0], "b": -0.2}]}], 1,
+     "not an integer"),
+    ([{"label": -3, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+     "not positive"),
+    ([{"label": 1, "rows": []}], 1, "must be non-empty"),
+    ([{"label": 1, "rows": [{"a": [-1.0, 0.5], "b": -0.1},
+                            {"a": [-1.0, 0.5, 2.0], "b": -0.2}]}], 2,
+     "has 3 coefficients, expected 2"),
+    ([{"label": 1, "rows": [{"a": ["x"], "b": -0.1}]}], 1, "malformed"),
+])
+def test_bad_scenario_input_rejected(scenarios, d, message):
+    with pytest.raises(LpInputError, match=message):
+        ScenarioProgram.from_dict(program_dict(scenarios, d))
+
+
+def mixed_scenarios(rng, d, labels):
+    """Scenarios of one to three rows each, in the given label order."""
+    return [
+        Scenario(label=lab, coeffs=rng.normal(size=(h, d)),
+                 rhs=rng.normal(size=h))
+        for lab, h in zip(labels, rng.integers(1, 4, len(labels)).tolist())
+    ]
+
+
+class TestRowLayout:
+    def random_case(self, rng):
+        d = int(rng.integers(1, 4))
+        labels = rng.choice(np.arange(1, 100), size=int(rng.integers(1, 12)),
+                            replace=False).tolist()  # unsorted
+        scenarios = mixed_scenarios(rng, d, labels)
+        prog = ScenarioProgram(cost=np.ones(d), lower=-np.ones(d),
+                               upper=np.ones(d), scenarios=scenarios)
+        return d, labels, scenarios, prog
+
+    def test_assemble_matches_block_stacking(self):
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            d, labels, scenarios, prog = self.random_case(rng)
+            clone = ScenarioProgram.from_json(prog.to_json())
+            subsets = [labels, [], [labels[0]],
+                       [lab for lab in labels if rng.random() < 0.5]]
+            for sub in subsets:
+                coeffs, rhs, owners = assemble_blocks(scenarios, sub, d)
+                for p in (prog, clone):
+                    lp, got_owners = p.assemble(set(sub))
+                    assert np.array_equal(lp.row_coeffs, coeffs)
+                    assert np.array_equal(lp.row_rhs, rhs)
+                    assert np.array_equal(got_owners, owners)
+
+    def test_scenarios_are_derived_in_given_order(self):
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            _, labels, scenarios, prog = self.random_case(rng)
+            assert [s.label for s in prog.scenarios] == labels
+            for orig, derived in zip(scenarios, prog.scenarios):
+                assert np.array_equal(derived.coeffs, orig.coeffs)
+                assert np.array_equal(derived.rhs, orig.rhs)
+                assert not derived.coeffs.flags.writeable
+
+    def test_json_round_trip_is_byte_identical(self):
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            _, labels, _, prog = self.random_case(rng)
+            text = prog.to_json()
+            assert [s["label"] for s in json.loads(text)["scenarios"]] == labels
+            assert ScenarioProgram.from_json(text).to_json() == text
+
+    def test_restrict_matches_program_from_same_scenarios(self):
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            _, labels, scenarios, prog = self.random_case(rng)
+            keep = set(labels[: int(rng.integers(1, len(labels) + 1))])
+            sub = prog.restrict(keep)
+            ref = ScenarioProgram(
+                cost=prog.cost, lower=prog.lower, upper=prog.upper,
+                scenarios=[s for s in scenarios if s.label in keep],
+            )
+            assert np.array_equal(sub.coeffs, ref.coeffs)
+            assert np.array_equal(sub.rhs, ref.rhs)
+            assert np.array_equal(sub.owners, ref.owners)
+            assert sub.to_json() == ref.to_json()

@@ -4,12 +4,14 @@ import pytest
 from scenopt import bounds
 from scenopt.engine import (
     RemovalMode,
+    Scenario,
     cascade_solve_count,
     greedy_solve_count,
     run_cascade,
     solve_stage,
 )
 from scenopt.experiments import (
+    AllTrialsExcluded,
     AnalyticFamily,
     RandomSource,
     ResourceFamily,
@@ -25,6 +27,21 @@ from scenopt.experiments import (
     run_resource_compare,
     solver_call_count,
 )
+
+from oracles import assemble_blocks
+
+
+class TiedMaxFamily(AnalyticFamily):
+    """Analytic draws whose largest delta appears twice.
+
+    Neither copy of the maximum is a support scenario, so every cascade in
+    fully-supported mode stops at stage 0 and every trial is excluded.
+    """
+
+    def sample_blocks(self, count, rng):
+        coeffs, rhs = super().sample_blocks(count, rng)
+        rhs[:2] = rhs.min()
+        return coeffs, rhs
 
 
 class TestGenerators:
@@ -82,6 +99,23 @@ class TestGenerators:
         assert all(b < a for a, b in zip(objs, objs[1:]))
         assert len(trace.compression_candidate) == 22
         assert trace.counts.stage_solves == 11
+
+    def test_generate_matches_scenario_construction(self):
+        # the families stack their sampled blocks directly; the program must
+        # equal one built from per-scenario objects over the same draws
+        for family in (AnalyticFamily(m=9), ResourceFamily(d=3, n=2, m=9)):
+            prog = family.generate(RandomSource(seed=47).generator())
+            coeffs, rhs = family.sample_blocks(
+                family.m, RandomSource(seed=47).generator())
+            scenarios = [Scenario(label=i + 1, coeffs=coeffs[i], rhs=rhs[i])
+                         for i in range(family.m)]
+            for sub in ({1, 2, 3, 4, 5, 6, 7, 8, 9}, {2, 5, 9}, set()):
+                lp, owners = prog.assemble(sub)
+                ref_coeffs, ref_rhs, ref_owners = assemble_blocks(
+                    scenarios, sub, family.d)
+                assert np.array_equal(lp.row_coeffs, ref_coeffs)
+                assert np.array_equal(lp.row_rhs, ref_rhs)
+                assert np.array_equal(owners, ref_owners)
 
     def test_resource_laplace_moments(self):
         src = RandomSource(seed=13)
@@ -145,6 +179,17 @@ class TestOuterProbability:
         prog7 = fam.generate(src.generator(7))
         trace7 = run_cascade(prog7, 2, mode=RemovalMode.FULLY_SUPPORTED)
         assert rows[7]["final_objective"] == trace7.final_objective
+
+    def test_all_trials_excluded_raises(self):
+        with pytest.raises(AllTrialsExcluded, match="all 4 trials") as err:
+            outer_probability_mc(
+                TiedMaxFamily(m=8), 1, 0.2, 4, RandomSource(seed=43),
+                scheme="cascade", mode=RemovalMode.FULLY_SUPPORTED,
+            )
+        assert err.value.trials == 4
+        with pytest.raises(ValueError, match="trials must be positive"):
+            outer_probability_mc(TiedMaxFamily(m=8), 1, 0.2, 0,
+                                 RandomSource(seed=43))
 
     def test_greedy_scheme_supported(self):
         est = outer_probability_mc(
