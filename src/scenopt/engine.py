@@ -88,14 +88,14 @@ class RemovalMode(Enum):
     REGULARIZED = "regularized"
 
 
-def _is_label(value) -> bool:
+def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_labels(values) -> np.ndarray:
     """Scenario labels as an int array; they must be distinct positive integers."""
     for v in values:
-        if not _is_label(v):
+        if not _is_int(v):
             raise LpInputError(f"scenario label {v!r} is not an integer")
     labels = np.asarray(values, dtype=np.int64)
     if labels.size == 0:
@@ -116,7 +116,7 @@ class Scenario:
     rhs: np.ndarray
 
     def __post_init__(self):
-        if not _is_label(self.label):
+        if not _is_int(self.label):
             raise LpInputError(f"scenario label {self.label!r} is not an integer")
         coeffs = np.array(self.coeffs, dtype=float, ndmin=2)
         rhs = np.array(self.rhs, dtype=float, ndmin=1)
@@ -289,7 +289,7 @@ class ScenarioProgram:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioProgram":
         try:
-            d = int(data["d"])
+            d = data["d"]
             cost = np.asarray(data["cost"], dtype=float)
             bounds = data["bounds"]
             lower = np.array(
@@ -306,6 +306,8 @@ class ScenarioProgram:
             rhs = [float(row["b"]) for s in scenarios for row in s["rows"]]
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise LpInputError(f"malformed scenario program: {exc}") from exc
+        if not _is_int(d):
+            raise LpInputError(f"d {d!r} is not an integer")
         if cost.shape != (d,):
             raise LpInputError(f"declared d={d} but cost has shape {cost.shape}")
         for label, a in zip(owners, coeffs):
@@ -329,7 +331,13 @@ class ScenarioProgram:
 
 @dataclass
 class SolveCounts:
-    """Tally of LP solves by role; stage solves are the headline number."""
+    """Tally of LP solves by role; stage solves are the headline number.
+
+    The counts are logical: one support solve per tested candidate (however
+    many LP cores it took) and one candidate solve per greedy candidate, also
+    when its objective is taken from support detection's re-solve of the
+    same LP instead of solved again.
+    """
 
     stage_solves: int = 0
     support_solves: int = 0
@@ -446,26 +454,44 @@ def _solved_stage(program, labels, tol, stage=None):
 def _support_from_solution(program, labels, sol, owners, tol, counts):
     """Labels whose removal moves the minimizer by more than tol.x.
 
+    Returns {label: objective of the unrefined LP without it} over the
+    support labels, None where that LP is unbounded.
+
     Only scenarios owning at least one active row are tested: a scenario
     whose rows are all slack at the tie-broken minimizer cannot change it,
     because the minimizer stays feasible and lexicographic optimality is
     preserved on any enlargement of the feasible set that keeps a
     neighborhood of the optimum.
+
+    Each candidate's reduced LP is first solved unrefined.  It is support,
+    with no refinement, when that LP is unbounded or its cost lies below
+    sol.objective by more than 2*|c|_1*tol.x + tol.feas: the refined
+    minimizer x' of the reduced LP costs at most the unrefined optimum plus
+    the drift its pinned cost row allows (covered by |c|_1*tol.x + tol.feas),
+    and |c.(x' - x)| <= |c|_1 * max|x' - x|, so max|x' - x| > tol.x.  Inside
+    the margin (cost ties that only move the tie-break, duplicated maxima,
+    near-ties) the refined re-solve decides by max|x' - x| > tol.x.
     """
-    support = []
+    margin = 2.0 * np.abs(program.cost).sum() * tol.x + tol.feas
+    support = {}
     for lab in sorted({int(owners[i]) for i in sol.active_rows}):
         lp_red, _ = program.assemble(labels - {lab})
-        sol_red = solve(lp_red, tol=tol)
+        coarse = solve(lp_red, tol=tol, refine=False)
         counts.support_solves += 1
-        if sol_red.status is LpStatus.UNBOUNDED:
+        if coarse.status is LpStatus.UNBOUNDED:
             # the minimizer ceased to exist, which certainly changes it
-            support.append(lab)
+            support[lab] = None
             continue
-        if not sol_red.is_optimal:
-            raise StageSolveError(None, sol_red.status)
-        if np.max(np.abs(sol_red.x - sol.x)) > tol.x:
-            support.append(lab)
-    return frozenset(support)
+        if not coarse.is_optimal:
+            raise StageSolveError(None, coarse.status)
+        if sol.objective - coarse.objective <= margin:
+            # refining an optimal LP either succeeds or finds no lexicographic
+            # minimum (unbounded), which changes the minimizer too
+            sol_red = solve(lp_red, tol=tol)
+            if sol_red.is_optimal and np.max(np.abs(sol_red.x - sol.x)) <= tol.x:
+                continue
+        support[lab] = coarse.objective
+    return support
 
 
 def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool:
@@ -478,8 +504,8 @@ def _stage_support(program, active_labels, tol):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
     _, owners, sol = _solved_stage(program, labels, tol)
-    return sol, _support_from_solution(program, labels, sol, owners, tol,
-                                       SolveCounts())
+    return sol, frozenset(_support_from_solution(program, labels, sol,
+                                                 owners, tol, SolveCounts()))
 
 
 def support_set(
@@ -556,9 +582,9 @@ def run_cascade(
     for k in range(ell + 1):
         lp, owners, sol = _solved_stage(program, available, tol, stage=k)
         counts.stage_solves += 1
-        support = _support_from_solution(
+        support = frozenset(_support_from_solution(
             program, available, sol, owners, tol, counts
-        )
+        ))
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
         if mode is RemovalMode.FULLY_SUPPORTED:
@@ -643,7 +669,9 @@ def greedy_removal(
     provably leaves the minimizer unchanged); ties on the re-solved
     objective break toward the smallest label.  When a stage has an empty
     support set no removal can improve the cost, and the smallest available
-    label is dropped instead.
+    label is dropped instead.  A support candidate's re-solve is the
+    unrefined solve support detection already ran on the same LP, so its
+    objective is reused; it still counts as one candidate solve.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -665,13 +693,17 @@ def greedy_removal(
         best_label = None
         best_obj = np.inf
         for lab in candidates:
-            lp_c, _ = program.assemble(available - {lab})
-            sol_c = solve(lp_c, tol=tol, refine=False)
+            # support detection already solved this LP unrefined
+            obj = support.get(lab)
+            if obj is None:
+                lp_c, _ = program.assemble(available - {lab})
+                sol_c = solve(lp_c, tol=tol, refine=False)
+                if not sol_c.is_optimal:
+                    raise StageSolveError(None, sol_c.status)
+                obj = sol_c.objective
             counts.candidate_solves += 1
-            if not sol_c.is_optimal:
-                raise StageSolveError(None, sol_c.status)
-            if sol_c.objective < best_obj:
-                best_obj = sol_c.objective
+            if obj < best_obj:
+                best_obj = obj
                 best_label = lab
         available.remove(best_label)
         lp, owners, sol = _solved_stage(program, available, tol)

@@ -50,12 +50,25 @@ class LpTolerances:
     feas: feasibility slack accepted on rows and bounds.
     active: activity detection, |a.x - rhs| <= active marks a row active.
     x: infinity-norm threshold under which two minimizers count as equal.
+    pivot: simplex zero threshold; reduced costs above -pivot count as
+        optimal, direction entries below it cannot block, and ratio-test
+        ties are broken within it.
+
+    Every field must be a finite positive number.
     """
 
     feas: float = 1e-7
     active: float = 1e-6
     x: float = 1e-6
     pivot: float = 1e-9
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isinstance(value, (int, float, np.number))
+                    and np.isfinite(value) and value > 0):
+                raise LpInputError(
+                    f"tolerance {name}={value!r} must be finite and positive"
+                )
 
 
 DEFAULT_TOL = LpTolerances()

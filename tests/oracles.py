@@ -5,7 +5,8 @@ touching the code paths under test: exact rational arithmetic for the tail
 bounds, exhaustive vertex enumeration for small LPs, and the definitional
 remove-one-scenario loop for support sets.  The block-by-block stacking
 that `ScenarioProgram.assemble` replaced is kept as the reference for the
-stored row layout.
+stored row layout, and the two-solve greedy loop as the reference for
+greedy removal.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from scenopt.lp import LinearProgram, solve
+from scenopt.lp import DEFAULT_TOL, LinearProgram, solve
 
 
 def binom_tail_exact(m: int, k_max: int, eps: float) -> Fraction:
@@ -122,3 +123,41 @@ def assemble_blocks(scenarios, labels, d: int):
     rhs = np.concatenate([b.rhs for b in blocks])
     owners = np.concatenate([np.full(b.n_rows, b.label, dtype=int) for b in blocks])
     return coeffs, rhs, owners
+
+
+def greedy_two_solve(program, r: int, tol=DEFAULT_TOL):
+    """Greedy removal with a refined re-solve per support test and a second,
+    unrefined re-solve per candidate, as greedy removal was first written.
+
+    Returns (removed labels, step objectives, final x, solve counts dict).
+    """
+    counts = {"stage": 0, "support": 0, "candidate": 0, "degeneracy": 0}
+    available = set(program.labels)
+
+    def stage():
+        lp, owners = program.assemble(available)
+        counts["stage"] += 1
+        return owners, solve(lp, tol=tol)
+
+    owners, sol = stage()
+    removed, objectives = [], []
+    for _ in range(r):
+        support = []
+        for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+            lp_red, _ = program.assemble(available - {lab})
+            red = solve(lp_red, tol=tol)
+            counts["support"] += 1
+            if not red.is_optimal or np.max(np.abs(red.x - sol.x)) > tol.x:
+                support.append(lab)
+        best_label, best_obj = None, np.inf
+        for lab in support or sorted(available):
+            lp_c, _ = program.assemble(available - {lab})
+            obj = solve(lp_c, tol=tol, refine=False).objective
+            counts["candidate"] += 1
+            if obj < best_obj:
+                best_label, best_obj = lab, obj
+        available.remove(best_label)
+        removed.append(best_label)
+        owners, sol = stage()
+        objectives.append(sol.objective)
+    return removed, objectives, sol.x, counts

@@ -128,6 +128,15 @@ class TestCascadeCommand:
         assert code == EXIT_ASSUMPTION
         assert "stage 0" in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, capsys, value):
+        code, _, err = run_cli(
+            capsys, "cascade", "--generator", "analytic", "--m", "10",
+            "--ell", "1", "--seed", "0", "--tol-x", value,
+        )
+        assert code == EXIT_INPUT
+        assert "tolerance x=" in err
+
     def test_inconsistent_sizing_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "cascade", "--generator", "analytic", "--m", "6",

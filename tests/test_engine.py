@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import scenopt.engine as engine
 from scenopt.engine import (
     AssumptionViolated,
     DegeneracyDetected,
@@ -21,7 +22,11 @@ from scenopt.engine import (
 )
 from scenopt.lp import LpInputError
 
-from oracles import assemble_blocks, support_set_definitional
+from oracles import (
+    assemble_blocks,
+    greedy_two_solve,
+    support_set_definitional,
+)
 
 
 def analytic_program(deltas, lower=0.0, upper=1.0):
@@ -126,6 +131,49 @@ class TestSupportSet:
             slow = support_set_definitional(prog, prog.labels)
             assert fast == slow
             assert len(fast) <= prog.d
+
+
+def count_refined_solves(monkeypatch):
+    """Spy on the engine's LP solves; returns the list of refine flags."""
+    flags = []
+    real_solve = engine.solve
+
+    def spy(lp, tol=engine.DEFAULT_TOL, refine=True):
+        flags.append(refine)
+        return real_solve(lp, tol=tol, refine=refine)
+
+    monkeypatch.setattr(engine, "solve", spy)
+    return flags
+
+
+class TestSupportCertificate:
+    """Support scenarios whose removal keeps the cost are found only by the
+    refined re-solve that runs inside the cost-drop margin."""
+
+    def test_tie_break_only_support(self, monkeypatch):
+        # minimize x1 over [0,1]^2: scenario 1 (x2 >= 0.5) binds only x2,
+        # scenario 2 (x1 >= 0.3) binds the cost, scenario 3 is slack
+        prog = ScenarioProgram(
+            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
+            scenarios=(
+                Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
+                Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
+                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
+            ),
+        )
+        flags = count_refined_solves(monkeypatch)
+        sup = support_set(prog)
+        # the stage solve plus one fallback, for scenario 1 only
+        assert flags.count(True) == 2
+        assert sup == frozenset({1, 2})
+        assert sup == support_set_definitional(prog, prog.labels)
+
+    def test_near_tied_maxima_stay_unsupported(self, monkeypatch):
+        prog = analytic_program([0.3, 0.8, 0.8 + 5e-8, 0.1])
+        flags = count_refined_solves(monkeypatch)
+        assert support_set(prog) == frozenset()
+        assert flags.count(True) == 1 + 2
+        assert support_set_definitional(prog, prog.labels) == frozenset()
 
 
 class TestNondegeneracy:
@@ -362,6 +410,30 @@ class TestGreedy:
         assert g.final_objective == pytest.approx(c.final_objective, abs=1e-9)
 
 
+class TestGreedyMatchesTwoSolveLoop:
+    def assert_same(self, prog, r):
+        trace = greedy_removal(prog, r)
+        removed, objectives, final_x, counts = greedy_two_solve(prog, r)
+        assert [s.removed_label for s in trace.steps] == removed
+        assert [s.objective for s in trace.steps] == objectives
+        np.testing.assert_array_equal(trace.final_x, final_x)
+        assert trace.counts.to_dict() == counts
+
+    def test_analytic(self):
+        rng = np.random.default_rng(83)
+        for _ in range(10):
+            self.assert_same(random_analytic(rng, 20), 6)
+
+    def test_analytic_with_duplicated_maxima(self):
+        # empty support: every available label is a candidate
+        self.assert_same(analytic_program([0.2, 0.9, 0.4, 0.9, 0.7, 0.1]), 3)
+
+    def test_resource_d2(self):
+        rng = np.random.default_rng(89)
+        for _ in range(5):
+            self.assert_same(random_resource(rng, 2, 2, 40), 6)
+
+
 class TestSolveCounts:
     def test_cascade_counts_one_solve_per_stage(self):
         rng = np.random.default_rng(61)
@@ -447,6 +519,14 @@ def program_dict(scenarios, d=1):
 def test_bad_scenario_input_rejected(scenarios, d, message):
     with pytest.raises(LpInputError, match=message):
         ScenarioProgram.from_dict(program_dict(scenarios, d))
+
+
+@pytest.mark.parametrize("d", [1.9, 1.0, True, "1"])
+def test_non_integer_d_rejected(d):
+    data = program_dict([{"label": 1, "rows": [{"a": [-1.0], "b": -0.1}]}])
+    data["d"] = d
+    with pytest.raises(LpInputError, match="not an integer"):
+        ScenarioProgram.from_dict(data)
 
 
 def mixed_scenarios(rng, d, labels):

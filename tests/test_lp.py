@@ -6,6 +6,7 @@ from scenopt.lp import (
     LinearProgram,
     LpInputError,
     LpStatus,
+    LpTolerances,
     check_feasible,
     solve,
 )
@@ -105,6 +106,13 @@ class TestValidation:
         lp = box_lp([1.0], [[-1.0]], [-0.7], [0.0], [1.0])
         with pytest.raises(LpInputError):
             check_feasible(lp, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("field", ["feas", "active", "x", "pivot"])
+@pytest.mark.parametrize("value", [0.0, -1e-6, np.nan, np.inf])
+def test_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(LpInputError, match=f"tolerance {field}="):
+        LpTolerances(**{field: value})
 
 
 class TestCheckFeasible:
