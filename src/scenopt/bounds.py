@@ -14,17 +14,28 @@ fraction of the uncertainty.  Three formulas are exposed:
   compression  T(m, zeta - 1, eps)              unique compression set of
                                                 cardinality zeta (equality)
 
-All functions are pure; evaluation is per-term in log space so that huge
-binomial coefficients and tiny tail products neither overflow nor
-underflow.  When C(m, i) is representable in double precision its exact
-integer value anchors the term, which keeps the absolute error of the sum
-comfortably below 1e-12 in the ranges this package works in.
+All functions are pure.  The terms of the tail come from one source: a
+multiplicative recurrence seeded by (1-eps)^m, or, when that product
+underflows, per-term evaluation in log space, so that huge binomial
+coefficients and tiny tail products neither overflow nor underflow.  When
+C(m, i) is representable in double precision its exact integer value
+anchors the term, which keeps the absolute error of the sum comfortably
+below 1e-12 in the ranges this package works in.  Each tail is the
+correctly rounded sum of its terms (math.fsum).
+
+Sizing queries sweep the terms once.  max_removable keeps the running sum
+exactly, as an integer count of 2**-1074 (every double is a whole number
+of these units), and rounds it once per candidate r; integer true division
+rounds correctly just as math.fsum does, so each rounded prefix equals the
+tail a per-r evaluation would return, bit for bit.  invert_epsilon computes
+each log C(m, i) once and reuses it at every bisection step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 
 from scipy.special import gammaln
 
@@ -36,6 +47,11 @@ _FORMULAS = ("cascade", "classical", "compression")
 _MAX_EXACT_COMB = 1e300
 _MAX_EXACT_COMB_M = 10_000
 
+# 2**-1074 is the smallest subnormal double; every finite double is a whole
+# multiple of it, so sums of doubles in these units are exact integers.
+_UNIT_EXP = 1074
+_UNIT_SCALE = 1 << _UNIT_EXP
+
 
 def _validate_eps(eps: float) -> float:
     eps = float(eps)
@@ -44,14 +60,65 @@ def _validate_eps(eps: float) -> float:
     return eps
 
 
+def _log_comb(m: int, i: int) -> float:
+    if m <= _MAX_EXACT_COMB_M and (comb := math.comb(m, i)) <= _MAX_EXACT_COMB:
+        return math.log(comb)
+    return float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+
+
+def _tail_terms(m: int, eps: float, log_coeffs: list[float]):
+    """Yield C(m, i) eps^i (1-eps)^(m-i) for i = 0, 1, ... (for i < m).
+
+    The usual regime runs a multiplicative term recurrence seeded by the
+    log of the i=0 term; every term stays a moderate float even when the
+    binomial coefficient alone would overflow.  When (1-eps)^m itself
+    underflows, each term is evaluated independently in log space from
+    log C(m, i), read from log_coeffs and appended to it when missing, so
+    a caller that evaluates many eps can share the coefficients.
+    """
+    if eps == 1.0:
+        yield from repeat(0.0)  # only the i = m term is nonzero
+        return
+    log_1m = math.log1p(-eps)
+    log_t0 = m * log_1m
+    if log_t0 > -700.0:
+        term = math.exp(log_t0)
+        ratio = eps / (1.0 - eps)
+        yield term
+        for i in count(1):
+            term *= ratio * (m - i + 1) / i
+            yield term
+    else:
+        log_eps = math.log(eps)
+        for i in count():
+            if i == len(log_coeffs):
+                log_coeffs.append(_log_comb(m, i))
+            yield math.exp(log_coeffs[i] + i * log_eps + (m - i) * log_1m)
+
+
+def _tail(m: int, k_max: int, eps: float, log_coeffs: list[float]) -> float:
+    terms = islice(_tail_terms(m, eps, log_coeffs), k_max + 1)
+    return min(1.0, math.fsum(terms))
+
+
+def _prefix_sums(terms):
+    """Yield the correctly rounded sum of each prefix of finite doubles.
+
+    The running sum is an exact integer count of 2**-1074 and is rounded
+    once per prefix.  Python's integer true division rounds correctly, and
+    so does math.fsum, so each value equals math.fsum of its prefix.
+    """
+    exact = 0
+    for x in terms:
+        num, den = x.as_integer_ratio()  # den is a power of two <= 2**1074
+        exact += num << (_UNIT_EXP + 1 - den.bit_length())
+        yield exact / _UNIT_SCALE
+
+
 def binom_tail(m: int, k_max: int, eps: float) -> float:
     """Lower binomial tail P[Bin(m, eps) <= k_max], 0 <= k_max < m.
 
-    The usual regime runs a multiplicative term recurrence seeded by the
-    log of the i=0 term, summing with compensated addition; every term
-    stays a moderate float even when the binomial coefficient alone would
-    overflow.  When (1-eps)^m itself underflows, each term is evaluated
-    independently in log space instead.
+    The correctly rounded sum of the first k_max + 1 terms, clamped to 1.
     """
     m = int(m)
     k_max = int(k_max)
@@ -60,32 +127,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
         raise ValueError("m must be positive")
     if not 0 <= k_max < m:
         raise ValueError(f"k_max must satisfy 0 <= k_max < m, got {k_max}")
-    if eps == 0.0:
-        return 1.0
-    if eps == 1.0:
-        return 0.0
-    log_1m = math.log1p(-eps)
-    log_t0 = m * log_1m
-    if log_t0 > -700.0:
-        term = math.exp(log_t0)
-        ratio = eps / (1.0 - eps)
-        terms = [term]
-        for i in range(1, k_max + 1):
-            term *= ratio * (m - i + 1) / i
-            terms.append(term)
-        return min(1.0, math.fsum(terms))
-    log_eps = math.log(eps)
-    use_exact_comb = m <= _MAX_EXACT_COMB_M
-    terms = []
-    for i in range(k_max + 1):
-        if use_exact_comb and (comb := math.comb(m, i)) <= _MAX_EXACT_COMB:
-            log_comb = math.log(comb)
-        else:
-            log_comb = float(
-                gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
-            )
-        terms.append(math.exp(log_comb + i * log_eps + (m - i) * log_1m))
-    return min(1.0, math.fsum(terms))
+    return _tail(m, k_max, eps, [])
 
 
 @dataclass(frozen=True)
@@ -107,23 +149,25 @@ def bound_cascade(m: int, d: int, r: int, eps: float) -> BoundValue:
 def bound_classical(m: int, d: int, r: int, eps: float) -> BoundValue:
     """Classical bound C(r+d-1, r) * T(m, r+d-1, eps); raw may exceed 1."""
     _check_query(m, d, r)
-    tail = binom_tail(m, r + d - 1, eps)
+    raw = _classical_raw(d, r, binom_tail(m, r + d - 1, eps))
+    return BoundValue(value=min(raw, 1.0), raw=raw, formula="classical")
+
+
+def _classical_raw(d: int, r: int, tail: float) -> float:
+    """C(r+d-1, r) * tail, through logarithms once the factor passes 1e300."""
     factor = math.comb(r + d - 1, r)
     if factor <= _MAX_EXACT_COMB:
-        raw = factor * tail
-    elif tail == 0.0:
-        raw = 0.0
-    else:
-        log_factor = float(gammaln(r + d) - gammaln(r + 1) - gammaln(d))
-        raw = math.exp(log_factor + math.log(tail))
-    return BoundValue(value=min(raw, 1.0), raw=raw, formula="classical")
+        return factor * tail
+    if tail == 0.0:
+        return 0.0
+    log_factor = float(gammaln(r + d) - gammaln(r + 1) - gammaln(d))
+    return math.exp(log_factor + math.log(tail))
 
 
 def bound_compression(m: int, zeta: int, eps: float) -> BoundValue:
     """Compression equality T(m, zeta-1, eps) for cardinality zeta < m."""
     m, zeta = int(m), int(zeta)
-    if not 0 < zeta < m:
-        raise ValueError(f"zeta must satisfy 0 < zeta < m, got zeta={zeta} m={m}")
+    _check_zeta(m, zeta)
     value = binom_tail(m, zeta - 1, eps)
     return BoundValue(value=value, raw=value, formula="compression")
 
@@ -152,14 +196,21 @@ def _check_query(m: int, d: int, r: int) -> None:
         raise ValueError(f"m must exceed r + d, got m={m}, r+d={r + d}")
 
 
-def _evaluate(formula: str, m: int, d: int, r: int, eps: float) -> float:
-    if formula == "cascade":
-        return bound_cascade(m, d, r, eps).value
+def _check_zeta(m: int, zeta: int) -> None:
+    if not 0 < zeta < m:
+        raise ValueError(f"zeta must satisfy 0 < zeta < m, got zeta={zeta} m={m}")
+
+
+def _check_formula(formula: str) -> None:
+    if formula not in _FORMULAS:
+        raise ValueError(f"unknown formula {formula!r}; expected one of {_FORMULAS}")
+
+
+def _bound_value(formula: str, d: int, r: int, tail: float) -> float:
+    """A formula's clamped value at removal count r, from T(m, r+d-1, eps)."""
     if formula == "classical":
-        return bound_classical(m, d, r, eps).value
-    if formula == "compression":
-        return bound_compression(m, r + d, eps).value
-    raise ValueError(f"unknown formula {formula!r}; expected one of {_FORMULAS}")
+        return min(_classical_raw(d, r, tail), 1.0)
+    return tail
 
 
 @dataclass(frozen=True)
@@ -185,16 +236,31 @@ def invert_epsilon(
     absolute width of tol locates its left endpoint.  When even eps -> 0
     already satisfies beta (only possible for beta >= the eps=0 value), the
     boundary flag is set and 0 is returned.
+
+    log C(m, i) does not depend on eps: each is computed at most once per
+    call and shared by every bisection step.  Each step returns exactly
+    the value of the public bound function at its eps.
     """
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if _evaluate(formula, m, d, r, 0.0) <= beta:
+    m, d, r = int(m), int(d), int(r)
+    _check_formula(formula)
+    if formula == "compression":
+        _check_zeta(m, r + d)
+    else:
+        _check_query(m, d, r)
+    log_coeffs: list[float] = []
+
+    def bound(eps: float) -> float:
+        return _bound_value(formula, d, r, _tail(m, r + d - 1, eps, log_coeffs))
+
+    if bound(0.0) <= beta:
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _evaluate(formula, m, d, r, mid) <= beta:
+        if bound(mid) <= beta:
             hi = mid
         else:
             lo = mid
@@ -212,19 +278,27 @@ def max_removable(
     """Largest r with bound(m, d, r, eps) <= beta; 0 when even r=0 fails.
 
     The bound increases with r, so an upward scan stops at the first
-    failure.  With batch=True the result is floored to the nearest multiple
-    of d, matching schemes that can only discard whole batches.
+    failure.  The scan is one sweep over the tail's terms: r's tail
+    T(m, r+d-1, eps) is the previous one plus one term, summed exactly and
+    rounded once, which equals math.fsum of the prefix bit for bit.  So
+    the answer is the one a per-r evaluation of the public bound functions
+    gives, in time linear in it.  With batch=True the result is floored to
+    the nearest multiple of d, matching schemes that can only discard whole
+    batches.
     """
     beta = float(beta)
     eps = _validate_eps(eps)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    m, d = int(m), int(d)
+    _check_formula(formula)
+    _check_query(m, d, 0)
+    # prefix k = r + d - 1 for r = 0 .. m - d - 1, the largest r with m > r + d
+    tails = islice(_prefix_sums(_tail_terms(m, eps, [])), d - 1, m - 1)
     best = 0
-    r = 0
-    while m > r + d:
-        if _evaluate(formula, m, d, r, eps) <= beta:
+    for r, tail in enumerate(tails):
+        if _bound_value(formula, d, r, min(1.0, tail)) <= beta:
             best = r
-            r += 1
         else:
             break
     if batch:

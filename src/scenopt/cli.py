@@ -144,12 +144,10 @@ def _cmd_bound(args) -> int:
         if args.eps is None or args.beta is None:
             raise LpInputError("--max-r needs both --eps and --beta")
         f = formula if formula != "analytic" else "cascade"
-        payload["max_removable"] = bounds.max_removable(
-            args.m, args.d, args.eps, args.beta, f, batch=False
-        )
-        payload["max_removable_batched"] = bounds.max_removable(
-            args.m, args.d, args.eps, args.beta, f, batch=True
-        )
+        r_max = bounds.max_removable(args.m, args.d, args.eps, args.beta, f)
+        payload["max_removable"] = r_max
+        # the floor that batch=True applies, without a second scan
+        payload["max_removable_batched"] = r_max - r_max % args.d
     _emit(payload)
     return EXIT_OK
 

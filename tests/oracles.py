@@ -5,16 +5,20 @@ touching the code paths under test: exact rational arithmetic for the tail
 bounds, exhaustive vertex enumeration for small LPs, and the definitional
 remove-one-scenario loop for support sets.  The block-by-block stacking
 that `ScenarioProgram.assemble` replaced is kept as the reference for the
-stored row layout, and the two-solve greedy loop as the reference for
-greedy removal.
+stored row layout, the two-solve greedy loop as the reference for greedy
+removal, and the per-call term list, per-r rescan and per-step bisection
+as the references for the one-sweep bound sizing.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.special import gammaln
 
+from scenopt.bounds import bound_cascade, bound_classical, bound_compression
 from scenopt.lp import DEFAULT_TOL, LinearProgram, solve
 
 
@@ -42,6 +46,75 @@ def binom_tail_prefixes(m: int, k_max: int, eps: float) -> list[Fraction]:
 
 def classical_exact(m: int, d: int, r: int, eps: float) -> Fraction:
     return comb(r + d - 1, r) * binom_tail_exact(m, r + d - 1, eps)
+
+
+def binom_tail_termwise(m: int, k_max: int, eps: float) -> float:
+    """binom_tail as first written: a fresh term list per call, then fsum.
+
+    Terms follow the multiplicative recurrence while (1-eps)^m is
+    representable and are evaluated one by one in log space otherwise,
+    from the exact C(m, i) up to m = 10000 while it stays below 1e300 and
+    from log-gamma beyond.
+    """
+    if eps == 0.0:
+        return 1.0
+    if eps == 1.0:
+        return 0.0
+    log_1m = math.log1p(-eps)
+    log_t0 = m * log_1m
+    if log_t0 > -700.0:
+        term = math.exp(log_t0)
+        ratio = eps / (1.0 - eps)
+        terms = [term]
+        for i in range(1, k_max + 1):
+            term *= ratio * (m - i + 1) / i
+            terms.append(term)
+        return min(1.0, math.fsum(terms))
+    log_eps = math.log(eps)
+    terms = []
+    for i in range(k_max + 1):
+        if m <= 10_000 and (c := comb(m, i)) <= 1e300:
+            log_comb = math.log(c)
+        else:
+            log_comb = float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+        terms.append(math.exp(log_comb + i * log_eps + (m - i) * log_1m))
+    return min(1.0, math.fsum(terms))
+
+
+def _public_bound(formula: str, m: int, d: int, r: int, eps: float) -> float:
+    if formula == "cascade":
+        return bound_cascade(m, d, r, eps).value
+    if formula == "classical":
+        return bound_classical(m, d, r, eps).value
+    return bound_compression(m, r + d, eps).value
+
+
+def max_removable_rescan(m, d, eps, beta, formula="cascade", batch=False):
+    """Largest r with bound(m, d, r, eps) <= beta, evaluating the public
+    bound function afresh at each r = 0, 1, ... until the first failure."""
+    best = 0
+    r = 0
+    while m > r + d and _public_bound(formula, m, d, r, eps) <= beta:
+        best = r
+        r += 1
+    if batch:
+        best -= best % d
+    return best
+
+
+def invert_epsilon_bisect(m, d, r, beta, formula="cascade", tol=1e-9):
+    """(epsilon, at_lower_boundary): bisection in eps over the public bound
+    function, evaluated from scratch at each step."""
+    if _public_bound(formula, m, d, r, 0.0) <= beta:
+        return 0.0, True
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _public_bound(formula, m, d, r, mid) <= beta:
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
 
 
 def enumerate_lp(lp: LinearProgram, feas_tol: float = 1e-9):

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenopt.bounds import (
+    _prefix_sums,
     analytic_violation_cdf,
     binom_tail,
     bound_cascade,
@@ -12,7 +15,22 @@ from scenopt.bounds import (
     max_removable,
 )
 
-from oracles import binom_tail_exact, classical_exact
+from oracles import (
+    binom_tail_exact,
+    binom_tail_termwise,
+    classical_exact,
+    invert_epsilon_bisect,
+    max_removable_rescan,
+)
+
+FORMULAS = ("cascade", "classical", "compression")
+
+
+def tail_path(m, eps):
+    """Which term source binom_tail uses at (m, eps)."""
+    if eps in (0.0, 1.0) or m * math.log1p(-eps) > -700.0:
+        return "recurrence"
+    return "exact-comb" if m <= 10_000 else "gammaln"
 
 
 class TestBinomTail:
@@ -64,6 +82,17 @@ class TestBinomTail:
             ]
             assert resolvable, "grid never leaves the saturation plateaus"
             assert all(a > b for a, b in resolvable)
+
+    def test_matches_termwise_reference_bit_for_bit(self):
+        cases = [(m, eps) for m in (1, 7, 200, 2000)
+                 for eps in (0.0, 1e-300, 0.03, 0.5, 0.999, 1.0)]
+        cases += [(10_000, 0.075), (10_000, 0.5), (20_000, 0.04), (20_000, 0.9)]
+        assert {tail_path(m, eps) for m, eps in cases} == {
+            "recurrence", "exact-comb", "gammaln"}
+        for m, eps in cases:
+            for k in ({0, m // 3, m - 1} if m <= 2000 else {0, 300, 900}):
+                assert binom_tail(m, k, eps) == binom_tail_termwise(m, k, eps), (
+                    m, k, eps)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -130,7 +159,46 @@ class TestBoundFormulas:
             analytic_violation_cdf(10, 10, 0.1)
 
 
+class TestPrefixSums:
+    """The exact running sum behind max_removable's one-pass scan."""
+
+    doubles = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormal
+        st.floats(min_value=0.0, max_value=1e-300),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0 - 1e-12, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e300),
+    )
+
+    @given(st.lists(doubles, max_size=40))
+    def test_each_prefix_equals_fsum(self, xs):
+        assert list(_prefix_sums(xs)) == [
+            math.fsum(xs[: i + 1]) for i in range(len(xs))]
+
+    def test_ties_round_to_even(self):
+        # 1 + 2**-53 is exactly halfway between 1 and its successor
+        xs = [1.0, 2.0**-53, 2.0**-53, 2.0**-1074]
+        assert list(_prefix_sums(xs)) == [math.fsum(xs[: i + 1]) for i in range(4)]
+        assert list(_prefix_sums(xs))[1] == 1.0
+
+
 class TestInversion:
+    QUERIES = [
+        (2000, 10, 10, 1e-6),     # recurrence
+        (200, 2, 4, 0.2),
+        (100, 2, 0, 1.0),         # lower boundary
+        (10_000, 10, 440, 1e-6),  # bisection crosses into exact-comb log space
+        (20_000, 10, 30, 1e-6),   # and into gammaln log space
+    ]
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,d,r,beta", QUERIES)
+    def test_matches_bisection_over_public_bounds(self, m, d, r, beta, formula):
+        inv = invert_epsilon(m, d, r, beta, formula)
+        assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
+            m, d, r, beta, formula)
+
     def test_round_trip(self):
         for m, d, r in [(2000, 10, 10), (200, 2, 4), (50, 1, 5)]:
             inv = invert_epsilon(m, d, r, 1e-6)
@@ -188,6 +256,41 @@ class TestMaxRemovable:
             r = max_removable(2000, 10, eps, 1e-6)
             if r > 0:
                 assert bound_cascade(2000, 10, r, eps).value <= 1e-6
+
+    # (m, d, eps, beta): small answers keep the per-r rescan cheap
+    SIZING = [
+        (2000, 10, 0.03, 1e-6),
+        (300, 3, 0.2, 1e-4),
+        (12, 3, 0.5, 0.9),
+        (10_000, 620, 0.075, 1e-6),
+        (10_000, 2, 0.075, 1e-250),
+        (20_000, 650, 0.04, 1e-6),
+        (20_000, 5, 0.04, 1e-200),
+        (50, 2, 0.0, 1.0),
+        (50, 2, 0.0, 0.5),
+        (50, 2, 1.0, 1e-9),
+    ]
+
+    def test_sizing_grid_covers_every_tail_path(self):
+        assert {tail_path(m, eps) for m, _, eps, _ in self.SIZING} == {
+            "recurrence", "exact-comb", "gammaln"}
+
+    @pytest.mark.parametrize("batch", (False, True))
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,d,eps,beta", SIZING)
+    def test_matches_per_r_rescan(self, m, d, eps, beta, formula, batch):
+        assert max_removable(m, d, eps, beta, formula, batch) == (
+            max_removable_rescan(m, d, eps, beta, formula, batch))
+
+    @pytest.mark.parametrize("args,message", [
+        ((10, 10, 0.5, 1e-6), "m must exceed r \\+ d"),
+        ((10, 12, 0.5, 1e-6, "classical"), "m must exceed r \\+ d"),
+        ((10, 0, 0.5, 1e-6, "compression"), "d must be at least 1"),
+        ((5, 10, 0.5, 1e-6, "bogus"), "unknown formula"),
+    ])
+    def test_inputs_validated_before_scanning(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            max_removable(*args)
 
     def test_classical_batch_floors_to_zero_at_low_eps(self):
         assert max_removable(2000, 10, 0.03, 1e-6, "classical", batch=True) == 0
