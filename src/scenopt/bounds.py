@@ -18,10 +18,11 @@ All functions are pure.  The terms of the tail come from one source: a
 multiplicative recurrence seeded by (1-eps)^m, or, when that product
 underflows, per-term evaluation in log space, so that huge binomial
 coefficients and tiny tail products neither overflow nor underflow.  When
-C(m, i) is representable in double precision its exact integer value
-anchors the term, which keeps the absolute error of the sum comfortably
-below 1e-12 in the ranges this package works in.  Each tail is the
-correctly rounded sum of its terms (math.fsum).
+C(m, i) is representable in double precision its exact integer value, built
+from C(m, i-1) by an exact integer recurrence, anchors the term, which
+keeps the absolute error of the sum comfortably below 1e-12 in the ranges
+this package works in.  Each tail is the correctly rounded sum of its terms
+(math.fsum).
 
 Sizing queries sweep the terms once.  max_removable keeps the running sum
 exactly, as an integer count of 2**-1074 (every double is a whole number
@@ -41,9 +42,9 @@ from scipy.special import gammaln
 
 _FORMULAS = ("cascade", "classical", "compression")
 
-# math.comb values above this are converted to float via their logarithm;
-# beyond _MAX_EXACT_COMB_M samples the exact big-integer coefficient is too
-# expensive to build and log-gamma takes over entirely.
+# Exact binomial coefficients above this are replaced by log-gamma, and so
+# are all of them beyond _MAX_EXACT_COMB_M samples; these switches fix which
+# terms an exact integer anchors, and so the bits of every tail.
 _MAX_EXACT_COMB = 1e300
 _MAX_EXACT_COMB_M = 10_000
 
@@ -60,21 +61,30 @@ def _validate_eps(eps: float) -> float:
     return eps
 
 
-def _log_comb(m: int, i: int) -> float:
-    if m <= _MAX_EXACT_COMB_M and (comb := math.comb(m, i)) <= _MAX_EXACT_COMB:
-        return math.log(comb)
-    return float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+def _log_combs(m: int):
+    """Yield log C(m, i) for i = 0, 1, ..., m: the log of the exact integer,
+    carried by C(m, i+1) = C(m, i) * (m-i) // (i+1), wherever the switches
+    above allow it, and log-gamma elsewhere."""
+    exact = m <= _MAX_EXACT_COMB_M
+    comb = 1
+    for i in count():
+        if exact and comb <= _MAX_EXACT_COMB:
+            yield math.log(comb)
+        else:
+            yield float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+        if exact:
+            comb = comb * (m - i) // (i + 1)
 
 
-def _tail_terms(m: int, eps: float, log_coeffs: list[float]):
+def _tail_terms(m: int, eps: float, log_coeffs):
     """Yield C(m, i) eps^i (1-eps)^(m-i) for i = 0, 1, ... (for i < m).
 
     The usual regime runs a multiplicative term recurrence seeded by the
     log of the i=0 term; every term stays a moderate float even when the
     binomial coefficient alone would overflow.  When (1-eps)^m itself
     underflows, each term is evaluated independently in log space from
-    log C(m, i), read from log_coeffs and appended to it when missing, so
-    a caller that evaluates many eps can share the coefficients.
+    log C(m, i), the i-th item of log_coeffs (_log_combs(m), or a list of
+    its items shared by a caller that evaluates many eps).
     """
     if eps == 1.0:
         yield from repeat(0.0)  # only the i = m term is nonzero
@@ -90,13 +100,11 @@ def _tail_terms(m: int, eps: float, log_coeffs: list[float]):
             yield term
     else:
         log_eps = math.log(eps)
-        for i in count():
-            if i == len(log_coeffs):
-                log_coeffs.append(_log_comb(m, i))
-            yield math.exp(log_coeffs[i] + i * log_eps + (m - i) * log_1m)
+        for i, log_comb in enumerate(log_coeffs):
+            yield math.exp(log_comb + i * log_eps + (m - i) * log_1m)
 
 
-def _tail(m: int, k_max: int, eps: float, log_coeffs: list[float]) -> float:
+def _tail(m: int, k_max: int, eps: float, log_coeffs) -> float:
     terms = islice(_tail_terms(m, eps, log_coeffs), k_max + 1)
     return min(1.0, math.fsum(terms))
 
@@ -127,7 +135,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
         raise ValueError("m must be positive")
     if not 0 <= k_max < m:
         raise ValueError(f"k_max must satisfy 0 <= k_max < m, got {k_max}")
-    return _tail(m, k_max, eps, [])
+    return _tail(m, k_max, eps, _log_combs(m))
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,7 @@ def invert_epsilon(
         _check_zeta(m, r + d)
     else:
         _check_query(m, d, r)
-    log_coeffs: list[float] = []
+    log_coeffs = list(islice(_log_combs(m), r + d))
 
     def bound(eps: float) -> float:
         return _bound_value(formula, d, r, _tail(m, r + d - 1, eps, log_coeffs))
@@ -294,7 +302,7 @@ def max_removable(
     _check_formula(formula)
     _check_query(m, d, 0)
     # prefix k = r + d - 1 for r = 0 .. m - d - 1, the largest r with m > r + d
-    tails = islice(_prefix_sums(_tail_terms(m, eps, [])), d - 1, m - 1)
+    tails = islice(_prefix_sums(_tail_terms(m, eps, _log_combs(m))), d - 1, m - 1)
     best = 0
     for r, tail in enumerate(tails):
         if _bound_value(formula, d, r, min(1.0, tail)) <= beta:

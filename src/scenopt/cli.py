@@ -8,7 +8,7 @@ version, so any artifact can be reproduced bit for bit.
 Exit codes: 0 success, 2 usage or input error (including too few scenarios
 for the requested removals), 3 assumption or degeneracy failure (the
 offending stage index is reported) or every Monte Carlo trial excluded,
-4 solver failure.
+4 solver failure (an infeasible or unbounded stage LP, a simplex stall).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from scenopt.engine import (
     verify_compression,
 )
 from scenopt.experiments import AllTrialsExcluded, RandomSource
-from scenopt.lp import DEFAULT_TOL, LpInputError, LpTolerances
+from scenopt.lp import DEFAULT_TOL, LpInputError, LpTolerances, SimplexStallError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -446,7 +446,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AssumptionViolated, DegeneracyDetected, AllTrialsExcluded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except CascadeError as exc:
+    except (CascadeError, SimplexStallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

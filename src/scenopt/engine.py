@@ -142,9 +142,12 @@ class ScenarioProgram:
 
     The rows of all scenarios are stored once, stacked in ascending label
     order, each scenario's rows in their given order: `coeffs` (R, d), `rhs`
-    (R,) and `owners` (R,), the label of each row's scenario.  The arrays are
-    read-only, and the LP over any subset of scenarios is a row selection.
-    The labels' given order is kept for serialization.
+    (R,) and `owners` (R,), the label of each row's scenario.  The stack is
+    one LinearProgram, built (and so validated) once when the program is;
+    `cost`, `lower`, `upper`, `coeffs` and `rhs` are its read-only arrays,
+    and the LP over any subset of scenarios is a row selection of it that
+    is not validated again.  The labels' given order is kept for
+    serialization.
     """
 
     def __init__(self, cost, lower, upper, scenarios: Iterable[Scenario]):
@@ -175,14 +178,12 @@ class ScenarioProgram:
         return program
 
     def _store(self, cost, lower, upper, labels, owners, coeffs, rhs):
-        box = LinearProgram(
-            cost=cost,
-            row_coeffs=np.zeros((0, len(np.atleast_1d(cost)))),
-            row_rhs=np.zeros(0),
-            lower=lower,
-            upper=upper,
-        )
+        lp = LinearProgram(cost=cost, row_coeffs=coeffs, row_rhs=rhs,
+                           lower=lower, upper=upper)
         owners = np.asarray(owners)
+        if owners.shape != (lp.n_rows,):
+            raise LpInputError(f"{lp.n_rows} scenario rows do not match "
+                               f"{owners.size} owners")
         if not np.isin(owners, labels).all():
             raise LpInputError("some scenario rows belong to no given label")
         ordered = np.sort(labels)
@@ -192,18 +193,12 @@ class ScenarioProgram:
             raise LpInputError(
                 f"scenario {ordered[np.argmin(heights)]}: block must be non-empty"
             )
-        coeffs = np.asarray(coeffs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        if coeffs.shape != (owners.size, box.d) or rhs.shape != (owners.size,):
-            raise LpInputError(f"scenario rows of shapes {coeffs.shape} and "
-                               f"{rhs.shape} do not match {owners.size} owners")
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(rhs))):
-            raise LpInputError("scenario rows contain NaN or Inf")
         rows = np.argsort(pos, kind="stable")
-        self.cost, self.lower, self.upper = box.cost, box.lower, box.upper
-        self.coeffs, self.rhs, self.owners = coeffs[rows], rhs[rows], ordered[pos[rows]]
-        for arr in (self.coeffs, self.rhs, self.owners):
-            arr.setflags(write=False)
+        self._lp = lp.select(rows)
+        self.cost, self.lower, self.upper = lp.cost, lp.lower, lp.upper
+        self.coeffs, self.rhs = self._lp.row_coeffs, self._lp.row_rhs
+        self.owners = ordered[pos[rows]]
+        self.owners.setflags(write=False)
         self._given = labels
         self._sorted = ordered
         self._start = np.concatenate(([0], np.cumsum(heights)))
@@ -231,24 +226,18 @@ class ScenarioProgram:
                         rhs=self.rhs[rows])
 
     def assemble(self, labels: Iterable[int]) -> tuple[LinearProgram, np.ndarray]:
-        """Build the LP enforcing the given labels; also map rows to owners.
+        """The LP enforcing the given labels, and the owner of each of its rows.
 
-        Rows come in ascending label order, so the LP depends only on the
-        label set.
+        The LP is a row selection of the program's validated stack, so rows
+        come in ascending label order and the LP depends only on the label
+        set.
         """
         wanted = set(labels)
         missing = sorted(wanted - self.labels)
         if missing:
             raise LpInputError(f"unknown scenario labels: {missing}")
         rows = np.isin(self.owners, list(wanted))
-        lp = LinearProgram(
-            cost=self.cost,
-            row_coeffs=self.coeffs[rows],
-            row_rhs=self.rhs[rows],
-            lower=self.lower,
-            upper=self.upper,
-        )
-        return lp, self.owners[rows]
+        return self._lp.select(rows), self.owners[rows]
 
     def restrict(self, labels: Iterable[int]) -> "ScenarioProgram":
         """Program over a subset of scenarios, labels and their order preserved."""

@@ -62,18 +62,15 @@ class AllTrialsExcluded(CascadeError):
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Seed plus the generator algorithm it pins down.
+    """Seed of numpy's default generator (PCG64).
 
     The same seed yields the same sample stream on every platform; trial
     streams are derived as (seed, trial) so they are order-independent.
     """
 
     seed: int
-    algorithm: str = "numpy-pcg64"
 
     def generator(self, *extra: int) -> np.random.Generator:
-        if self.algorithm != "numpy-pcg64":
-            raise ValueError(f"unknown generator algorithm {self.algorithm!r}")
         return np.random.default_rng((int(self.seed), *map(int, extra)))
 
 
@@ -152,6 +149,12 @@ class AnalyticFamily:
         return float(min(1.0, max(0.0, 1.0 - float(np.asarray(x).ravel()[0]))))
 
 
+# Resource row entries: _ENTRY_SCALE times Laplace draws of mean 1, variance 3.
+_LAPLACE_MEAN = 1.0
+_LAPLACE_SCALE = math.sqrt(1.5)  # variance 2 * scale**2
+_ENTRY_SCALE = 0.04
+
+
 @dataclass(frozen=True)
 class ResourceFamily:
     """Resource allocation family: max 1.x, x >= 0, A(delta_i) x <= 1."""
@@ -159,13 +162,10 @@ class ResourceFamily:
     d: int
     n: int
     m: int
-    laplace_scale: float = math.sqrt(1.5)  # variance 3
-    laplace_mean: float = 1.0
-    entry_scale: float = 0.04
 
     def sample_blocks(self, count: int, rng: np.random.Generator):
-        coeffs = self.entry_scale * rng.laplace(
-            self.laplace_mean, self.laplace_scale, size=(count, self.n, self.d)
+        coeffs = _ENTRY_SCALE * rng.laplace(
+            _LAPLACE_MEAN, _LAPLACE_SCALE, size=(count, self.n, self.d)
         )
         rhs = np.ones((count, self.n))
         return coeffs, rhs

@@ -7,15 +7,18 @@ Problems are of the form
                 lower <= x <= upper
 
 with a small number of variables (d) and possibly many rows.  The solver is
-a two-phase primal simplex with Bland's anti-cycling rule, run on the dual
-program so that the working basis stays d x d no matter how many rows the
-primal carries.  After the cost is minimized, the minimizer is made unique by
-lexicographic refinement: minimize x1 over the optimal face, then x2, and so
-on.  The refined point depends only on the feasible set and the cost, so it
-is invariant under row permutations.
+a two-phase primal simplex run on the dual program, so that the working
+basis stays d x d no matter how many rows the primal carries.  Pricing is
+Dantzig's most negative reduced cost and switches for good to Bland's
+lowest-index rule, which cannot cycle, after a run of degenerate pivots.
+After the cost is minimized, the minimizer is made unique by lexicographic
+refinement: minimize x1 over the optimal face, then x2, and so on.  The
+refined point depends only on the feasible set and the cost, so it is
+invariant under row permutations.
 
-All inputs are immutable after construction and every solve is a pure
-function of its arguments; instances can be shared freely across threads.
+LP data is validated once, when a LinearProgram is built; select and the
+solver use its read-only arrays without checking them again.  Every solve
+is a pure function of its arguments; instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -84,7 +87,11 @@ def _as_float_vector(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Immutable dense LP: cost vector, inequality rows and a variable box."""
+    """Immutable dense LP: cost vector, inequality rows and a variable box.
+
+    Construction checks shapes, finiteness and a non-empty box, and copies
+    the data into read-only float arrays that nothing checks again.
+    """
 
     cost: np.ndarray
     row_coeffs: np.ndarray
@@ -119,13 +126,13 @@ class LinearProgram:
             raise LpInputError("bounds contain NaN")
         if np.any(lower > upper):
             raise LpInputError("some lower bound exceeds its upper bound")
-        for arr in (cost, coeffs, rhs, lower, upper):
+        self._freeze(cost, coeffs, rhs, lower, upper)
+
+    def _freeze(self, cost, coeffs, rhs, lower, upper):
+        for name, arr in zip(("cost", "row_coeffs", "row_rhs", "lower", "upper"),
+                             (cost, coeffs, rhs, lower, upper)):
             arr.setflags(write=False)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "row_coeffs", coeffs)
-        object.__setattr__(self, "row_rhs", rhs)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+            object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
@@ -135,17 +142,13 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.row_rhs.shape[0]
 
-    def with_rows(self, extra_coeffs, extra_rhs) -> "LinearProgram":
-        """Copy with rows appended."""
-        coeffs = np.vstack([self.row_coeffs, np.atleast_2d(extra_coeffs)])
-        rhs = np.concatenate([self.row_rhs, np.atleast_1d(extra_rhs)])
-        return LinearProgram(
-            cost=self.cost,
-            row_coeffs=coeffs,
-            row_rhs=rhs,
-            lower=self.lower,
-            upper=self.upper,
-        )
+    def select(self, rows) -> "LinearProgram":
+        """The LP over the rows a boolean mask or index array picks, sharing
+        cost and bounds; rows of a valid LP are valid, so nothing is checked."""
+        lp = object.__new__(LinearProgram)
+        lp._freeze(self.cost, self.row_coeffs[rows], self.row_rhs[rows],
+                   self.lower, self.upper)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -265,8 +268,8 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
         if infeas > max(tol.feas, tol.feas * np.abs(h).max(initial=1.0)):
             return _KernelStatus.INFEASIBLE, None, None
 
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        keep_rows = np.ones(n_rows, dtype=bool)
+        # Drive leftover artificials out of the basis.  Every dual row of
+        # _solve_core owns a signed unit column, so E has full row rank.
         for row_pos in range(n_rows):
             if basis[row_pos] < n_cols:
                 continue
@@ -277,16 +280,12 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
                 for c in np.flatnonzero(np.abs(tableau_row) > 1e-8)
                 if c not in basis
             ]
-            if pivot_cols:
-                basis[row_pos] = pivot_cols[0]
-            else:
-                keep_rows[row_pos] = False
-        if not np.all(keep_rows):
-            E = E[keep_rows]
-            h = h[keep_rows]
-            flip = flip[keep_rows]
-            basis = [b for b, k in zip(basis, keep_rows) if k]
-            n_rows = E.shape[0]
+            if not pivot_cols:
+                raise SimplexStallError(
+                    f"artificial variable of row {row_pos} cannot leave the "
+                    "basis: the equality rows are linearly dependent"
+                )
+            basis[row_pos] = pivot_cols[0]
 
     status, x_b = _iterate(E, h, q, basis, n_cols, tol.pivot)
     if status is _KernelStatus.UNBOUNDED:
@@ -294,8 +293,7 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
     z = np.zeros(n_cols)
     z[basis] = x_b
     duals = np.linalg.solve(E[:, basis].T, q[basis])
-    # Duals are reported against the original (unflipped) row orientation; the
-    # flip mask only survives for rows that were not dropped as redundant.
+    # Duals are reported against the original (unflipped) row orientation.
     duals = np.where(flip, -duals, duals)
     return _KernelStatus.OPTIMAL, z, duals
 
@@ -305,8 +303,9 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
 # ---------------------------------------------------------------------------
 
 
-def _solve_core(lp: LinearProgram, tol: LpTolerances, objective: np.ndarray):
-    """Minimize `objective` over lp's feasible set (no tie-break).
+def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
+    """Minimize `objective` subject to coeffs @ x <= rhs, lower <= x <= upper
+    (no tie-break), on validated float arrays.
 
     The dual of  min c.x  s.t.  R x <= s, l <= x <= u  is
 
@@ -318,38 +317,37 @@ def _solve_core(lp: LinearProgram, tol: LpTolerances, objective: np.ndarray):
     halves, which keeps the dual rows at full rank (every transformed
     variable contributes a signed unit column).
     """
-    d = lp.d
-    objective = np.asarray(objective, dtype=float)
-    free = np.flatnonzero(~np.isfinite(lp.lower) & ~np.isfinite(lp.upper))
+    d = objective.shape[0]
+    n_rows = rhs.shape[0]
+    free = np.flatnonzero(~np.isfinite(lower) & ~np.isfinite(upper))
     if free.size:
-        coeffs = np.hstack([lp.row_coeffs, -lp.row_coeffs[:, free]])
+        split = np.hstack([coeffs, -coeffs[:, free]])
         cost = np.concatenate([objective, -objective[free]])
-        lower = np.concatenate([lp.lower, np.zeros(free.size)])
-        lower[free] = 0.0
-        upper = np.concatenate([lp.upper, np.full(free.size, np.inf)])
+        lo = np.concatenate([lower, np.zeros(free.size)])
+        lo[free] = 0.0
+        up = np.concatenate([upper, np.full(free.size, np.inf)])
     else:
-        coeffs, cost = lp.row_coeffs, objective
-        lower, upper = lp.lower, lp.upper
+        split, cost, lo, up = coeffs, objective, lower, upper
     dim = cost.shape[0]
 
-    columns = [coeffs.T] if lp.n_rows else []
-    costs = [lp.row_rhs] if lp.n_rows else []
+    columns = [split.T] if n_rows else []
+    costs = [rhs] if n_rows else []
     unit_cols = []
-    offset = lp.n_rows
-    up_idx = np.flatnonzero(np.isfinite(upper))
-    lo_idx = np.flatnonzero(np.isfinite(lower))
+    offset = n_rows
+    up_idx = np.flatnonzero(np.isfinite(up))
+    lo_idx = np.flatnonzero(np.isfinite(lo))
     if up_idx.size:
         eye_up = np.zeros((dim, up_idx.size))
         eye_up[up_idx, np.arange(up_idx.size)] = 1.0
         columns.append(eye_up)
-        costs.append(upper[up_idx])
+        costs.append(up[up_idx])
         unit_cols += [(offset + i, int(j), 1) for i, j in enumerate(up_idx)]
         offset += up_idx.size
     if lo_idx.size:
         eye_lo = np.zeros((dim, lo_idx.size))
         eye_lo[lo_idx, np.arange(lo_idx.size)] = -1.0
         columns.append(eye_lo)
-        costs.append(-lower[lo_idx])
+        costs.append(-lo[lo_idx])
         unit_cols += [(offset + i, int(j), -1) for i, j in enumerate(lo_idx)]
     if columns:
         E = np.hstack(columns)
@@ -369,22 +367,21 @@ def _solve_core(lp: LinearProgram, tol: LpTolerances, objective: np.ndarray):
         return LpStatus.INFEASIBLE, None
     # Dual infeasible: the primal is unbounded or infeasible; an elastic
     # feasibility probe (min t with R x - t <= s, t >= 0) settles which.
-    if _is_feasible_set_nonempty(lp, tol):
+    if _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol):
         return LpStatus.UNBOUNDED, None
     return LpStatus.INFEASIBLE, None
 
 
-def _is_feasible_set_nonempty(lp: LinearProgram, tol: LpTolerances) -> bool:
-    d = lp.d
-    coeffs = np.hstack([lp.row_coeffs, -np.ones((lp.n_rows, 1))])
-    probe = LinearProgram(
-        cost=np.concatenate([np.zeros(d), [1.0]]),
-        row_coeffs=coeffs,
-        row_rhs=lp.row_rhs,
-        lower=np.concatenate([lp.lower, [0.0]]),
-        upper=np.concatenate([lp.upper, [np.inf]]),
+def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:
+    d = lower.shape[0]
+    status, x = _solve_core(
+        np.concatenate([np.zeros(d), [1.0]]),
+        np.hstack([coeffs, -np.ones((rhs.shape[0], 1))]),
+        rhs,
+        np.concatenate([lower, [0.0]]),
+        np.concatenate([upper, [np.inf]]),
+        tol,
     )
-    status, x = _solve_core(probe, tol, probe.cost)
     if status is not LpStatus.OPTIMAL:
         raise SimplexStallError("elastic feasibility probe failed to solve")
     return x[d] <= tol.feas
@@ -398,22 +395,25 @@ def solve(
     """Solve lp; when refine is set, return the lexicographic-min optimum.
 
     Refinement pins the achieved cost with an extra row, then minimizes each
-    coordinate in turn over the shrinking optimal face.  With refinement the
-    returned minimizer is unique and permutation-invariant; without it, any
-    cost-optimal vertex may be returned (useful when only the objective value
-    matters).
+    coordinate in turn over the shrinking optimal face; the pin rows are
+    stacked after lp's rows.  With refinement the returned minimizer is
+    unique and permutation-invariant; without it, any cost-optimal vertex
+    may be returned (useful when only the objective value matters).
     """
-    status, x = _solve_core(lp, tol, lp.cost)
+    cost, coeffs, rhs = lp.cost, lp.row_coeffs, lp.row_rhs
+    status, x = _solve_core(cost, coeffs, rhs, lp.lower, lp.upper, tol)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, x=None, objective=np.nan)
-    if refine and lp.d > 0:
-        pin_coeffs = [lp.cost]
-        pin_rhs = [float(lp.cost @ x)]
+    if refine:
+        pin_coeffs = [cost]
+        pin_rhs = [float(cost @ x)]
         for j in range(lp.d):
-            face = lp.with_rows(np.array(pin_coeffs), np.array(pin_rhs))
             axis = np.zeros(lp.d)
             axis[j] = 1.0
-            status_j, x_j = _solve_core(face, tol, axis)
+            status_j, x_j = _solve_core(
+                axis, np.vstack([coeffs, pin_coeffs]),
+                np.concatenate([rhs, pin_rhs]), lp.lower, lp.upper, tol,
+            )
             if status_j is LpStatus.UNBOUNDED:
                 # The optimal face extends to -inf in coordinate j; no
                 # lexicographic minimum exists, so uniqueness is unattainable.
@@ -423,17 +423,16 @@ def solve(
             x = x_j
             pin_coeffs.append(axis)
             pin_rhs.append(float(x[j]))
-    x = np.asarray(x, dtype=float)
     x.setflags(write=False)
     if lp.n_rows:
-        residual = lp.row_coeffs @ x - lp.row_rhs
+        residual = coeffs @ x - rhs
         active = frozenset(np.flatnonzero(np.abs(residual) <= tol.active).tolist())
     else:
         active = frozenset()
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
-        objective=float(lp.cost @ x),
+        objective=float(cost @ x),
         active_rows=active,
     )
 

@@ -1,10 +1,13 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from scenopt.bounds import (
+    _log_combs,
     _prefix_sums,
     analytic_violation_cdf,
     binom_tail,
@@ -93,6 +96,22 @@ class TestBinomTail:
             for k in ({0, m // 3, m - 1} if m <= 2000 else {0, 300, 900}):
                 assert binom_tail(m, k, eps) == binom_tail_termwise(m, k, eps), (
                     m, k, eps)
+
+    @pytest.mark.parametrize("m", [9_999, 10_000])
+    def test_log_coefficients_match_per_index_comb(self, m):
+        # the exact-comb log below 1e300 and log-gamma above it, as computed
+        # from math.comb(m, i) afresh for each i
+        def reference(i):
+            if (c := math.comb(m, i)) <= 1e300:
+                return math.log(c)
+            return float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+
+        got = list(islice(_log_combs(m), m + 1))
+        indices = [*range(400), *range(m // 2 - 3, m // 2 + 4),
+                   *range(m - 400, m + 1)]
+        assert {math.comb(m, i) <= 1e300 for i in indices} == {True, False}
+        for i in indices:
+            assert got[i] == reference(i), i
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

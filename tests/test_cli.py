@@ -1,17 +1,20 @@
+import hashlib
 import json
 
 import pytest
 
-from scenopt import experiments
+from scenopt import engine, experiments
 from scenopt.cli import (
     EXIT_ASSUMPTION,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     OUTDIR_ENV,
     _parse_grid,
     main,
 )
 from scenopt.engine import Scenario, ScenarioProgram
+from scenopt.lp import SimplexStallError
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +130,35 @@ class TestCascadeCommand:
         )
         assert code == EXIT_ASSUMPTION
         assert "stage 0" in err
+
+    def test_infeasible_stage_exits_4(self, capsys, tmp_path):
+        # x >= 0.5 and x <= 0.2 cannot both hold on [0, 1]
+        rows = [([-1.0], -0.5), ([1.0], 0.2), ([-1.0], -0.1)]
+        prog = ScenarioProgram(
+            cost=[1.0], lower=[0.0], upper=[1.0],
+            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
+                            for i, (a, b) in enumerate(rows)),
+        )
+        path = tmp_path / "infeasible.json"
+        path.write_text(prog.to_json())
+        code, _, err = run_cli(
+            capsys, "cascade", "--input", str(path), "--ell", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err.startswith("error: stage 0 returned status infeasible")
+
+    def test_simplex_stall_exits_4(self, capsys, tmp_path, monkeypatch):
+        def stall(*args, **kwargs):
+            raise SimplexStallError("no convergence within 200000 pivots")
+
+        monkeypatch.setattr(engine, "solve", stall)
+        code, _, err = run_cli(
+            capsys, "cascade", "--generator", "analytic", "--m", "10",
+            "--ell", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == "error: no convergence within 200000 pivots\n"
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_bad_tolerance_exits_2(self, capsys, value):
@@ -247,6 +279,54 @@ class TestExperimentCommand:
                 (tmp_path / sub / "analytic_tightness_trials.csv").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+# sha256 of each artifact of three small experiment runs, recorded before
+# LP validation moved into LinearProgram construction.  Like perfbench's
+# reference digests they are pinned to this numpy and BLAS build: another
+# build may round a last bit differently and move them.
+GOLDEN_RUNS = {
+    ("analytic-tightness", "--m", "30", "--ell", "2", "--eps", "0.2",
+     "--trials", "60", "--seed", "3"): {
+        "analytic_tightness_trials.csv":
+            "4997c5d4bcc8663e02eb8ef7922d020e5ca0468bdcbf409f508eda1496b272d0",
+        "analytic_tightness_summary.csv":
+            "0b54edd8ca85b2eb05d38b4821487522e8c3cd7567ca5dccdd6307e0bd6d18b9",
+        "analytic_tightness_metadata.json":
+            "adced8d9a0de2b68272b3d2b1c41dd72bb5ec8611366ba39d4f818b750c4e40c",
+    },
+    ("outer-mc", "--generator", "resource", "--m", "60", "--d", "2",
+     "--n", "2", "--ell", "2", "--eps", "0.12", "--trials", "20",
+     "--n-inner", "500", "--seed", "4"): {
+        "outer_mc_trials.csv":
+            "68b7ef37ce105247fa6418a730068a4372b68912a7a7452cfc4759e87d188e5b",
+        "outer_mc_summary.csv":
+            "1c4ea35a51b1c13edce24f00947b08bd38bff088eec31942d3f278e883dd3104",
+        "outer_mc_metadata.json":
+            "68cdc16690a80fe39677e9fe45487609f40516984bd36873b22c5c609876bef4",
+    },
+    ("resource-compare", "--d", "3", "--n", "2", "--m", "150",
+     "--beta", "1e-3", "--eps-grid", "0.06:0.04:0.14", "--seed", "2"): {
+        "resource_compare_trials.csv":
+            "fb9a98f6c4f111a75332970e15e96972cf13f35023d1d22c9fce56b88e4d2f9e",
+        "resource_compare_summary.csv":
+            "d1fd4d741fe413ea09cb7b958e09bacec34520c8b716c2c3d142fbba673d831d",
+        "resource_compare_metadata.json":
+            "87d5692d50844bfcdff8f533d7f42d209ec29db2f722b7a0c954e1f1f6b97843",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_RUNS), ids=lambda a: a[0])
+def test_artifacts_match_golden_digests(capsys, tmp_path, argv):
+    """Each small experiment writes byte-identical artifacts (a few seconds
+    in all), so the fast suite checks bit-identity of stage points, support
+    sets, greedy objectives and the CSV/JSON rendering, not only perfbench."""
+    code, _, _ = run_cli(capsys, "experiment", *argv, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_RUNS[argv]}
+    assert digests == GOLDEN_RUNS[argv]
 
 
 class TestGridParsing:

@@ -20,7 +20,7 @@ from scenopt.engine import (
     support_set,
     verify_compression,
 )
-from scenopt.lp import LpInputError
+from scenopt.lp import LinearProgram, LpInputError
 
 from oracles import (
     assemble_blocks,
@@ -595,3 +595,47 @@ class TestRowLayout:
             assert np.array_equal(sub.rhs, ref.rhs)
             assert np.array_equal(sub.owners, ref.owners)
             assert sub.to_json() == ref.to_json()
+
+    def test_assembled_rows_are_read_only_views_of_one_validation(self):
+        rng = np.random.default_rng(103)
+        _, labels, _, prog = self.random_case(rng)
+        lp, _ = prog.assemble(set(labels[:1]))
+        assert lp.cost is prog.cost and lp.lower is prog.lower
+        assert not lp.row_coeffs.flags.writeable
+        assert not lp.row_rhs.flags.writeable
+
+    def test_bad_rows_rejected_when_the_program_is_built(self):
+        for coeffs, rhs, message in [
+            ([[np.nan]], [1.0], "NaN or Inf"),
+            ([[1.0]], [np.inf], "NaN or Inf"),
+            ([[1.0, 2.0]], [1.0], "shape"),
+            ([[1.0], [2.0]], [1.0, 2.0], "2 scenario rows do not match 1"),
+        ]:
+            with pytest.raises(LpInputError, match=message):
+                ScenarioProgram.from_rows([1.0], [0.0], [1.0], [1], [1],
+                                          coeffs, rhs)
+
+
+def test_built_program_is_never_validated_again(monkeypatch):
+    """Stage, support, candidate and degeneracy solves select rows of the
+    program's validated LinearProgram; none constructs (and so re-checks)
+    another one."""
+    rng = np.random.default_rng(107)
+    programs = [random_resource(rng, 3, 2, 40), random_analytic(rng, 20),
+                floor_line_program({lab: (a, -abs(a)) for lab, a in
+                                    enumerate([1.0, -1.0, 0.5, -2.0, 0.0, 3.0],
+                                              start=1)})]
+    calls = []
+    original = LinearProgram.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counting)
+    for prog in programs:
+        run_cascade(prog, 1, mode=RemovalMode.REGULARIZED)
+        greedy_removal(prog, 2)
+    assert calls == []
+    analytic_program([0.3, 0.6])
+    assert len(calls) == 1

@@ -7,6 +7,8 @@ from scenopt.lp import (
     LpInputError,
     LpStatus,
     LpTolerances,
+    SimplexStallError,
+    _solve_standard_form,
     check_feasible,
     solve,
 )
@@ -82,6 +84,33 @@ class TestSolveBasics:
             lower=[0.0], upper=[np.inf],
         )
         assert solve(lp).status is LpStatus.UNBOUNDED
+
+
+class TestSelect:
+    def test_select_matches_a_validated_copy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            lp = random_lp(rng)
+            rows = rng.random(lp.n_rows) < 0.5
+            sub = lp.select(rows)
+            ref = LinearProgram(cost=lp.cost, row_coeffs=lp.row_coeffs[rows],
+                                row_rhs=lp.row_rhs[rows], lower=lp.lower,
+                                upper=lp.upper)
+            assert sub.n_rows == ref.n_rows and sub.d == ref.d
+            assert not sub.row_coeffs.flags.writeable
+            a, b = solve(sub), solve(ref)
+            assert a.status is b.status
+            if a.is_optimal:
+                assert np.array_equal(a.x, b.x)
+                assert a.active_rows == b.active_rows
+
+
+def test_dependent_equality_rows_raise_a_stall():
+    # the second row of E is zero, so its phase-1 artificial stays basic
+    E = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(SimplexStallError, match="linearly dependent"):
+        _solve_standard_form(E, np.array([1.0, 0.0]), np.array([1.0, 2.0]),
+                             DEFAULT_TOL)
 
 
 class TestValidation:
@@ -187,7 +216,11 @@ class TestAgainstEnumeration:
             lp = random_lp(rng)
             sol = solve(lp)
             extra = rng.normal(size=lp.d)
-            tightened = lp.with_rows(extra, rng.normal())
+            tightened = LinearProgram(
+                cost=lp.cost, row_coeffs=np.vstack([lp.row_coeffs, extra]),
+                row_rhs=np.append(lp.row_rhs, rng.normal()),
+                lower=lp.lower, upper=lp.upper,
+            )
             sol_t = solve(tightened)
             if sol.status is LpStatus.INFEASIBLE:
                 assert sol_t.status is LpStatus.INFEASIBLE
