@@ -223,11 +223,11 @@ def _cmd_greedy(args) -> int:
 def _parse_grid(spec: str) -> list[float]:
     """Inclusive start:step:end grid, e.g. 0.01:0.005:0.08."""
     try:
-        start, step, end = (float(part) for part in spec.split(":"))
+        start, step, end = parts = [float(part) for part in spec.split(":")]
     except ValueError as exc:
         raise LpInputError(f"bad grid {spec!r}, expected start:step:end") from exc
-    if step <= 0 or end < start:
-        raise LpInputError(f"bad grid {spec!r}: need step > 0 and end >= start")
+    if not (np.all(np.isfinite(parts)) and step > 0 and end >= start):
+        raise LpInputError(f"bad grid {spec!r}: need finite start <= end, step > 0")
     count = int(round((end - start) / step)) + 1
     return [start + i * step for i in range(count)]
 

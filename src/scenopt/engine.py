@@ -197,11 +197,11 @@ class ScenarioProgram:
         self._lp = lp.select(rows)
         self.cost, self.lower, self.upper = lp.cost, lp.lower, lp.upper
         self.coeffs, self.rhs = self._lp.row_coeffs, self._lp.row_rhs
-        self.owners = ordered[pos[rows]]
+        self._row_pos = pos[rows]
+        self.owners = ordered[self._row_pos]
         self.owners.setflags(write=False)
         self._given = labels
         self._sorted = ordered
-        self._start = np.concatenate(([0], np.cumsum(heights)))
         self.labels: frozenset[int] = frozenset(labels.tolist())
 
     @property
@@ -220,10 +220,18 @@ class ScenarioProgram:
     def scenario(self, label: int) -> Scenario:
         if label not in self.labels:
             raise KeyError(label)
-        i = int(np.searchsorted(self._sorted, label))
-        rows = slice(self._start[i], self._start[i + 1])
+        rows = slice(*np.searchsorted(self.owners, [label, label + 1]))
         return Scenario(label=int(label), coeffs=self.coeffs[rows],
                         rhs=self.rhs[rows])
+
+    def _row_mask(self, wanted: set) -> np.ndarray:
+        """Mask of the rows owned by wanted; unknown labels are an error."""
+        missing = sorted(wanted - self.labels)
+        if missing:
+            raise LpInputError(f"unknown scenario labels: {missing}")
+        keep = np.zeros(self._sorted.size, dtype=bool)
+        keep[np.searchsorted(self._sorted, list(wanted))] = True
+        return keep[self._row_pos]
 
     def assemble(self, labels: Iterable[int]) -> tuple[LinearProgram, np.ndarray]:
         """The LP enforcing the given labels, and the owner of each of its rows.
@@ -232,17 +240,13 @@ class ScenarioProgram:
         come in ascending label order and the LP depends only on the label
         set.
         """
-        wanted = set(labels)
-        missing = sorted(wanted - self.labels)
-        if missing:
-            raise LpInputError(f"unknown scenario labels: {missing}")
-        rows = np.isin(self.owners, list(wanted))
+        rows = self._row_mask(set(labels))
         return self._lp.select(rows), self.owners[rows]
 
     def restrict(self, labels: Iterable[int]) -> "ScenarioProgram":
         """Program over a subset of scenarios, labels and their order preserved."""
         keep = set(labels)
-        rows = np.isin(self.owners, list(keep))
+        rows = self._row_mask(keep)
         return ScenarioProgram.from_rows(
             self.cost, self.lower, self.upper,
             labels=[lab for lab in self._given.tolist() if lab in keep],
@@ -437,7 +441,7 @@ def _solved_stage(program, labels, tol, stage=None):
     sol = solve(lp, tol=tol)
     if not sol.is_optimal:
         raise StageSolveError(stage, sol.status)
-    return lp, owners, sol
+    return owners, sol
 
 
 def _support_from_solution(program, labels, sol, owners, tol, counts):
@@ -492,7 +496,7 @@ def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool
 def _stage_support(program, active_labels, tol):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
-    _, owners, sol = _solved_stage(program, labels, tol)
+    owners, sol = _solved_stage(program, labels, tol)
     return sol, frozenset(_support_from_solution(program, labels, sol,
                                                  owners, tol, SolveCounts()))
 
@@ -569,7 +573,7 @@ def run_cascade(
     available = set(program.labels)
     stages: list[StageRecord] = []
     for k in range(ell + 1):
-        lp, owners, sol = _solved_stage(program, available, tol, stage=k)
+        owners, sol = _solved_stage(program, available, tol, stage=k)
         counts.stage_solves += 1
         support = frozenset(_support_from_solution(
             program, available, sol, owners, tol, counts
@@ -657,10 +661,10 @@ def greedy_removal(
     Candidates are the current support scenarios (removing anything else
     provably leaves the minimizer unchanged); ties on the re-solved
     objective break toward the smallest label.  When a stage has an empty
-    support set no removal can improve the cost, and the smallest available
-    label is dropped instead.  A support candidate's re-solve is the
-    unrefined solve support detection already ran on the same LP, so its
-    objective is reused; it still counts as one candidate solve.
+    support set every available label is a candidate, re-solved in turn
+    under the same rule.  A support candidate's re-solve is the unrefined
+    solve support detection already ran on the same LP, so its objective is
+    reused; it still counts as one candidate solve.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -671,7 +675,7 @@ def greedy_removal(
         )
     counts = SolveCounts()
     available = set(program.labels)
-    lp, owners, sol = _solved_stage(program, available, tol)
+    owners, sol = _solved_stage(program, available, tol)
     counts.stage_solves += 1
     steps: list[GreedyStep] = []
     for step in range(1, r + 1):
@@ -695,7 +699,7 @@ def greedy_removal(
                 best_obj = obj
                 best_label = lab
         available.remove(best_label)
-        lp, owners, sol = _solved_stage(program, available, tol)
+        owners, sol = _solved_stage(program, available, tol)
         counts.stage_solves += 1
         steps.append(
             GreedyStep(step=step, removed_label=best_label,

@@ -206,6 +206,8 @@ def estimate_violation(
     (count, rows, d) and (count, rows); a scenario is violated when any of
     its rows exceeds its rhs by more than tol.feas.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     coeffs, rhs = sampler(n_samples, rng)
     slack = coeffs @ x - rhs

@@ -181,37 +181,36 @@ class _KernelStatus(Enum):
 _STALL_LIMIT = 64
 
 
-def _iterate(E, h, q, basis, n_enterable, tol):
-    """Pivot in place until optimal or unbounded; returns (status, x_basic).
+def _iterate(E, h, q, basis, tol):
+    """Pivot in place until optimal or unbounded; returns (status, pi).
 
-    basis is a list of column indices (one per row) forming a nonsingular
-    square basis; only columns below n_enterable may enter.  Pricing is
-    Dantzig (most negative reduced cost, lowest index on ties) and switches
-    permanently to Bland's lowest-index rule after a degenerate stall, so
-    termination is guaranteed while typical runs stay short.
+    basis lists one column per row, forming a nonsingular basis B; pi
+    solves B' pi = q[basis], and B x_b = h and the entering direction are
+    solved only once a column enters.  Pricing is Dantzig (most negative
+    reduced cost, lowest index on ties) and switches permanently to Bland's
+    lowest-index rule after a degenerate stall, so termination is
+    guaranteed while typical runs stay short.
     """
     n_rows = E.shape[0]
     use_bland = False
     stall = 0
     for _ in range(_MAX_PIVOTS):
         B = E[:, basis]
-        x_b = np.linalg.solve(B, h)
         pi = np.linalg.solve(B.T, q[basis])
-        reduced = q[:n_enterable] - pi @ E[:, :n_enterable]
-        basic = [b for b in basis if b < n_enterable]
-        if basic:
-            reduced[basic] = 0.0
+        reduced = q - pi @ E
+        reduced[basis] = 0.0
         eligible = np.flatnonzero(reduced < -tol)
         if eligible.size == 0:
-            return _KernelStatus.OPTIMAL, x_b
+            return _KernelStatus.OPTIMAL, pi
         if use_bland:
             enter = int(eligible[0])
         else:
             enter = int(eligible[np.argmin(reduced[eligible])])
+        x_b = np.linalg.solve(B, h)
         direction = np.linalg.solve(B, E[:, enter])
         positive = direction > tol
         if not np.any(positive):
-            return _KernelStatus.UNBOUNDED, x_b
+            return _KernelStatus.UNBOUNDED, pi
         ratios = np.full(n_rows, np.inf)
         ratios[positive] = x_b[positive] / direction[positive]
         theta = ratios.min()
@@ -229,7 +228,8 @@ def _iterate(E, h, q, basis, n_enterable, tol):
 
 
 def _solve_standard_form(E, h, q, tol, unit_cols=()):
-    """Two-phase primal simplex. Returns (status, z, duals).
+    """Two-phase primal simplex. Returns (status, duals); duals are None
+    unless status is OPTIMAL.
 
     unit_cols optionally lists (col, row, sign) triples for columns known to
     be signed unit vectors; rows they can cover start phase 2 directly, and
@@ -259,14 +259,15 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
         q1[n_cols:] = 1.0
         for slot, r in enumerate(uncovered):
             basis[r] = n_cols + slot
-        status, x_b = _iterate(E1, h, q1, basis, E1.shape[1], tol.pivot)
+        status, _ = _iterate(E1, h, q1, basis, tol.pivot)
         if status is not _KernelStatus.OPTIMAL:
             raise SimplexStallError("phase 1 cannot be unbounded")
+        x_b = np.linalg.solve(E1[:, basis], h)
         infeas = float(
             sum(x_b[i] for i, b in enumerate(basis) if b >= n_cols)
         )
         if infeas > max(tol.feas, tol.feas * np.abs(h).max(initial=1.0)):
-            return _KernelStatus.INFEASIBLE, None, None
+            return _KernelStatus.INFEASIBLE, None
 
         # Drive leftover artificials out of the basis.  Every dual row of
         # _solve_core owns a signed unit column, so E has full row rank.
@@ -287,15 +288,11 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
                 )
             basis[row_pos] = pivot_cols[0]
 
-    status, x_b = _iterate(E, h, q, basis, n_cols, tol.pivot)
+    status, duals = _iterate(E, h, q, basis, tol.pivot)
     if status is _KernelStatus.UNBOUNDED:
-        return _KernelStatus.UNBOUNDED, None, None
-    z = np.zeros(n_cols)
-    z[basis] = x_b
-    duals = np.linalg.solve(E[:, basis].T, q[basis])
+        return _KernelStatus.UNBOUNDED, None
     # Duals are reported against the original (unflipped) row orientation.
-    duals = np.where(flip, -duals, duals)
-    return _KernelStatus.OPTIMAL, z, duals
+    return _KernelStatus.OPTIMAL, np.where(flip, -duals, duals)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,8 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
         split, cost, lo, up = coeffs, objective, lower, upper
     dim = cost.shape[0]
 
-    columns = [split.T] if n_rows else []
-    costs = [rhs] if n_rows else []
+    columns = [split.T]
+    costs = [rhs]
     unit_cols = []
     offset = n_rows
     up_idx = np.flatnonzero(np.isfinite(up))
@@ -349,14 +346,10 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
         columns.append(eye_lo)
         costs.append(-lo[lo_idx])
         unit_cols += [(offset + i, int(j), -1) for i, j in enumerate(lo_idx)]
-    if columns:
-        E = np.hstack(columns)
-        q = np.concatenate(costs)
-    else:
-        E = np.zeros((dim, 0))
-        q = np.zeros(0)
+    E = np.hstack(columns)
+    q = np.concatenate(costs)
 
-    status, _, duals = _solve_standard_form(E, -cost, q, tol, unit_cols)
+    status, duals = _solve_standard_form(E, -cost, q, tol, unit_cols)
     if status is _KernelStatus.OPTIMAL:
         x = duals[:d].copy()
         if free.size:

@@ -245,6 +245,27 @@ class TestExperimentCommand:
         trials = (tmp_path / "resource_compare_trials.csv").read_text()
         assert trials.splitlines()[0].startswith("epsilon,r_cascade")
 
+    @pytest.mark.parametrize("grid", ["0.01:0.005:inf", "nan:0.01:0.05",
+                                      "0.01:inf:0.05"])
+    def test_non_finite_grid_exits_2(self, capsys, tmp_path, grid):
+        code, _, err = run_cli(
+            capsys, "experiment", "resource-compare", "--d", "2", "--n", "2",
+            "--m", "80", "--beta", "1e-3", "--eps-grid", grid,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error: bad grid")
+
+    def test_zero_inner_samples_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "experiment", "outer-mc", "--generator", "resource",
+            "--m", "60", "--d", "2", "--n", "2", "--ell", "2",
+            "--eps", "0.12", "--trials", "2", "--n-inner", "0",
+            "--seed", "4", "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error: n_samples must be at least 1")
+
     def test_all_trials_excluded_exits_3(self, capsys, tmp_path, monkeypatch):
         def excluded(*args, **kwargs):
             raise experiments.AllTrialsExcluded(10)
@@ -344,3 +365,6 @@ class TestGridParsing:
             _parse_grid("1:2")
         with pytest.raises(LpInputError):
             _parse_grid("0.1:-0.01:0.2")
+        for spec in ("0.01:0.005:inf", "-inf:0.1:0.2", "0.1:nan:0.2"):
+            with pytest.raises(LpInputError, match="finite"):
+                _parse_grid(spec)

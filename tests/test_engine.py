@@ -596,6 +596,12 @@ class TestRowLayout:
             assert np.array_equal(sub.owners, ref.owners)
             assert sub.to_json() == ref.to_json()
 
+    def test_restrict_rejects_unknown_labels(self):
+        rng = np.random.default_rng(107)
+        _, labels, _, prog = self.random_case(rng)
+        with pytest.raises(LpInputError, match=r"unknown scenario labels: \[99\]"):
+            prog.restrict({labels[0], 99})
+
     def test_assembled_rows_are_read_only_views_of_one_validation(self):
         rng = np.random.default_rng(103)
         _, labels, _, prog = self.random_case(rng)

@@ -145,6 +145,13 @@ class TestViolationEstimation:
                                  src.generator())
         assert est.point == 0.0
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_needs_at_least_one_sample(self, n_samples):
+        fam = AnalyticFamily(m=10)
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            estimate_violation(fam.sample_blocks, [1.0], n_samples,
+                               RandomSource(seed=19).generator())
+
     def test_two_sample_sizes_agree_at_cascade_solution(self):
         fam = ResourceFamily(d=2, n=2, m=80)
         src = RandomSource(seed=23)

@@ -113,6 +113,26 @@ def test_dependent_equality_rows_raise_a_stall():
                              DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("refine, expected", [(False, 4), (True, 8)])
+def test_each_basis_system_is_solved_once(monkeypatch, refine, expected):
+    # min x on [0, 1] with x >= 0.2, 0.9, 0.5: each LP core is one phase-2
+    # pivot (pi, x_b, direction) and a final pricing that solves only for
+    # pi, which is also the dual vector the core reads its minimizer from
+    calls = []
+    real_solve = np.linalg.solve
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real_solve(*args, **kwargs)
+
+    lp = box_lp([1.0], [[-1.0], [-1.0], [-1.0]], [-0.2, -0.9, -0.5],
+                [0.0], [1.0])
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    sol = solve(lp, refine=refine)
+    assert sol.x[0] == pytest.approx(0.9, abs=1e-12)
+    assert len(calls) == expected
+
+
 class TestValidation:
     def test_nan_cost_rejected(self):
         with pytest.raises(LpInputError):
