@@ -220,6 +220,10 @@ def _cmd_greedy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each grid point is a full pipeline run; larger grids are input errors.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Inclusive start:step:end grid, e.g. 0.01:0.005:0.08."""
     try:
@@ -228,8 +232,12 @@ def _parse_grid(spec: str) -> list[float]:
         raise LpInputError(f"bad grid {spec!r}, expected start:step:end") from exc
     if not (np.all(np.isfinite(parts)) and step > 0 and end >= start):
         raise LpInputError(f"bad grid {spec!r}: need finite start <= end, step > 0")
-    count = int(round((end - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    intervals = np.round((end - start) / step)  # inf if the quotient overflows
+    if intervals >= _MAX_GRID_POINTS:
+        raise LpInputError(
+            f"bad grid {spec!r}: more than {_MAX_GRID_POINTS} points"
+        )
+    return [start + i * step for i in range(int(intervals) + 1)]
 
 
 def _require(args, *names: str) -> None:
@@ -423,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n", type=int, default=2)
     p_exp.add_argument("--ell", type=int)
     p_exp.add_argument("--eps", type=float)
-    p_exp.add_argument("--eps-grid", help="start:step:end, inclusive")
+    p_exp.add_argument("--eps-grid",
+                       help="start:step:end, inclusive; at most 10000 points")
     p_exp.add_argument("--beta", type=float, default=1e-6)
     p_exp.add_argument("--trials", type=int, default=1000)
     p_exp.add_argument("--n-inner", type=int, default=10_000)

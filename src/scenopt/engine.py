@@ -327,9 +327,10 @@ class SolveCounts:
     """Tally of LP solves by role; stage solves are the headline number.
 
     The counts are logical: one support solve per tested candidate (however
-    many LP cores it took) and one candidate solve per greedy candidate, also
-    when its objective is taken from support detection's re-solve of the
-    same LP instead of solved again.
+    many LP cores it took, none when the stage vertex's edge certified it)
+    and one candidate solve per greedy candidate, also when its objective is
+    taken from support detection's re-solve of the same LP instead of
+    solved again.
     """
 
     stage_solves: int = 0
@@ -441,14 +442,66 @@ def _solved_stage(program, labels, tol, stage=None):
     sol = solve(lp, tol=tol)
     if not sol.is_optimal:
         raise StageSolveError(stage, sol.status)
-    return owners, sol
+    return lp, owners, sol
 
 
-def _support_from_solution(program, labels, sol, owners, tol, counts):
+def _edge_certified(lp, owners, sol, tol, margin):
+    """Labels that an edge of the stage vertex proves to be support.
+
+    Every constraint is written as a row of G x <= h: the LP rows, then
+    x <= upper and -x <= -lower (infinite bounds never bind).  When exactly
+    d of them are active at sol.x, their matrix M is the vertex basis and
+    the edge leaving active row k is M^-1 e_k: it crosses row k and keeps
+    the other d-1 tight.  Candidate edges are the active LP rows; rows of
+    the edge's own scenario are dropped from the ratio test and the check.
+    Returns an empty set when the vertex is not simple or M is singular.
+    """
+    x, d, n_rows = sol.x, lp.d, lp.n_rows
+    eye = np.eye(d)
+    G = np.vstack([lp.row_coeffs, eye, -eye])
+    h = np.concatenate([lp.row_rhs, lp.upper, -lp.lower])
+    slack = h - G @ x
+    rows = np.array(sorted(sol.active_rows), dtype=np.intp)
+    active = np.concatenate(
+        [rows, n_rows + np.flatnonzero(np.abs(slack[n_rows:]) <= tol.active)])
+    if active.size != d:
+        return frozenset()
+    M = G[active]
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return frozenset()
+    if np.abs(inv @ M - eye).max() > tol.pivot:
+        return frozenset()
+    edges = inv[:, :rows.size].T  # edge j crosses active row rows[j]
+    rate = -(edges @ lp.cost)
+    gone = owners[rows]
+    owned = np.zeros((rows.size, G.shape[0]), dtype=bool)
+    owned[:, :n_rows] = owners == gone[:, None]
+    room = slack.copy()
+    room[active] = np.inf  # kept tight along every edge
+    # slack used up per unit step; the ratio test's theta is 1 / its maximum
+    pace = np.where(owned, 0.0, (edges @ G.T) * (1.0 / room))
+    reach = pace.max(axis=1, initial=0.0)
+    # a rate within rounding of zero is a cost tie, left to the re-solve
+    floor = tol.pivot * np.abs(lp.cost).sum() * np.abs(edges).max(axis=1)
+    ok = (rate > floor) & (rate > margin * reach)  # theta * rate > margin
+    if not ok.any():
+        return frozenset()
+    # every point of the edge up to theta is feasible; check the one where
+    # the drop reaches min(theta * rate, 2 * margin), finite for theta = inf
+    step = 1.0 / np.maximum(reach[ok], rate[ok] / (2.0 * margin))
+    points = x + edges[ok] * step[:, None]
+    feasible = ((points @ G.T - h <= tol.feas) | owned[ok]).all(axis=1)
+    return frozenset(gone[ok][feasible].tolist())
+
+
+def _support_from_solution(program, labels, lp, sol, owners, tol, counts):
     """Labels whose removal moves the minimizer by more than tol.x.
 
     Returns {label: objective of the unrefined LP without it} over the
-    support labels, None where that LP is unbounded.
+    support labels, None where that objective is not known: the LP is
+    unbounded, or the label was certified without solving it.
 
     Only scenarios owning at least one active row are tested: a scenario
     whose rows are all slack at the tie-broken minimizer cannot change it,
@@ -456,21 +509,42 @@ def _support_from_solution(program, labels, sol, owners, tol, counts):
     preserved on any enlargement of the feasible set that keeps a
     neighborhood of the optimum.
 
-    Each candidate's reduced LP is first solved unrefined.  It is support,
-    with no refinement, when that LP is unbounded or its cost lies below
-    sol.objective by more than 2*|c|_1*tol.x + tol.feas: the refined
-    minimizer x' of the reduced LP costs at most the unrefined optimum plus
-    the drift its pinned cost row allows (covered by |c|_1*tol.x + tol.feas),
-    and |c.(x' - x)| <= |c|_1 * max|x' - x|, so max|x' - x| > tol.x.  Inside
-    the margin (cost ties that only move the tie-break, duplicated maxima,
-    near-ties) the refined re-solve decides by max|x' - x| > tol.x.
+    A candidate is support when its reduced LP is unbounded or its optimum
+    lies below sol.objective by more than margin = 2*|c|_1*tol.x + tol.feas:
+    the refined minimizer x' of the reduced LP costs at most the unrefined
+    optimum plus the drift its pinned cost row allows (covered by
+    |c|_1*tol.x + tol.feas), and |c.(x' - x)| <= |c|_1 * max|x' - x|, so
+    max|x' - x| > tol.x.
+
+    Most candidates are decided at the stage vertex (Dantzig's edge and
+    ratio test, in _edge_certified).  When exactly d constraints are active,
+    the edge leaving an active row of scenario s keeps the other d-1 tight
+    and lowers the cost at rate rho = -c.dir; the ratio test over the
+    constraints s does not own gives the step theta at which the first one
+    blocks.  Every point of the edge up to theta satisfies the program
+    without s, so its optimum costs at most c.x - theta*rho (theta = inf:
+    the reduced LP is unbounded along the edge).  If theta*rho exceeds the
+    margin, and a point of the edge with a drop above the margin checks
+    feasible within tol.feas, the unrefined re-solve below would also find
+    a drop above the margin, so s is support with no LP solved.
+
+    Every other candidate (more or fewer than d active constraints, a
+    singular vertex basis, a rate that is zero or negative, a drop inside
+    the margin) is re-solved unrefined; inside the margin (cost ties that
+    only move the tie-break, duplicated maxima, near-ties) the refined
+    re-solve decides by max|x' - x| > tol.x.  Each candidate counts as one
+    support solve either way.
     """
     margin = 2.0 * np.abs(program.cost).sum() * tol.x + tol.feas
+    certified = _edge_certified(lp, owners, sol, tol, margin)
     support = {}
     for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+        counts.support_solves += 1
+        if lab in certified:
+            support[lab] = None
+            continue
         lp_red, _ = program.assemble(labels - {lab})
         coarse = solve(lp_red, tol=tol, refine=False)
-        counts.support_solves += 1
         if coarse.status is LpStatus.UNBOUNDED:
             # the minimizer ceased to exist, which certainly changes it
             support[lab] = None
@@ -496,8 +570,8 @@ def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool
 def _stage_support(program, active_labels, tol):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
-    owners, sol = _solved_stage(program, labels, tol)
-    return sol, frozenset(_support_from_solution(program, labels, sol,
+    lp, owners, sol = _solved_stage(program, labels, tol)
+    return sol, frozenset(_support_from_solution(program, labels, lp, sol,
                                                  owners, tol, SolveCounts()))
 
 
@@ -573,10 +647,10 @@ def run_cascade(
     available = set(program.labels)
     stages: list[StageRecord] = []
     for k in range(ell + 1):
-        owners, sol = _solved_stage(program, available, tol, stage=k)
+        lp, owners, sol = _solved_stage(program, available, tol, stage=k)
         counts.stage_solves += 1
         support = frozenset(_support_from_solution(
-            program, available, sol, owners, tol, counts
+            program, available, lp, sol, owners, tol, counts
         ))
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
@@ -662,9 +736,10 @@ def greedy_removal(
     provably leaves the minimizer unchanged); ties on the re-solved
     objective break toward the smallest label.  When a stage has an empty
     support set every available label is a candidate, re-solved in turn
-    under the same rule.  A support candidate's re-solve is the unrefined
-    solve support detection already ran on the same LP, so its objective is
-    reused; it still counts as one candidate solve.
+    under the same rule.  Where support detection re-solved a candidate's
+    LP unrefined, its objective is reused; a candidate certified at the
+    stage vertex has no known objective and is solved here.  Either way it
+    counts as one candidate solve.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -675,18 +750,18 @@ def greedy_removal(
         )
     counts = SolveCounts()
     available = set(program.labels)
-    owners, sol = _solved_stage(program, available, tol)
+    lp, owners, sol = _solved_stage(program, available, tol)
     counts.stage_solves += 1
     steps: list[GreedyStep] = []
     for step in range(1, r + 1):
         support = _support_from_solution(
-            program, available, sol, owners, tol, counts
+            program, available, lp, sol, owners, tol, counts
         )
         candidates = sorted(support) if support else sorted(available)
         best_label = None
         best_obj = np.inf
         for lab in candidates:
-            # support detection already solved this LP unrefined
+            # support detection may already have solved this LP unrefined
             obj = support.get(lab)
             if obj is None:
                 lp_c, _ = program.assemble(available - {lab})
@@ -699,7 +774,7 @@ def greedy_removal(
                 best_obj = obj
                 best_label = lab
         available.remove(best_label)
-        owners, sol = _solved_stage(program, available, tol)
+        lp, owners, sol = _solved_stage(program, available, tol)
         counts.stage_solves += 1
         steps.append(
             GreedyStep(step=step, removed_label=best_label,

@@ -256,6 +256,18 @@ class TestExperimentCommand:
         assert code == EXIT_INPUT
         assert err.startswith("error: bad grid")
 
+    @pytest.mark.parametrize("grid", ["0:1e-6:1", "0:1e-12:1"])
+    def test_oversized_grid_exits_2(self, capsys, tmp_path, grid):
+        # 1,000,001 and about 10^12 pipeline runs: rejected before any runs
+        code, _, err = run_cli(
+            capsys, "experiment", "resource-compare", "--d", "2", "--n", "2",
+            "--m", "80", "--beta", "1e-3", "--eps-grid", grid,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error: bad grid")
+        assert "more than 10000 points" in err
+
     def test_zero_inner_samples_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "experiment", "outer-mc", "--generator", "resource",
@@ -367,4 +379,12 @@ class TestGridParsing:
             _parse_grid("0.1:-0.01:0.2")
         for spec in ("0.01:0.005:inf", "-inf:0.1:0.2", "0.1:nan:0.2"):
             with pytest.raises(LpInputError, match="finite"):
+                _parse_grid(spec)
+
+    def test_point_cap(self):
+        from scenopt.lp import LpInputError
+
+        assert len(_parse_grid("0:1:9999")) == 10000
+        for spec in ("0:1:10000", "0:1e-320:1"):
+            with pytest.raises(LpInputError, match="more than 10000 points"):
                 _parse_grid(spec)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenopt.engine as engine
 from scenopt.engine import (
@@ -20,7 +22,7 @@ from scenopt.engine import (
     support_set,
     verify_compression,
 )
-from scenopt.lp import LinearProgram, LpInputError
+from scenopt.lp import LinearProgram, LpInputError, LpTolerances
 
 from oracles import (
     assemble_blocks,
@@ -174,6 +176,198 @@ class TestSupportCertificate:
         assert support_set(prog) == frozenset()
         assert flags.count(True) == 1 + 2
         assert support_set_definitional(prog, prog.labels) == frozenset()
+
+
+class TestEdgeCertificate:
+    """Support candidates are decided at the stage vertex by an edge and a
+    ratio test; anything the edge cannot prove goes to the re-solve."""
+
+    def test_generic_stages_solve_no_support_lp(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for prog in (random_analytic(rng, 50), random_resource(rng, 2, 2, 200)):
+            flags = count_refined_solves(monkeypatch)
+            sup = support_set(prog)
+            assert len(sup) == prog.d
+            # the refined stage solve and nothing else
+            assert flags == [True]
+
+    @pytest.mark.parametrize("make, trials", [
+        (lambda rng: random_analytic(rng, 50), 20),
+        (lambda rng: random_resource(rng, 2, 2, 30), 20),
+        (lambda rng: random_resource(rng, 10, 2, 40), 3),
+    ], ids=["analytic", "resource-d2", "resource-d10"])
+    def test_matches_definition(self, make, trials):
+        rng = np.random.default_rng(29)
+        for _ in range(trials):
+            prog = make(rng)
+            assert support_set(prog) == support_set_definitional(prog, prog.labels)
+
+    def test_more_than_d_active_falls_back(self, monkeypatch):
+        # duplicated maxima: two active rows in d=1
+        prog = analytic_program([0.1, 0.9, 0.3, 0.9, 0.5])
+        flags = count_refined_solves(monkeypatch)
+        assert support_set(prog) == frozenset()
+        assert flags == [True] + [False, True] * 2
+
+    def test_zero_rate_edge_is_not_certified(self):
+        # test_tie_break_only_support's stage: crossing scenario 1's row
+        # (x2 >= 0.5) keeps the cost, so only scenario 2 is certified
+        prog = ScenarioProgram(
+            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
+            scenarios=(
+                Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
+                Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
+                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
+            ),
+        )
+        tol = engine.DEFAULT_TOL
+        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+        margin = 2.0 * tol.x + tol.feas
+        assert engine._edge_certified(lp, owners, sol, tol, margin) == {2}
+
+    def test_drop_inside_margin_falls_back(self, monkeypatch):
+        # one active row (the gap 1.5e-6 exceeds tol.active), but the edge
+        # drop 1.5e-6 is inside the 2.1e-6 margin: the re-solve decides
+        prog = analytic_program([0.3, 0.8, 0.8 + 1.5e-6, 0.1])
+        flags = count_refined_solves(monkeypatch)
+        sup = support_set(prog)
+        assert flags == [True, False, True]
+        assert sup == frozenset({3})
+        assert sup == support_set_definitional(prog, prog.labels)
+
+    def test_shallow_blocking_row_stops_the_edge(self, monkeypatch):
+        # the edge crossing scenario 1's row (x1 >= 0.5) along x2 = 0 meets
+        # scenario 2's row after a drop of 2e-6, inside the 3e-6 margin;
+        # the row is so shallow that the edge point at twice the margin
+        # violates it by only 4e-7 < tol.feas, so the ratio test must stop it
+        tol = LpTolerances(active=1e-8, feas=1e-6)
+        prog = ScenarioProgram(
+            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
+            scenarios=(
+                Scenario(label=1, coeffs=[[-1.0, 0.0]], rhs=[-0.5]),
+                Scenario(label=2, coeffs=[[-0.1, -1.0]],
+                         rhs=[-0.1 * (0.5 - 2e-6)]),
+            ),
+        )
+        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+        margin = 2.0 * tol.x + tol.feas
+        assert engine._edge_certified(lp, owners, sol, tol, margin) == set()
+        flags = count_refined_solves(monkeypatch)
+        assert support_set(prog, tol=tol) == frozenset({1})
+        # the stage solve and scenario 1's unrefined re-solve
+        assert flags == [True, False]
+
+    def test_certified_labels_carry_no_objective(self):
+        prog = analytic_program([0.3, 0.8, 0.1])
+        tol = engine.DEFAULT_TOL
+        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+        counts = engine.SolveCounts()
+        support = engine._support_from_solution(prog, prog.labels, lp, sol,
+                                                owners, tol, counts)
+        assert support == {2: None}
+        assert counts.support_solves == 1
+
+
+def _outcome(prog, ell=1):
+    """A cascade's trace dict, or the name of the error it raised."""
+    try:
+        return run_cascade(prog, ell).to_dict()
+    except engine.CascadeError as exc:
+        return type(exc).__name__
+
+
+def _relabel_trace(trace, new_label):
+    if isinstance(trace, str):
+        return trace
+    out = json.loads(json.dumps(trace))
+    for stage in out["stages"]:
+        for key in ("support", "padding", "removed"):
+            stage[key] = [new_label[lab] for lab in stage[key]]
+    out["compression_candidate"] = [new_label[lab]
+                                    for lab in out["compression_candidate"]]
+    return out
+
+
+def _assert_close_trace(a, b):
+    """Equal traces, floats to 1e-9 relative (a scaled row moves last bits)."""
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert _discrete(a) == _discrete(b)
+    assert _floats(a) == pytest.approx(_floats(b), rel=1e-9, abs=1e-12)
+
+
+def _floats(trace):
+    return ([v for s in trace["stages"] for v in s["minimizer"] + [s["objective"]]]
+            + trace["final_x"] + [trace["final_objective"]])
+
+
+def _discrete(trace):
+    return (trace["mode"], trace["ell"], trace["compression_candidate"],
+            trace["solve_counts"],
+            [(s["k"], s["support"], s["padding"], s["removed"], s["degenerate"])
+             for s in trace["stages"]])
+
+
+small_resource = st.builds(
+    lambda seed, m, n: random_resource(np.random.default_rng(seed), 2, n, m),
+    st.integers(0, 2**32 - 1), st.integers(7, 12), st.integers(1, 2))
+
+
+class TestInvariance:
+    """support_set and the cascade trace on small resource d=2 programs do
+    not depend on the scenarios' given order, on a positive scaling of one
+    scenario's rows or on an order-preserving relabelling; each transformed
+    support set is also checked against the definitional oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(prog=small_resource, seed=st.integers(0, 2**32 - 1))
+    def test_scenario_order(self, prog, seed):
+        order = np.random.default_rng(seed).permutation(prog.m)
+        shuffled = ScenarioProgram(
+            cost=prog.cost, lower=prog.lower, upper=prog.upper,
+            scenarios=tuple(prog.scenarios[i] for i in order),
+        )
+        sup = support_set(prog)
+        assert support_set(shuffled) == sup
+        assert sup == support_set_definitional(shuffled, shuffled.labels)
+        assert _outcome(shuffled) == _outcome(prog)
+
+    @settings(max_examples=25, deadline=None)
+    @given(prog=small_resource, pick=st.integers(0, 11),
+           factor=st.floats(0.01, 100.0))
+    def test_scaling_one_scenario(self, prog, pick, factor):
+        label = sorted(prog.labels)[pick % prog.m]
+        scaled = ScenarioProgram(
+            cost=prog.cost, lower=prog.lower, upper=prog.upper,
+            scenarios=tuple(
+                Scenario(label=s.label, coeffs=factor * s.coeffs,
+                         rhs=factor * s.rhs) if s.label == label else s
+                for s in prog.scenarios
+            ),
+        )
+        sup = support_set(prog)
+        assert support_set(scaled) == sup
+        assert sup == support_set_definitional(scaled, scaled.labels)
+        _assert_close_trace(_outcome(scaled), _outcome(prog))
+
+    @settings(max_examples=25, deadline=None)
+    @given(prog=small_resource,
+           gaps=st.lists(st.integers(1, 1000), min_size=12, max_size=12))
+    def test_order_preserving_relabelling(self, prog, gaps):
+        new_label = dict(zip(sorted(prog.labels),
+                             np.cumsum(gaps).tolist()))
+        relabelled = ScenarioProgram(
+            cost=prog.cost, lower=prog.lower, upper=prog.upper,
+            scenarios=tuple(
+                Scenario(label=new_label[s.label], coeffs=s.coeffs, rhs=s.rhs)
+                for s in prog.scenarios
+            ),
+        )
+        sup = support_set(relabelled)
+        assert sup == frozenset(new_label[lab] for lab in support_set(prog))
+        assert sup == support_set_definitional(relabelled, relabelled.labels)
+        assert _outcome(relabelled) == _relabel_trace(_outcome(prog), new_label)
 
 
 class TestNondegeneracy:
