@@ -431,8 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n", type=int, default=2)
     p_exp.add_argument("--ell", type=int)
     p_exp.add_argument("--eps", type=float)
-    p_exp.add_argument("--eps-grid",
-                       help="start:step:end, inclusive; at most 10000 points")
+    p_exp.add_argument(
+        "--eps-grid",
+        help=f"start:step:end, inclusive; at most {_MAX_GRID_POINTS} points",
+    )
     p_exp.add_argument("--beta", type=float, default=1e-6)
     p_exp.add_argument("--trials", type=int, default=1000)
     p_exp.add_argument("--n-inner", type=int, default=10_000)
