@@ -8,9 +8,15 @@ Problems are of the form
 
 with a small number of variables (d) and possibly many rows.  The solver is
 a two-phase primal simplex run on the dual program, so that the working
-basis stays d x d no matter how many rows the primal carries.  Pricing is
-Dantzig's most negative reduced cost and switches for good to Bland's
-lowest-index rule, which cannot cycle, after a run of degenerate pivots.
+basis stays d x d no matter how many rows the primal carries.  The basis
+inverse is kept in product form (Dantzig & Orchard-Hays, 1954): each pivot
+updates it with one rank-1 eta step instead of solving with the basis, it
+is inverted afresh every 32 eta steps, and at optimality the duals are
+solved exactly from the final basis and priced once more before they are
+returned; an unbounded ray seen after eta steps is checked on a fresh
+inverse.  Pricing is Dantzig's most negative reduced cost and switches for
+good to Bland's lowest-index rule, which cannot cycle, after a run of
+degenerate pivots.
 After the cost is minimized, the minimizer is made unique by lexicographic
 refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
@@ -180,50 +186,89 @@ class _KernelStatus(Enum):
 # kernel falls back to Bland's rule, which cannot cycle.
 _STALL_LIMIT = 64
 
+# Eta steps applied to the basis inverse before it is inverted afresh.
+_REFACTOR_EVERY = 32
+
+
+def _entering(reduced, basis, tol, use_bland):
+    """The entering column for these reduced costs, or None at optimality:
+    the most negative one (Dantzig), or the lowest eligible index (Bland);
+    ties go to the lowest index either way."""
+    reduced[basis] = 0.0
+    enter = int((reduced < -tol).argmax() if use_bland else reduced.argmin())
+    return enter if reduced[enter] < -tol else None
+
 
 def _iterate(E, h, q, basis, tol):
     """Pivot in place until optimal or unbounded; returns (status, pi).
 
-    basis lists one column per row, forming a nonsingular basis B; pi
-    solves B' pi = q[basis], and B x_b = h and the entering direction are
-    solved only once a column enters.  Pricing is Dantzig (most negative
-    reduced cost, lowest index on ties) and switches permanently to Bland's
-    lowest-index rule after a degenerate stall, so termination is
-    guaranteed while typical runs stay short.
+    basis lists one column per row, forming a nonsingular basis B.  The
+    kernel keeps B^-1 and the basic values x_b = B^-1 h in product form:
+    each pivot prices with pi = q_B B^-1, takes the entering direction as
+    B^-1 E[:, enter], and applies one rank-1 eta step to both.  B^-1 is
+    inverted afresh on entry and after every _REFACTOR_EVERY eta steps.
+    When the eta-priced costs show no eligible column, pi is solved exactly
+    from B' pi = q_B and priced once more; that pi is returned when nothing
+    is eligible, otherwise pivoting goes on from a fresh inverse.  An
+    entering column with no blocking row after eta steps is likewise priced
+    again on a fresh inverse before the kernel reports unbounded.  Pricing
+    is Dantzig (most negative reduced cost, lowest index on ties) and
+    switches permanently to Bland's lowest-index rule after a degenerate
+    stall, so termination is guaranteed while typical runs stay short.
     """
     n_rows = E.shape[0]
     use_bland = False
     stall = 0
-    for _ in range(_MAX_PIVOTS):
-        B = E[:, basis]
-        pi = np.linalg.solve(B.T, q[basis])
-        reduced = q - pi @ E
-        reduced[basis] = 0.0
-        eligible = np.flatnonzero(reduced < -tol)
-        if eligible.size == 0:
-            return _KernelStatus.OPTIMAL, pi
-        if use_bland:
-            enter = int(eligible[0])
-        else:
-            enter = int(eligible[np.argmin(reduced[eligible])])
-        x_b = np.linalg.solve(B, h)
-        direction = np.linalg.solve(B, E[:, enter])
-        positive = direction > tol
-        if not np.any(positive):
-            return _KernelStatus.UNBOUNDED, pi
-        ratios = np.full(n_rows, np.inf)
-        ratios[positive] = x_b[positive] / direction[positive]
-        theta = ratios.min()
-        ties = np.flatnonzero(ratios <= theta + tol * (1.0 + abs(theta)))
-        # Among blocking rows, leave on the smallest variable index (Bland).
-        leave_row = min(ties, key=lambda i: basis[i])
-        basis[leave_row] = enter
-        if theta <= tol:
-            stall += 1
-            if stall > _STALL_LIMIT + 2 * n_rows:
-                use_bland = True
-        else:
-            stall = 0
+    inv = None
+    try:
+        for pivots in range(_MAX_PIVOTS):
+            if inv is None:
+                inv = np.linalg.inv(E[:, basis])
+                x_b = inv @ h
+                etas = 0
+            pi = q[basis] @ inv
+            enter = _entering(q - pi @ E, basis, tol, use_bland)
+            if enter is None:
+                pi = np.linalg.solve(E[:, basis].T, q[basis])
+                enter = _entering(q - pi @ E, basis, tol, use_bland)
+                if enter is None:
+                    return _KernelStatus.OPTIMAL, pi
+                inv = np.linalg.inv(E[:, basis])
+                x_b = inv @ h
+                etas = 0
+            direction = inv @ E[:, enter]
+            positive = direction > tol
+            if not positive.any():
+                if etas:
+                    # eta drift can fake an unbounded ray near optimality
+                    inv = None
+                    continue
+                return _KernelStatus.UNBOUNDED, pi
+            ratios = np.full(n_rows, np.inf)
+            ratios[positive] = x_b[positive] / direction[positive]
+            theta = ratios.min()
+            ties = np.flatnonzero(ratios <= theta + tol * (1.0 + abs(theta)))
+            # Among blocking rows, leave on the smallest variable index (Bland).
+            leave = min(ties, key=basis.__getitem__)
+            # eta step: the entering column takes row leave at value step
+            step = ratios[leave]
+            x_b -= step * direction
+            x_b[leave] = step
+            pivot_row = inv[leave] / direction[leave]
+            inv -= direction[:, None] * pivot_row
+            inv[leave] = pivot_row
+            basis[leave] = enter
+            etas += 1
+            if etas == _REFACTOR_EVERY:
+                inv = None
+            if theta <= tol:
+                stall += 1
+                if stall > _STALL_LIMIT + 2 * n_rows:
+                    use_bland = True
+            else:
+                stall = 0
+    except np.linalg.LinAlgError:
+        raise SimplexStallError(f"singular basis after {pivots} pivots") from None
     raise SimplexStallError(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
@@ -233,7 +278,9 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
 
     unit_cols optionally lists (col, row, sign) triples for columns known to
     be signed unit vectors; rows they can cover start phase 2 directly, and
-    artificial variables are introduced only for the remainder.
+    artificial variables are introduced only for the remainder.  A stall or
+    a singular basis raises SimplexStallError naming the phase and the shape
+    of E.
     """
     E = np.array(E, dtype=float)
     h = np.array(h, dtype=float)
@@ -251,48 +298,63 @@ def _solve_standard_form(E, h, q, tol, unit_cols=()):
             basis[row] = col
     uncovered = [r for r in range(n_rows) if basis[r] is None]
 
-    if uncovered:
-        art = np.zeros((n_rows, len(uncovered)))
-        art[uncovered, np.arange(len(uncovered))] = 1.0
-        E1 = np.hstack([E, art])
-        q1 = np.zeros(n_cols + len(uncovered))
-        q1[n_cols:] = 1.0
-        for slot, r in enumerate(uncovered):
-            basis[r] = n_cols + slot
-        status, _ = _iterate(E1, h, q1, basis, tol.pivot)
-        if status is not _KernelStatus.OPTIMAL:
-            raise SimplexStallError("phase 1 cannot be unbounded")
-        x_b = np.linalg.solve(E1[:, basis], h)
-        infeas = float(
-            sum(x_b[i] for i, b in enumerate(basis) if b >= n_cols)
-        )
-        if infeas > max(tol.feas, tol.feas * np.abs(h).max(initial=1.0)):
+    phase = 1
+    try:
+        if uncovered and not _phase_one(E, h, basis, uncovered, tol):
             return _KernelStatus.INFEASIBLE, None
-
-        # Drive leftover artificials out of the basis.  Every dual row of
-        # _solve_core owns a signed unit column, so E has full row rank.
-        for row_pos in range(n_rows):
-            if basis[row_pos] < n_cols:
-                continue
-            B = E1[:, basis]
-            tableau_row = np.linalg.solve(B, E)[row_pos]
-            pivot_cols = [
-                int(c)
-                for c in np.flatnonzero(np.abs(tableau_row) > 1e-8)
-                if c not in basis
-            ]
-            if not pivot_cols:
-                raise SimplexStallError(
-                    f"artificial variable of row {row_pos} cannot leave the "
-                    "basis: the equality rows are linearly dependent"
-                )
-            basis[row_pos] = pivot_cols[0]
-
-    status, duals = _iterate(E, h, q, basis, tol.pivot)
+        phase = 2
+        status, duals = _iterate(E, h, q, basis, tol.pivot)
+    except (SimplexStallError, np.linalg.LinAlgError) as exc:
+        raise SimplexStallError(
+            f"simplex phase {phase} (rows={n_rows}, columns={n_cols}): {exc}"
+        ) from None
     if status is _KernelStatus.UNBOUNDED:
         return _KernelStatus.UNBOUNDED, None
     # Duals are reported against the original (unflipped) row orientation.
     return _KernelStatus.OPTIMAL, np.where(flip, -duals, duals)
+
+
+def _phase_one(E, h, basis, uncovered, tol) -> bool:
+    """Cover the uncovered rows with artificials and minimize their sum;
+    on success leave a basis of E's own columns in place and return True,
+    or return False when the artificials cannot reach zero (infeasible)."""
+    n_rows, n_cols = E.shape
+    art = np.zeros((n_rows, len(uncovered)))
+    art[uncovered, np.arange(len(uncovered))] = 1.0
+    E1 = np.hstack([E, art])
+    q1 = np.zeros(n_cols + len(uncovered))
+    q1[n_cols:] = 1.0
+    for slot, r in enumerate(uncovered):
+        basis[r] = n_cols + slot
+    status, _ = _iterate(E1, h, q1, basis, tol.pivot)
+    if status is not _KernelStatus.OPTIMAL:
+        raise SimplexStallError("the artificial sum cannot be unbounded")
+    x_b = np.linalg.solve(E1[:, basis], h)
+    infeas = float(
+        sum(x_b[i] for i, b in enumerate(basis) if b >= n_cols)
+    )
+    if infeas > max(tol.feas, tol.feas * np.abs(h).max(initial=1.0)):
+        return False
+
+    # Drive leftover artificials out of the basis.  Every dual row of
+    # _solve_core owns a signed unit column, so E has full row rank.
+    for row_pos in range(n_rows):
+        if basis[row_pos] < n_cols:
+            continue
+        B = E1[:, basis]
+        tableau_row = np.linalg.solve(B, E)[row_pos]
+        pivot_cols = [
+            int(c)
+            for c in np.flatnonzero(np.abs(tableau_row) > 1e-8)
+            if c not in basis
+        ]
+        if not pivot_cols:
+            raise SimplexStallError(
+                f"artificial variable of row {row_pos} cannot leave the "
+                "basis: the equality rows are linearly dependent"
+            )
+        basis[row_pos] = pivot_cols[0]
+    return True
 
 
 # ---------------------------------------------------------------------------

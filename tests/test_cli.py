@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from scenopt import engine, experiments
@@ -159,6 +160,20 @@ class TestCascadeCommand:
         )
         assert code == EXIT_SOLVER
         assert err == "error: no convergence within 200000 pivots\n"
+
+    def test_singular_basis_exits_4(self, capsys, tmp_path, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, which alone would exit 2
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        code, _, err = run_cli(
+            capsys, "cascade", "--generator", "analytic", "--m", "10",
+            "--ell", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == ("error: simplex phase 2 (rows=1, columns=12): "
+                       "singular basis after 0 pivots\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_bad_tolerance_exits_2(self, capsys, value):

@@ -318,7 +318,8 @@ class TestInvariance:
     """support_set and the cascade trace on small resource d=2 programs do
     not depend on the scenarios' given order, on a positive scaling of one
     scenario's rows or on an order-preserving relabelling; each transformed
-    support set is also checked against the definitional oracle."""
+    support set is also checked against the definitional oracle, as is the
+    support set after one scenario is duplicated."""
 
     @settings(max_examples=25, deadline=None)
     @given(prog=small_resource, seed=st.integers(0, 2**32 - 1))
@@ -368,6 +369,29 @@ class TestInvariance:
         assert sup == frozenset(new_label[lab] for lab in support_set(prog))
         assert sup == support_set_definitional(relabelled, relabelled.labels)
         assert _outcome(relabelled) == _relabel_trace(_outcome(prog), new_label)
+
+    @settings(max_examples=25, deadline=None)
+    @given(prog=small_resource, pick=st.integers(0, 11))
+    def test_duplicated_scenario(self, prog, pick):
+        # a copy of a support scenario puts more than d active rows through
+        # the vertex, so the kernel's ratio tests tie; neither copy alone is
+        # support any more
+        before = support_set(prog)
+        candidates = sorted(before or prog.labels)
+        label = candidates[pick % len(candidates)]
+        copy = max(prog.labels) + 1
+        original = prog.scenario(label)
+        duplicated = ScenarioProgram(
+            cost=prog.cost, lower=prog.lower, upper=prog.upper,
+            scenarios=prog.scenarios + (
+                Scenario(label=copy, coeffs=original.coeffs,
+                         rhs=original.rhs),),
+        )
+        np.testing.assert_allclose(solve_stage(duplicated).x,
+                                   solve_stage(prog).x, rtol=0.0, atol=1e-12)
+        sup = support_set(duplicated)
+        assert sup == support_set_definitional(duplicated, duplicated.labels)
+        assert sup == before - {label}
 
 
 class TestNondegeneracy:

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import scenopt.lp as lp_module
+from scenopt.experiments import RandomSource, gen_resource
 from scenopt.lp import (
     DEFAULT_TOL,
     LinearProgram,
@@ -113,24 +117,148 @@ def test_dependent_equality_rows_raise_a_stall():
                              DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("refine, expected", [(False, 4), (True, 8)])
-def test_each_basis_system_is_solved_once(monkeypatch, refine, expected):
-    # min x on [0, 1] with x >= 0.2, 0.9, 0.5: each LP core is one phase-2
-    # pivot (pi, x_b, direction) and a final pricing that solves only for
-    # pi, which is also the dual vector the core reads its minimizer from
-    calls = []
-    real_solve = np.linalg.solve
+def test_stall_errors_name_the_phase_shape_and_pivots(monkeypatch):
+    # max x1 + x2 with x >= 0 under two rows: phase 1 needs two pivots
+    lp = box_lp([-1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0],
+                [0.0, 0.0], [np.inf, np.inf])
+    monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 1)
+    with pytest.raises(SimplexStallError) as err:
+        solve(lp)
+    assert str(err.value) == ("simplex phase 1 (rows=2, columns=4): "
+                              "no convergence within 1 pivots")
 
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return real_solve(*args, **kwargs)
 
-    lp = box_lp([1.0], [[-1.0], [-1.0], [-1.0]], [-0.2, -0.9, -0.5],
-                [0.0], [1.0])
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    sol = solve(lp, refine=refine)
-    assert sol.x[0] == pytest.approx(0.9, abs=1e-12)
-    assert len(calls) == expected
+def spy_linalg(monkeypatch):
+    """Count np.linalg.inv and np.linalg.solve calls from now on."""
+    calls = Counter()
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def spy_pivots(monkeypatch):
+    """Pivots per kernel call (_iterate) from now on, in call order."""
+    pivots = []
+    real_iterate, real_entering = lp_module._iterate, lp_module._entering
+
+    def iterate(*args, **kwargs):
+        pivots.append(0)
+        return real_iterate(*args, **kwargs)
+
+    def entering(*args, **kwargs):
+        enter = real_entering(*args, **kwargs)
+        pivots[-1] += enter is not None
+        return enter
+
+    monkeypatch.setattr(lp_module, "_iterate", iterate)
+    monkeypatch.setattr(lp_module, "_entering", entering)
+    return pivots
+
+
+def resource_stage():
+    """Stage 0 of a resource program with d=10 and m=2000 (4000 rows)."""
+    prog = gen_resource(10, 2, 2000, np.random.default_rng(0))
+    return prog.assemble(prog.labels)[0]
+
+
+class TestFactorizations:
+    @pytest.mark.parametrize("refine, cores", [(False, 1), (True, 2)])
+    def test_each_lp_core_factorizes_once(self, monkeypatch, refine, cores):
+        # min x on [0, 1] with x >= 0.2, 0.9, 0.5: each LP core is one
+        # phase-2 pivot on the inverse taken at its start, then one exact
+        # solve for pi at optimality, which is also the dual vector the core
+        # reads its minimizer from
+        lp = box_lp([1.0], [[-1.0], [-1.0], [-1.0]], [-0.2, -0.9, -0.5],
+                    [0.0], [1.0])
+        calls = spy_linalg(monkeypatch)
+        sol = solve(lp, refine=refine)
+        assert sol.x[0] == pytest.approx(0.9, abs=1e-12)
+        assert calls == {"inv": cores, "solve": cores}
+
+    def test_long_pivot_paths_solve_no_system_per_pivot(self, monkeypatch):
+        lp = resource_stage()
+        pivots = spy_pivots(monkeypatch)
+        calls = spy_linalg(monkeypatch)
+        assert solve(lp).is_optimal
+        # one exact pi per kernel call, one phase-1 x_b per LP core, and a
+        # fresh inverse per kernel call and per _REFACTOR_EVERY pivots
+        assert max(pivots) > lp_module._REFACTOR_EVERY
+        assert calls["solve"] * 10 < sum(pivots)
+        assert calls["inv"] * 5 < sum(pivots)
+
+
+def random_corpus_lp(rng):
+    """d 1-10 and up to 300 rows, feasible at the origin nine times in ten;
+    a quarter have small integer data, whose vertices are often degenerate
+    so that ratio tests tie.  Some bounds are infinite."""
+    d = int(rng.integers(1, 11))
+    k = int(rng.integers(0, 301))
+    if rng.random() < 0.25:
+        coeffs = rng.integers(-3, 4, size=(k, d)).astype(float)
+        rhs = rng.integers(0, 6, size=k).astype(float)
+        cost = rng.integers(-3, 4, size=d).astype(float)
+    else:
+        coeffs = rng.normal(size=(k, d))
+        rhs = rng.uniform(0.0, 2.0, size=k) - float(rng.random() < 0.1)
+        cost = rng.normal(size=d)
+    lower = np.where(rng.random(d) < 0.2, -np.inf, -rng.uniform(0.5, 3.0, d))
+    upper = np.where(rng.random(d) < 0.2, np.inf, rng.uniform(0.5, 3.0, d))
+    return LinearProgram(cost=cost, row_coeffs=coeffs, row_rhs=rhs,
+                         lower=lower, upper=upper)
+
+
+def solve_outcomes(lps, refine=True):
+    return [(sol.status, sol.x) for sol in (solve(lp, refine=refine)
+                                            for lp in lps)]
+
+
+class TestKernelAgreement:
+    """A fresh inverse at every pivot and eta steps alone (no refactoring)
+    reach the statuses and minimizers of the default kernel."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(11)
+        lps = [random_corpus_lp(rng) for _ in range(300)]
+        return lps, solve_outcomes(lps)
+
+    @pytest.fixture(scope="class")
+    def resource_lps(self):
+        # a d=10, m=2000 stage, and a greedy candidate of resource-compare
+        # at seed 2754417050 whose refinement core once ended on a basis
+        # where eta-updated prices showed an eligible column with no
+        # blocking row: an unbounded ray that a fresh inverse does not see
+        prog = gen_resource(10, 2, 2000, RandomSource(2754417050).generator())
+        removed = {42, 363, 527, 550, 604, 737, 840, 951, 1453, 1485, 1738}
+        lps = [resource_stage(), prog.assemble(prog.labels - removed)[0]]
+        return lps, solve_outcomes(lps)
+
+    @staticmethod
+    def assert_agree(got, expected):
+        assert [s for s, _ in got] == [s for s, _ in expected]
+        for (_, x), (_, x_ref) in zip(got, expected):
+            if x_ref is not None:
+                np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("every", [1, 10**6])
+    def test_random_corpus(self, monkeypatch, corpus, every):
+        lps, expected = corpus
+        assert sum(s is LpStatus.OPTIMAL for s, _ in expected) > 200
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", every)
+        self.assert_agree(solve_outcomes(lps), expected)
+
+    @pytest.mark.parametrize("every", [1, 10**6])
+    def test_resource_lps(self, monkeypatch, resource_lps, every):
+        lps, expected = resource_lps
+        assert all(s is LpStatus.OPTIMAL for s, _ in expected)
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", every)
+        self.assert_agree(solve_outcomes(lps), expected)
 
 
 class TestValidation:
