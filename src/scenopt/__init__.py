@@ -20,6 +20,7 @@ from scenopt.lp import (
 )
 from scenopt.engine import (
     AssumptionViolated,
+    CandidateSolveError,
     CascadeError,
     CascadeTrace,
     DegeneracyDetected,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolated",
     "BoundValue",
+    "CandidateSolveError",
     "CascadeError",
     "CascadeTrace",
     "DEFAULT_TOL",

@@ -8,7 +8,8 @@ version, so any artifact can be reproduced bit for bit.
 Exit codes: 0 success, 2 usage or input error (including too few scenarios
 for the requested removals), 3 assumption or degeneracy failure (the
 offending stage index is reported) or every Monte Carlo trial excluded,
-4 solver failure (an infeasible or unbounded stage LP, a simplex stall).
+4 solver failure (an infeasible or unbounded stage or greedy candidate LP,
+a simplex stall or a singular simplex basis).
 """
 
 from __future__ import annotations
@@ -253,21 +254,20 @@ def _cmd_experiment(args) -> int:
     out = _out_dir(args)
     source = RandomSource(seed=args.seed)
     name = args.name
+    # per-trial columns of both Monte Carlo pipelines
+    mc_trial_header = ["seed", "trial", "final_objective", "violation",
+                       "exceed", "excluded"]
 
     if name == "analytic-tightness":
         _require(args, "m", "ell", "eps")
         config = {
             "experiment": name, "m": args.m, "ell": args.ell,
             "epsilon": args.eps, "trials": args.trials, "seed": args.seed,
-            "tolerances": vars(_tolerances(args)),
         }
         result = experiments.run_analytic_tightness(
             args.m, args.ell, args.eps, args.trials, source, tol=tol
         )
-        trials_csv = experiments.rows_to_csv(
-            ["seed", "trial", "final_objective", "violation", "exceed", "excluded"],
-            result.rows,
-        )
+        trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
         est = result.estimate
         summary_rows = [[
             est.point, est.half_width_95, result.analytic_value,
@@ -298,7 +298,6 @@ def _cmd_experiment(args) -> int:
             "d": family.d, "n": getattr(family, "n", None), "ell": args.ell,
             "epsilon": args.eps, "trials": args.trials,
             "n_inner": args.n_inner, "seed": args.seed,
-            "tolerances": vars(_tolerances(args)),
         }
         mode = (
             RemovalMode.FULLY_SUPPORTED
@@ -309,10 +308,7 @@ def _cmd_experiment(args) -> int:
             family, args.ell, args.eps, args.trials, source,
             mode=mode, n_inner=args.n_inner, tol=tol,
         )
-        trials_csv = experiments.rows_to_csv(
-            ["seed", "trial", "final_objective", "violation", "exceed", "excluded"],
-            result.rows,
-        )
+        trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
         est = result.estimate
         summary_csv = experiments.rows_to_csv(
             ["estimate", "half_width_95", "combined_half_width",
@@ -336,7 +332,6 @@ def _cmd_experiment(args) -> int:
         config = {
             "experiment": name, "d": args.d, "n": args.n, "m": args.m,
             "beta": args.beta, "eps_grid": grid, "seed": args.seed,
-            "tolerances": vars(_tolerances(args)),
         }
         sweep = experiments.run_resource_compare(
             args.d, args.n, args.m, args.beta, grid, source, tol=tol
@@ -365,6 +360,7 @@ def _cmd_experiment(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise LpInputError(f"unknown experiment {name!r}")
 
+    config["tolerances"] = vars(tol)
     (out / f"{stem}_trials.csv").write_text(trials_csv)
     (out / f"{stem}_summary.csv").write_text(summary_csv)
     (out / f"{stem}_metadata.json").write_text(experiments.metadata_blob(config))

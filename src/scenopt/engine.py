@@ -83,6 +83,20 @@ class StageSolveError(CascadeError):
         super().__init__(f"{where} returned status {status.value}")
 
 
+class CandidateSolveError(CascadeError):
+    """A greedy candidate LP, the program less one label, came back
+    infeasible or unbounded."""
+
+    def __init__(self, step: int, label: int, status: LpStatus):
+        self.step = step
+        self.label = label
+        self.status = status
+        super().__init__(
+            f"greedy step {step}: the program without label {label} "
+            f"returned status {status.value}"
+        )
+
+
 class RemovalMode(Enum):
     FULLY_SUPPORTED = "fully-supported"
     REGULARIZED = "regularized"
@@ -767,7 +781,7 @@ def greedy_removal(
                 lp_c, _ = program.assemble(available - {lab})
                 sol_c = solve(lp_c, tol=tol, refine=False)
                 if not sol_c.is_optimal:
-                    raise StageSolveError(None, sol_c.status)
+                    raise CandidateSolveError(step, lab, sol_c.status)
                 obj = sol_c.objective
             counts.candidate_solves += 1
             if obj < best_obj:

@@ -8,15 +8,16 @@ Problems are of the form
 
 with a small number of variables (d) and possibly many rows.  The solver is
 a two-phase primal simplex run on the dual program, so that the working
-basis stays d x d no matter how many rows the primal carries.  The basis
-inverse is kept in product form (Dantzig & Orchard-Hays, 1954): each pivot
-updates it with one rank-1 eta step instead of solving with the basis, it
-is inverted afresh every 32 eta steps, and at optimality the duals are
-solved exactly from the final basis and priced once more before they are
-returned; an unbounded ray seen after eta steps is checked on a fresh
-inverse.  Pricing is Dantzig's most negative reduced cost and switches for
-good to Bland's lowest-index rule, which cannot cycle, after a run of
-degenerate pivots.
+basis stays d x d no matter how many rows the primal carries.  Each LP
+core is one _solve_core call, which builds that dual in standard form and
+runs both phases on it.  The basis inverse is kept in product form
+(Dantzig & Orchard-Hays, 1954): each pivot updates it with one rank-1 eta
+step instead of solving with the basis, it is inverted afresh every 32 eta
+steps, and at optimality the duals are solved exactly from the final basis
+and priced once more before they are returned; an unbounded ray seen after
+eta steps is checked on a fresh inverse.  Pricing is Dantzig's most
+negative reduced cost and switches for good to Bland's lowest-index rule,
+which cannot cycle, after a run of degenerate pivots.
 After the cost is minimized, the minimizer is made unique by lexicographic
 refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
@@ -172,14 +173,8 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Simplex kernel on standard form: min q.z  s.t.  E z = h, z >= 0.
+# Simplex kernel on standard form: min q.z  s.t.  E z = h, z >= 0, h >= 0.
 # ---------------------------------------------------------------------------
-
-
-class _KernelStatus(Enum):
-    OPTIMAL = 0
-    INFEASIBLE = 1
-    UNBOUNDED = 2
 
 
 # Consecutive degenerate pivots tolerated under Dantzig pricing before the
@@ -200,7 +195,8 @@ def _entering(reduced, basis, tol, use_bland):
 
 
 def _iterate(E, h, q, basis, tol):
-    """Pivot in place until optimal or unbounded; returns (status, pi).
+    """Pivot in place until optimal or unbounded; returns the simplex
+    multipliers pi at optimality, or None when the program is unbounded.
 
     basis lists one column per row, forming a nonsingular basis B.  The
     kernel keeps B^-1 and the basic values x_b = B^-1 h in product form:
@@ -232,7 +228,7 @@ def _iterate(E, h, q, basis, tol):
                 pi = np.linalg.solve(E[:, basis].T, q[basis])
                 enter = _entering(q - pi @ E, basis, tol, use_bland)
                 if enter is None:
-                    return _KernelStatus.OPTIMAL, pi
+                    return pi
                 inv = np.linalg.inv(E[:, basis])
                 x_b = inv @ h
                 etas = 0
@@ -243,7 +239,7 @@ def _iterate(E, h, q, basis, tol):
                     # eta drift can fake an unbounded ray near optimality
                     inv = None
                     continue
-                return _KernelStatus.UNBOUNDED, pi
+                return None
             ratios = np.full(n_rows, np.inf)
             ratios[positive] = x_b[positive] / direction[positive]
             theta = ratios.min()
@@ -272,48 +268,6 @@ def _iterate(E, h, q, basis, tol):
     raise SimplexStallError(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
-def _solve_standard_form(E, h, q, tol, unit_cols=()):
-    """Two-phase primal simplex. Returns (status, duals); duals are None
-    unless status is OPTIMAL.
-
-    unit_cols optionally lists (col, row, sign) triples for columns known to
-    be signed unit vectors; rows they can cover start phase 2 directly, and
-    artificial variables are introduced only for the remainder.  A stall or
-    a singular basis raises SimplexStallError naming the phase and the shape
-    of E.
-    """
-    E = np.array(E, dtype=float)
-    h = np.array(h, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n_rows, n_cols = E.shape
-
-    flip = h < 0
-    E[flip] *= -1.0
-    h[flip] *= -1.0
-
-    basis: list[Optional[int]] = [None] * n_rows
-    for col, row, sign in unit_cols:
-        effective = -sign if flip[row] else sign
-        if basis[row] is None and effective > 0:
-            basis[row] = col
-    uncovered = [r for r in range(n_rows) if basis[r] is None]
-
-    phase = 1
-    try:
-        if uncovered and not _phase_one(E, h, basis, uncovered, tol):
-            return _KernelStatus.INFEASIBLE, None
-        phase = 2
-        status, duals = _iterate(E, h, q, basis, tol.pivot)
-    except (SimplexStallError, np.linalg.LinAlgError) as exc:
-        raise SimplexStallError(
-            f"simplex phase {phase} (rows={n_rows}, columns={n_cols}): {exc}"
-        ) from None
-    if status is _KernelStatus.UNBOUNDED:
-        return _KernelStatus.UNBOUNDED, None
-    # Duals are reported against the original (unflipped) row orientation.
-    return _KernelStatus.OPTIMAL, np.where(flip, -duals, duals)
-
-
 def _phase_one(E, h, basis, uncovered, tol) -> bool:
     """Cover the uncovered rows with artificials and minimize their sum;
     on success leave a basis of E's own columns in place and return True,
@@ -326,8 +280,7 @@ def _phase_one(E, h, basis, uncovered, tol) -> bool:
     q1[n_cols:] = 1.0
     for slot, r in enumerate(uncovered):
         basis[r] = n_cols + slot
-    status, _ = _iterate(E1, h, q1, basis, tol.pivot)
-    if status is not _KernelStatus.OPTIMAL:
+    if _iterate(E1, h, q1, basis, tol.pivot) is None:
         raise SimplexStallError("the artificial sum cannot be unbounded")
     x_b = np.linalg.solve(E1[:, basis], h)
     infeas = float(
@@ -375,6 +328,12 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
     Variables unbounded on both sides are first split into nonnegative
     halves, which keeps the dual rows at full rank (every transformed
     variable contributes a signed unit column).
+
+    Dual rows with c_j > 0 are negated so that the kernel's h = |c|.  Each
+    row starts phase 2 on its positive unit column where it has one (v_j if
+    kept, w_j if negated); only the rest get phase-1 artificials.  A stall
+    or a singular basis raises SimplexStallError naming the phase and the
+    shape of the dual matrix.
     """
     d = objective.shape[0]
     n_rows = rhs.shape[0]
@@ -388,43 +347,54 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
     else:
         split, cost, lo, up = coeffs, objective, lower, upper
     dim = cost.shape[0]
-
-    columns = [split.T]
-    costs = [rhs]
-    unit_cols = []
-    offset = n_rows
     up_idx = np.flatnonzero(np.isfinite(up))
     lo_idx = np.flatnonzero(np.isfinite(lo))
-    if up_idx.size:
-        eye_up = np.zeros((dim, up_idx.size))
-        eye_up[up_idx, np.arange(up_idx.size)] = 1.0
-        columns.append(eye_up)
-        costs.append(up[up_idx])
-        unit_cols += [(offset + i, int(j), 1) for i, j in enumerate(up_idx)]
-        offset += up_idx.size
-    if lo_idx.size:
-        eye_lo = np.zeros((dim, lo_idx.size))
-        eye_lo[lo_idx, np.arange(lo_idx.size)] = -1.0
-        columns.append(eye_lo)
-        costs.append(-lo[lo_idx])
-        unit_cols += [(offset + i, int(j), -1) for i, j in enumerate(lo_idx)]
-    E = np.hstack(columns)
-    q = np.concatenate(costs)
+    n_up = up_idx.size
 
-    status, duals = _solve_standard_form(E, -cost, q, tol, unit_cols)
-    if status is _KernelStatus.OPTIMAL:
-        x = duals[:d].copy()
-        if free.size:
-            x[free] -= duals[d:]
-        return LpStatus.OPTIMAL, x
-    if status is _KernelStatus.UNBOUNDED:
+    # E = [R' | I_up | -I_lo], with the rows of negative h negated in place
+    E = np.zeros((dim, n_rows + n_up + lo_idx.size))
+    E[:, :n_rows] = split.T
+    E[up_idx, n_rows + np.arange(n_up)] = 1.0
+    E[lo_idx, n_rows + n_up + np.arange(lo_idx.size)] = -1.0
+    q = np.concatenate([rhs, up[up_idx], -lo[lo_idx]])
+    h = -cost
+    flip = h < 0
+    E[flip] *= -1.0
+    h[flip] *= -1.0
+
+    basis = np.full(dim, -1)
+    covers = ~flip[up_idx]
+    basis[up_idx[covers]] = n_rows + np.flatnonzero(covers)
+    covers = flip[lo_idx]
+    basis[lo_idx[covers]] = n_rows + n_up + np.flatnonzero(covers)
+    uncovered = np.flatnonzero(basis < 0).tolist()
+    basis = basis.tolist()
+
+    phase = 1
+    try:
+        dual_feasible = not uncovered or _phase_one(E, h, basis, uncovered, tol)
+        if dual_feasible:
+            phase = 2
+            duals = _iterate(E, h, q, basis, tol.pivot)
+    except (SimplexStallError, np.linalg.LinAlgError) as exc:
+        raise SimplexStallError(
+            f"simplex phase {phase} (rows={dim}, columns={E.shape[1]}): {exc}"
+        ) from None
+    if not dual_feasible:
+        # Dual infeasible: the primal is unbounded or infeasible; an elastic
+        # feasibility probe (min t with R x - t <= s, t >= 0) settles which.
+        if _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol):
+            return LpStatus.UNBOUNDED, None
+        return LpStatus.INFEASIBLE, None
+    if duals is None:
         # Dual unbounded below means the primal feasible set is empty.
         return LpStatus.INFEASIBLE, None
-    # Dual infeasible: the primal is unbounded or infeasible; an elastic
-    # feasibility probe (min t with R x - t <= s, t >= 0) settles which.
-    if _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol):
-        return LpStatus.UNBOUNDED, None
-    return LpStatus.INFEASIBLE, None
+    # Duals are read against the unnegated rows.
+    duals = np.where(flip, -duals, duals)
+    x = duals[:d]
+    if free.size:
+        x[free] -= duals[d:]
+    return LpStatus.OPTIMAL, x
 
 
 def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:

@@ -215,6 +215,27 @@ class TestGreedyCommand:
         assert code == EXIT_INPUT
         assert "r < m - d" in err
 
+    def test_unbounded_candidate_names_step_and_label_and_exits_4(
+            self, capsys, tmp_path):
+        # max x1 + x2 over x >= 0: without scenario 1's x1 <= 1 the
+        # candidate LP of step 1 is unbounded
+        rows = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([0.0, 1.0], 2.0),
+                ([0.0, 1.0], 3.0)]
+        prog = ScenarioProgram(
+            cost=[-1.0, -1.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],
+            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
+                            for i, (a, b) in enumerate(rows)),
+        )
+        path = tmp_path / "unbounded_candidate.json"
+        path.write_text(prog.to_json())
+        code, _, err = run_cli(
+            capsys, "greedy", "--input", str(path), "--r", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == ("error: greedy step 1: the program without label 1 "
+                       "returned status unbounded\n")
+
 
 class TestExperimentCommand:
     def test_analytic_tightness_artifacts(self, capsys, tmp_path):

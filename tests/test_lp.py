@@ -12,7 +12,7 @@ from scenopt.lp import (
     LpStatus,
     LpTolerances,
     SimplexStallError,
-    _solve_standard_form,
+    _phase_one,
     check_feasible,
     solve,
 )
@@ -89,6 +89,24 @@ class TestSolveBasics:
         )
         assert solve(lp).status is LpStatus.UNBOUNDED
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("cost, rows, rhs, lower, upper, status", [
+        # min x, x free, x <= -1
+        ([1.0], [[1.0]], [-1.0], [-np.inf], [np.inf], LpStatus.UNBOUNDED),
+        # x free, x >= 1 and x <= 0
+        ([1.0], [[-1.0], [1.0]], [-1.0, 0.0], [-np.inf], [np.inf],
+         LpStatus.INFEASIBLE),
+        # min x1, x1 free, x2 in [0, 1], x1 - x2 <= -2
+        ([1.0, 0.0], [[1.0, -1.0]], [-2.0], [-np.inf, 0.0], [np.inf, 1.0],
+         LpStatus.UNBOUNDED),
+    ])
+    def test_free_variables_infeasible_or_unbounded(
+            self, cost, rows, rhs, lower, upper, status, refine):
+        # both unbounded LPs have an infeasible dual, so the elastic
+        # feasibility probe decides them; it must see x1 free, not split
+        lp = box_lp(cost, rows, rhs, lower, upper)
+        assert solve(lp, refine=refine).status is status
+
 
 class TestSelect:
     def test_select_matches_a_validated_copy(self):
@@ -113,8 +131,7 @@ def test_dependent_equality_rows_raise_a_stall():
     # the second row of E is zero, so its phase-1 artificial stays basic
     E = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SimplexStallError, match="linearly dependent"):
-        _solve_standard_form(E, np.array([1.0, 0.0]), np.array([1.0, 2.0]),
-                             DEFAULT_TOL)
+        _phase_one(E, np.array([1.0, 0.0]), [-1, -1], [0, 1], DEFAULT_TOL)
 
 
 def test_stall_errors_name_the_phase_shape_and_pivots(monkeypatch):
