@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from scenopt.lp import (
     LpSolution,
     LpStatus,
     LpTolerances,
+    reoptimize,
     solve,
 )
 
@@ -74,12 +75,14 @@ class InsufficientScenarios(CascadeError):
 
 
 class StageSolveError(CascadeError):
-    """A stage LP came back infeasible or unbounded."""
+    """A stage LP, or a support test's re-solve of it without one label,
+    came back infeasible or unbounded.  `where` names the LP: "stage 2",
+    "greedy step 1: stage program" (step 0 is the initial solve), "stage 2:
+    the program without label 7", or "stage program" outside both schemes."""
 
-    def __init__(self, stage: Optional[int], status: LpStatus):
-        self.stage = stage
+    def __init__(self, where: str, status: LpStatus):
+        self.where = where
         self.status = status
-        where = "stage program" if stage is None else f"stage {stage}"
         super().__init__(f"{where} returned status {status.value}")
 
 
@@ -343,8 +346,8 @@ class SolveCounts:
     The counts are logical: one support solve per tested candidate (however
     many LP cores it took, none when the stage vertex's edge certified it)
     and one candidate solve per greedy candidate, also when its objective is
-    taken from support detection's re-solve of the same LP instead of
-    solved again.
+    taken from support detection's re-solve of the same LP or reached by
+    simplex steps from the stage vertex instead of solved again.
     """
 
     stage_solves: int = 0
@@ -451,25 +454,29 @@ def solve_stage(
     return solve(lp, tol=tol)
 
 
-def _solved_stage(program, labels, tol, stage=None):
+def _solved_stage(program, labels, tol, where="stage program"):
     lp, owners = program.assemble(labels)
     sol = solve(lp, tol=tol)
     if not sol.is_optimal:
-        raise StageSolveError(stage, sol.status)
+        raise StageSolveError(where, sol.status)
     return lp, owners, sol
 
 
-def _edge_certified(lp, owners, sol, tol, margin):
-    """Labels that an edge of the stage vertex proves to be support.
+class _Vertex(NamedTuple):
+    """A stage minimizer x with the stage LP's constraints as the rows of
+    G x <= h: the LP rows, then x <= upper and -x <= -lower (infinite bounds
+    never bind), and slack = h - G x.  When exactly d of them are active at
+    x and their matrix M is nonsingular, basis lists them, LP rows first,
+    and inv = M^-1; otherwise both are None."""
 
-    Every constraint is written as a row of G x <= h: the LP rows, then
-    x <= upper and -x <= -lower (infinite bounds never bind).  When exactly
-    d of them are active at sol.x, their matrix M is the vertex basis and
-    the edge leaving active row k is M^-1 e_k: it crosses row k and keeps
-    the other d-1 tight.  Candidate edges are the active LP rows; rows of
-    the edge's own scenario are dropped from the ratio test and the check.
-    Returns an empty set when the vertex is not simple or M is singular.
-    """
+    G: np.ndarray
+    h: np.ndarray
+    slack: np.ndarray
+    basis: Optional[np.ndarray]
+    inv: Optional[np.ndarray]
+
+
+def _stage_vertex(lp, sol, tol) -> _Vertex:
     x, d, n_rows = sol.x, lp.d, lp.n_rows
     eye = np.eye(d)
     G = np.vstack([lp.row_coeffs, eye, -eye])
@@ -479,21 +486,38 @@ def _edge_certified(lp, owners, sol, tol, margin):
     active = np.concatenate(
         [rows, n_rows + np.flatnonzero(np.abs(slack[n_rows:]) <= tol.active)])
     if active.size != d:
-        return frozenset()
+        return _Vertex(G, h, slack, None, None)
     M = G[active]
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        return frozenset()
+        return _Vertex(G, h, slack, None, None)
     if np.abs(inv @ M - eye).max() > tol.pivot:
+        return _Vertex(G, h, slack, None, None)
+    return _Vertex(G, h, slack, active, inv)
+
+
+def _edge_certified(lp, owners, sol, vertex, tol, margin):
+    """Labels that an edge of the stage vertex proves to be support.
+
+    At a simple vertex (vertex.basis is set) the edge leaving active row k
+    is M^-1 e_k: it crosses row k and keeps the other d-1 tight.  Candidate
+    edges are the active LP rows; rows of the edge's own scenario are
+    dropped from the ratio test and the check.  Returns an empty set when
+    the vertex is not simple.
+    """
+    if vertex.basis is None:
         return frozenset()
-    edges = inv[:, :rows.size].T  # edge j crosses active row rows[j]
+    G, h, slack = vertex.G, vertex.h, vertex.slack
+    x, n_rows = sol.x, lp.n_rows
+    rows = vertex.basis[:len(sol.active_rows)]
+    edges = vertex.inv[:, :rows.size].T  # edge j crosses active row rows[j]
     rate = -(edges @ lp.cost)
     gone = owners[rows]
     owned = np.zeros((rows.size, G.shape[0]), dtype=bool)
     owned[:, :n_rows] = owners == gone[:, None]
     room = slack.copy()
-    room[active] = np.inf  # kept tight along every edge
+    room[vertex.basis] = np.inf  # kept tight along every edge
     # slack used up per unit step; the ratio test's theta is 1 / its maximum
     pace = np.where(owned, 0.0, (edges @ G.T) * (1.0 / room))
     reach = pace.max(axis=1, initial=0.0)
@@ -510,7 +534,8 @@ def _edge_certified(lp, owners, sol, tol, margin):
     return frozenset(gone[ok][feasible].tolist())
 
 
-def _support_from_solution(program, labels, lp, sol, owners, tol, counts):
+def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
+                           counts, where=None):
     """Labels whose removal moves the minimizer by more than tol.x.
 
     Returns {label: objective of the unrefined LP without it} over the
@@ -550,7 +575,7 @@ def _support_from_solution(program, labels, lp, sol, owners, tol, counts):
     support solve either way.
     """
     margin = 2.0 * np.abs(program.cost).sum() * tol.x + tol.feas
-    certified = _edge_certified(lp, owners, sol, tol, margin)
+    certified = _edge_certified(lp, owners, sol, vertex, tol, margin)
     support = {}
     for lab in sorted({int(owners[i]) for i in sol.active_rows}):
         counts.support_solves += 1
@@ -564,7 +589,9 @@ def _support_from_solution(program, labels, lp, sol, owners, tol, counts):
             support[lab] = None
             continue
         if not coarse.is_optimal:
-            raise StageSolveError(None, coarse.status)
+            without = f"the program without label {lab}"
+            raise StageSolveError(f"{where}: {without}" if where else without,
+                                  coarse.status)
         if sol.objective - coarse.objective <= margin:
             # refining an optimal LP either succeeds or finds no lexicographic
             # minimum (unbounded), which changes the minimizer too
@@ -585,8 +612,9 @@ def _stage_support(program, active_labels, tol):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
     lp, owners, sol = _solved_stage(program, labels, tol)
-    return sol, frozenset(_support_from_solution(program, labels, lp, sol,
-                                                 owners, tol, SolveCounts()))
+    return sol, frozenset(_support_from_solution(
+        program, labels, lp, sol, owners, _stage_vertex(lp, sol, tol), tol,
+        SolveCounts()))
 
 
 def support_set(
@@ -661,10 +689,12 @@ def run_cascade(
     available = set(program.labels)
     stages: list[StageRecord] = []
     for k in range(ell + 1):
-        lp, owners, sol = _solved_stage(program, available, tol, stage=k)
+        where = f"stage {k}"
+        lp, owners, sol = _solved_stage(program, available, tol, where)
         counts.stage_solves += 1
         support = frozenset(_support_from_solution(
-            program, available, lp, sol, owners, tol, counts
+            program, available, lp, sol, owners, _stage_vertex(lp, sol, tol),
+            tol, counts, where
         ))
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
@@ -747,13 +777,17 @@ def greedy_removal(
     """Remove r scenarios one at a time, each time the best cost improver.
 
     Candidates are the current support scenarios (removing anything else
-    provably leaves the minimizer unchanged); ties on the re-solved
+    provably leaves the minimizer unchanged); ties on the candidate's
     objective break toward the smallest label.  When a stage has an empty
-    support set every available label is a candidate, re-solved in turn
-    under the same rule.  Where support detection re-solved a candidate's
-    LP unrefined, its objective is reused; a candidate certified at the
-    stage vertex has no known objective and is solved here.  Either way it
-    counts as one candidate solve.
+    support set every available label is a candidate under the same rule.
+    Where support detection re-solved a candidate's LP unrefined, its
+    objective is reused.  Otherwise, at a simple stage vertex (exactly d
+    constraints active, their matrix nonsingular), lp.reoptimize pivots from
+    the vertex past the candidate's rows to the optimum of the program
+    without it.  A candidate it leaves undecided, or whose program it finds
+    unbounded, is solved cold and unrefined, which confirms an unbounded
+    program before CandidateSolveError is raised.  Each candidate counts as
+    one candidate solve whichever way its objective was found.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -764,20 +798,30 @@ def greedy_removal(
         )
     counts = SolveCounts()
     available = set(program.labels)
-    lp, owners, sol = _solved_stage(program, available, tol)
+    lp, owners, sol = _solved_stage(program, available, tol,
+                                    "greedy step 0: stage program")
     counts.stage_solves += 1
     steps: list[GreedyStep] = []
     for step in range(1, r + 1):
+        where = f"greedy step {step}"
+        vertex = _stage_vertex(lp, sol, tol)
         support = _support_from_solution(
-            program, available, lp, sol, owners, tol, counts
+            program, available, lp, sol, owners, vertex, tol, counts, where
         )
         candidates = sorted(support) if support else sorted(available)
+        dropped = np.zeros(vertex.h.shape[0], dtype=bool)
         best_label = None
         best_obj = np.inf
         for lab in candidates:
-            # support detection may already have solved this LP unrefined
+            # support detection may already have solved this LP unrefined;
+            # otherwise pivot from the stage vertex past the label's rows
             obj = support.get(lab)
-            if obj is None:
+            if obj is None and vertex.basis is not None:
+                dropped[:lp.n_rows] = owners == lab
+                obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
+                                 dropped, tol)
+            if obj is None or obj == -np.inf:
+                # undecided at the vertex, or an unbounded edge to confirm
                 lp_c, _ = program.assemble(available - {lab})
                 sol_c = solve(lp_c, tol=tol, refine=False)
                 if not sol_c.is_optimal:
@@ -788,7 +832,8 @@ def greedy_removal(
                 best_obj = obj
                 best_label = lab
         available.remove(best_label)
-        lp, owners, sol = _solved_stage(program, available, tol)
+        lp, owners, sol = _solved_stage(program, available, tol,
+                                        f"{where}: stage program")
         counts.stage_solves += 1
         steps.append(
             GreedyStep(step=step, removed_label=best_label,

@@ -23,6 +23,10 @@ refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
 invariant under row permutations.
 
+reoptimize answers a related question without a cold start: from a vertex
+of G x <= h and its basis of d tight rows, it takes primal simplex steps to
+the optimal cost once some rows are dropped (greedy removal's candidates).
+
 LP data is validated once, when a LinearProgram is built; select and the
 solver use its read-only arrays without checking them again.  Every solve
 is a pure function of its arguments; instances can be shared freely.
@@ -410,6 +414,67 @@ def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:
     if status is not LpStatus.OPTIMAL:
         raise SimplexStallError("elastic feasibility probe failed to solve")
     return x[d] <= tol.feas
+
+
+def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
+               ) -> Optional[float]:
+    """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
+    by primal simplex steps from a vertex of G x <= h.
+
+    basis lists the d rows tight at the vertex; their matrix M must be
+    nonsingular and the vertex must satisfy every row.  Each step solves
+    x = M^-1 h_basis and the multipliers mu = -M^-T cost, the vertex's
+    optimality certificate when mu >= 0.  A dropped basis row leaves first,
+    along the edge M^-1 e_k signed so that the cost does not rise; otherwise
+    the most negative mu_k below -tol.pivot leaves along -M^-1 e_k.  The
+    ratio test over the rows not dropped picks the entering row, the lowest
+    index among ties.  Viewed on the dual program this is Lemke's (1954) dual
+    simplex, warm-started from the vertex's basis.
+
+    Returns cost.x at the first vertex whose mu >= -tol.pivot with no dropped
+    row in its basis; -inf when an edge lowers the cost by more than
+    tol.pivot per unit and no row blocks it (the program is unbounded); None
+    when the step is undecided: M is singular or off its inverse by more
+    than tol.pivot, a cost-neutral edge of a dropped row is unblocked, or
+    more than _STALL_LIMIT steps in a row are degenerate.
+    """
+    basis = np.array(basis, dtype=np.intp)
+    eye = np.eye(basis.size)
+    never = dropped | ~np.isfinite(h)  # rows that cannot block a step
+    stall = 0
+    for _ in range(_MAX_PIVOTS):
+        M = G[basis]
+        try:
+            inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            return None
+        if np.abs(inv @ M - eye).max() > tol.pivot:
+            return None
+        x = inv @ h[basis]
+        mu = -(cost @ inv)
+        gone = np.flatnonzero(dropped[basis])
+        if gone.size:
+            k = gone[0]
+            sign = 1.0 if mu[k] >= 0.0 else -1.0
+        else:
+            k = int(mu.argmin())
+            if mu[k] >= -tol.pivot:
+                return float(cost @ x)
+            sign = -1.0
+        direction = sign * inv[:, k]
+        slope = G @ direction
+        slope[basis] = 0.0
+        slope[never] = 0.0
+        blocking = np.flatnonzero(slope > tol.pivot)
+        if not blocking.size:
+            return -np.inf if abs(mu[k]) > tol.pivot else None
+        ratios = np.maximum(h[blocking] - G[blocking] @ x, 0.0) / slope[blocking]
+        theta = ratios.min()
+        basis[k] = blocking[ratios <= theta + tol.pivot * (1.0 + theta)][0]
+        stall = stall + 1 if theta <= tol.pivot else 0
+        if stall > _STALL_LIMIT:
+            return None
+    return None
 
 
 def solve(

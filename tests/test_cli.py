@@ -236,6 +236,29 @@ class TestGreedyCommand:
         assert err == ("error: greedy step 1: the program without label 1 "
                        "returned status unbounded\n")
 
+    def test_unbounded_stage_names_greedy_step_and_exits_4(
+            self, capsys, tmp_path):
+        # max x1 with x2 free: greedy removes scenario 2, whose rows are
+        # x1 <= 1 and x2 >= 0, and the refined stage of step 1 then has
+        # no lexicographic minimum in x2
+        scenarios = [([[1.0, 0.0]], [1.5]),
+                     ([[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+                     ([[1.0, 0.0]], [3.0]), ([[1.0, 0.0]], [4.0])]
+        prog = ScenarioProgram(
+            cost=[-1.0, 0.0], lower=[0.0, -np.inf], upper=[np.inf, np.inf],
+            scenarios=tuple(Scenario(label=i + 1, coeffs=a, rhs=b)
+                            for i, (a, b) in enumerate(scenarios)),
+        )
+        path = tmp_path / "unbounded_stage.json"
+        path.write_text(prog.to_json())
+        code, _, err = run_cli(
+            capsys, "greedy", "--input", str(path), "--r", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == ("error: greedy step 1: stage program returned status "
+                       "unbounded\n")
+
 
 class TestExperimentCommand:
     def test_analytic_tightness_artifacts(self, capsys, tmp_path):

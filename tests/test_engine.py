@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from scenopt.engine import (
     support_set,
     verify_compression,
 )
-from scenopt.lp import LinearProgram, LpInputError, LpTolerances
+from scenopt.lp import (
+    LinearProgram,
+    LpInputError,
+    LpStatus,
+    LpTolerances,
+    reoptimize,
+    solve,
+)
 
 from oracles import (
     assemble_blocks,
@@ -223,7 +231,8 @@ class TestEdgeCertificate:
         tol = engine.DEFAULT_TOL
         lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
         margin = 2.0 * tol.x + tol.feas
-        assert engine._edge_certified(lp, owners, sol, tol, margin) == {2}
+        assert engine._edge_certified(
+            lp, owners, sol, engine._stage_vertex(lp, sol, tol), tol, margin) == {2}
 
     def test_drop_inside_margin_falls_back(self, monkeypatch):
         # one active row (the gap 1.5e-6 exceeds tol.active), but the edge
@@ -251,7 +260,8 @@ class TestEdgeCertificate:
         )
         lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
         margin = 2.0 * tol.x + tol.feas
-        assert engine._edge_certified(lp, owners, sol, tol, margin) == set()
+        assert engine._edge_certified(
+            lp, owners, sol, engine._stage_vertex(lp, sol, tol), tol, margin) == set()
         flags = count_refined_solves(monkeypatch)
         assert support_set(prog, tol=tol) == frozenset({1})
         # the stage solve and scenario 1's unrefined re-solve
@@ -262,8 +272,9 @@ class TestEdgeCertificate:
         tol = engine.DEFAULT_TOL
         lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
         counts = engine.SolveCounts()
-        support = engine._support_from_solution(prog, prog.labels, lp, sol,
-                                                owners, tol, counts)
+        support = engine._support_from_solution(
+            prog, prog.labels, lp, sol, owners,
+            engine._stage_vertex(lp, sol, tol), tol, counts)
         assert support == {2: None}
         assert counts.support_solves == 1
 
@@ -627,6 +638,44 @@ class TestGreedy:
         c = run_cascade(prog, 3, mode=RemovalMode.FULLY_SUPPORTED)
         assert g.final_objective == pytest.approx(c.final_objective, abs=1e-9)
 
+    def test_tied_candidates_go_to_the_smallest_label(self):
+        # max x1 + x2 over x >= 0: at step 1 removing scenario 1 (x1 <= 1)
+        # or scenario 2 (x2 <= 1) both reach exactly -3; label 1 wins.  At
+        # step 2 removing 3 (x1 <= 2) reaches -10 through x1 + x2 <= 10.
+        rows = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 0.0], 2.0),
+                ([0.0, 1.0], 2.0), ([1.0, 1.0], 10.0)]
+        prog = ScenarioProgram(
+            cost=[-1.0, -1.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],
+            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
+                            for i, (a, b) in enumerate(rows)),
+        )
+        trace = greedy_removal(prog, 2)
+        assert [s.removed_label for s in trace.steps] == [1, 3]
+        assert [s.objective for s in trace.steps] == [-3.0, -10.0]
+
+    @pytest.mark.parametrize("where, run", [
+        ("stage 0", lambda prog: run_cascade(prog, 1)),
+        ("greedy step 1", lambda prog: greedy_removal(prog, 1)),
+    ])
+    def test_support_resolve_errors_name_the_stage_or_step(
+            self, monkeypatch, where, run):
+        # duplicated maxima leave two active rows at d = 1, so support
+        # detection re-solves each candidate unrefined
+        prog = analytic_program([0.2, 0.9, 0.4, 0.9, 0.1])
+        real_solve = engine.solve
+
+        def infeasible_unrefined(lp, tol=engine.DEFAULT_TOL, refine=True):
+            if refine:
+                return real_solve(lp, tol=tol)
+            return engine.LpSolution(status=engine.LpStatus.INFEASIBLE,
+                                     x=None, objective=np.nan)
+
+        monkeypatch.setattr(engine, "solve", infeasible_unrefined)
+        with pytest.raises(engine.StageSolveError) as err:
+            run(prog)
+        assert str(err.value) == (f"{where}: the program without label 2 "
+                                  "returned status infeasible")
+
 
 class TestGreedyMatchesTwoSolveLoop:
     def assert_same(self, prog, r):
@@ -650,6 +699,86 @@ class TestGreedyMatchesTwoSolveLoop:
         rng = np.random.default_rng(89)
         for _ in range(5):
             self.assert_same(random_resource(rng, 2, 2, 40), 6)
+
+    def test_resource_d10(self):
+        # candidates reoptimized from a d = 10 stage vertex rank as the
+        # oracle's cold re-solves do
+        rng = np.random.default_rng(97)
+        self.assert_same(random_resource(rng, 10, 2, 300), 5)
+
+
+def sparse_resource(rng, d, n, m, density):
+    """A resource program whose coefficients are zero outside a random
+    pattern, so that dropping one scenario can leave a direction unbounded."""
+    scenarios = tuple(
+        Scenario(
+            label=i + 1,
+            coeffs=0.04 * rng.laplace(1.0, np.sqrt(1.5), size=(n, d))
+            * (rng.random((n, d)) < density),
+            rhs=np.ones(n),
+        )
+        for i in range(m)
+    )
+    return ScenarioProgram(cost=-np.ones(d), lower=np.zeros(d),
+                           upper=np.full(d, np.inf), scenarios=scenarios)
+
+
+class TestReoptimize:
+    @pytest.mark.parametrize("d, m, sparse_m, density",
+                             [(2, 40, 10, 0.3), (5, 60, 15, 0.2),
+                              (10, 150, 40, 0.1)])
+    def test_matches_unrefined_resolve(self, d, m, sparse_m, density):
+        # every support candidate of each stage vertex: the objective
+        # reached by pivoting past the candidate's rows is the unrefined
+        # re-solve's, and an unbounded edge means an unbounded re-solve
+        rng = np.random.default_rng(101 + d)
+        programs = [random_resource(rng, d, 2, m) for _ in range(5)]
+        programs += [sparse_resource(rng, d, 2, sparse_m, density)
+                     for _ in range(40)]
+        tol = engine.DEFAULT_TOL
+        verdicts = Counter()
+        for prog in programs:
+            lp, owners = prog.assemble(prog.labels)
+            sol = solve(lp, tol=tol)
+            if not sol.is_optimal:  # a sparse stage may itself be unbounded
+                continue
+            vertex = engine._stage_vertex(lp, sol, tol)
+            assert vertex.basis is not None
+            dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+            for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+                dropped[:lp.n_rows] = owners == lab
+                obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
+                                 dropped, tol)
+                cold = solve(prog.assemble(prog.labels - {lab})[0],
+                             tol=tol, refine=False)
+                if obj == -np.inf:
+                    assert cold.status is LpStatus.UNBOUNDED
+                    verdicts["unbounded"] += 1
+                else:
+                    assert cold.is_optimal
+                    assert abs(obj - cold.objective) <= (
+                        1e-12 * max(1.0, abs(cold.objective)))
+                    verdicts["optimal"] += 1
+        assert verdicts["unbounded"] >= 1 and verdicts["optimal"] >= 50
+
+    def test_undecided_when_a_dropped_row_leaves_a_cost_neutral_line(self):
+        # x2 is free and costs nothing: once x1 <= 1 has left the basis,
+        # -x2 <= 0 cannot leave toward any row, so the cold solve decides
+        prog = ScenarioProgram(
+            cost=[-1.0, 0.0], lower=[0.0, -np.inf], upper=[np.inf, np.inf],
+            scenarios=(
+                Scenario(label=1, coeffs=[[1.0, 0.0]], rhs=[1.5]),
+                Scenario(label=2, coeffs=[[1.0, 0.0], [0.0, -1.0]],
+                         rhs=[1.0, 0.0]),
+            ),
+        )
+        tol = engine.DEFAULT_TOL
+        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+        vertex = engine._stage_vertex(lp, sol, tol)
+        dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+        dropped[:lp.n_rows] = owners == 2
+        assert reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
+                          dropped, tol) is None
 
 
 class TestSolveCounts:
