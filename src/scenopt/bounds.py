@@ -53,6 +53,9 @@ _MAX_EXACT_COMB_M = 10_000
 _UNIT_EXP = 1074
 _UNIT_SCALE = 1 << _UNIT_EXP
 
+# invert_epsilon bisects down to an interval of this absolute width in eps.
+_BISECT_WIDTH = 1e-9
+
 
 def _validate_eps(eps: float) -> float:
     eps = float(eps)
@@ -235,13 +238,13 @@ def invert_epsilon(
     r: int,
     beta: float,
     formula: str = "cascade",
-    tol: float = 1e-9,
 ) -> EpsilonInversion:
     """Smallest eps with bound(m, d, r, eps) <= beta, by bisection.
 
     The tail is strictly decreasing in eps on (0, 1) for k_max < m, so the
     acceptance region is an interval reaching eps = 1 and bisection to an
-    absolute width of tol locates its left endpoint.  When even eps -> 0
+    absolute width of _BISECT_WIDTH (1e-9) locates its left endpoint, which
+    is returned as the upper end of the final interval.  When even eps -> 0
     already satisfies beta (only possible for beta >= the eps=0 value), the
     boundary flag is set and 0 is returned.
 
@@ -250,8 +253,8 @@ def invert_epsilon(
     the value of the public bound function at its eps.
     """
     beta = float(beta)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     m, d, r = int(m), int(d), int(r)
     _check_formula(formula)
     if formula == "compression":
@@ -266,7 +269,7 @@ def invert_epsilon(
     if bound(0.0) <= beta:
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if bound(mid) <= beta:
             hi = mid
@@ -296,8 +299,8 @@ def max_removable(
     """
     beta = float(beta)
     eps = _validate_eps(eps)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     m, d = int(m), int(d)
     _check_formula(formula)
     _check_query(m, d, 0)

@@ -108,6 +108,10 @@ def _emit(payload: dict) -> None:
 
 def _cmd_bound(args) -> int:
     formula = args.formula
+    if formula == "analytic" and args.d != 1:
+        # --invert and --max-r answer through the cascade formula, which
+        # equals the analytic tail only at d = 1
+        raise LpInputError(f"the analytic family is 1-D; got --d {args.d}")
     if formula == "compression":
         if args.zeta is None:
             raise LpInputError("--zeta is required for the compression formula")

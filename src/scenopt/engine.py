@@ -38,6 +38,7 @@ from scenopt.lp import (
     LpSolution,
     LpStatus,
     LpTolerances,
+    checked_inverse,
     reoptimize,
     solve,
 )
@@ -466,8 +467,8 @@ class _Vertex(NamedTuple):
     """A stage minimizer x with the stage LP's constraints as the rows of
     G x <= h: the LP rows, then x <= upper and -x <= -lower (infinite bounds
     never bind), and slack = h - G x.  When exactly d of them are active at
-    x and their matrix M is nonsingular, basis lists them, LP rows first,
-    and inv = M^-1; otherwise both are None."""
+    x and their matrix M has a checked inverse (lp.checked_inverse), basis
+    lists them, LP rows first, and inv = M^-1; otherwise both are None."""
 
     G: np.ndarray
     h: np.ndarray
@@ -485,14 +486,8 @@ def _stage_vertex(lp, sol, tol) -> _Vertex:
     rows = np.array(sorted(sol.active_rows), dtype=np.intp)
     active = np.concatenate(
         [rows, n_rows + np.flatnonzero(np.abs(slack[n_rows:]) <= tol.active)])
-    if active.size != d:
-        return _Vertex(G, h, slack, None, None)
-    M = G[active]
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return _Vertex(G, h, slack, None, None)
-    if np.abs(inv @ M - eye).max() > tol.pivot:
+    inv = checked_inverse(G[active], tol) if active.size == d else None
+    if inv is None:
         return _Vertex(G, h, slack, None, None)
     return _Vertex(G, h, slack, active, inv)
 

@@ -12,16 +12,14 @@ Two scenario families are built in:
              scenario resource rows A(delta_i) x <= 1, where A entries are
              0.04 times Laplace draws with mean 1 and variance 3.
 
+Three pipelines run on them: the analytic family's outer probability
+against its closed form, a cascade's outer probability against the batched
+bound, and the resource-sharing comparison of bound-sized batched removal
+with bound-sized greedy removal.
+
 Reproducibility: every trial derives its generator from (seed, trial
 index), so results are independent of execution order and identical runs
 produce byte-identical CSV artifacts.
-
-The solver-call accounting distinguishes stage-level solves from support
-detection re-solves.  Under that convention a cascade with ell stages of
-removal costs ell + 1 solves, while greedy removal of r scenarios from a
-fully-supported d-dimensional program costs 1 + r * (d + 1): the initial
-solve, then per step one re-solve for each of the d support candidates
-plus the winner's confirming solve.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from scenopt import bounds
 from scenopt.engine import (
     AssumptionViolated,
     CascadeError,
-    CascadeTrace,
-    GreedyTrace,
     RemovalMode,
     ScenarioProgram,
     greedy_removal,
@@ -227,25 +223,24 @@ def estimate_violation(
 
 def outer_probability_mc(
     family,
-    ell_or_r: int,
+    ell: int,
     epsilon: float,
     trials: int,
     source: RandomSource,
-    scheme: str = "cascade",
     mode: RemovalMode = RemovalMode.REGULARIZED,
     n_inner: int = 10_000,
     tol: LpTolerances = DEFAULT_TOL,
     per_trial: Optional[list] = None,
 ) -> OuterProbabilityEstimate:
-    """Estimate P^m{ violation of the scheme's final solution > epsilon }.
+    """Estimate P^m{ violation of the cascade's final solution > epsilon }.
 
-    Draws a fresh m-sample per trial, runs the requested scheme (cascade
-    with ell stages of removal, or greedy with r single removals), and
-    measures the violation of the final solution: exactly where the family
-    provides a closed form, otherwise with n_inner fresh scenarios.  Trials
-    aborted by AssumptionViolated are excluded and counted; AllTrialsExcluded
-    is raised when no trial is left to estimate from.  When per_trial
-    is a list, one row dict per trial is appended for CSV emission.
+    Draws a fresh m-sample per trial, runs the cascade with ell stages of
+    removal, and measures the violation of the final solution: exactly
+    where the family provides a closed form, otherwise with n_inner fresh
+    scenarios.  Trials aborted by AssumptionViolated are excluded and
+    counted; AllTrialsExcluded is raised when no trial is left to estimate
+    from.  When per_trial is a list, one row dict per trial is appended for
+    CSV emission.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -257,18 +252,9 @@ def outer_probability_mc(
         rng = source.generator(t)
         program = family.generate(rng)
         try:
-            if scheme == "cascade":
-                trace = run_cascade(
-                    program, ell_or_r, mode=mode, tol=tol, record_degeneracy=False
-                )
-                x = trace.final_x
-                objective = trace.final_objective
-            elif scheme == "greedy":
-                gtrace = greedy_removal(program, ell_or_r, tol=tol)
-                x = gtrace.final_x
-                objective = gtrace.final_objective
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            trace = run_cascade(
+                program, ell, mode=mode, tol=tol, record_degeneracy=False
+            )
         except AssumptionViolated:
             excluded += 1
             if per_trial is not None:
@@ -277,6 +263,7 @@ def outer_probability_mc(
                      "violation": "", "exceed": "", "excluded": 1}
                 )
             continue
+        x = trace.final_x
         if family.exact_violation is not None:
             viol = family.exact_violation(x)
         else:
@@ -289,7 +276,8 @@ def outer_probability_mc(
         exceed += int(hit)
         if per_trial is not None:
             per_trial.append(
-                {"seed": source.seed, "trial": t, "final_objective": objective,
+                {"seed": source.seed, "trial": t,
+                 "final_objective": trace.final_objective,
                  "violation": viol, "exceed": int(hit), "excluded": 0}
             )
     if evaluated == 0:
@@ -304,75 +292,6 @@ def outer_probability_mc(
         half_width_95=_half_width(point, evaluated),
         borderline_rate=borderline / evaluated,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cost comparisons: cascade batches vs greedy one-at-a-time.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostComparison:
-    r_cascade: int
-    r_greedy: int
-    cascade_objective: float
-    greedy_objective: float
-    improvement_pct: float
-    cascade_trace: CascadeTrace
-    greedy_trace: GreedyTrace
-
-
-def _improvement_pct(f_cascade: float, f_greedy: float) -> float:
-    if f_cascade == f_greedy:
-        return 0.0
-    if f_greedy == 0.0:
-        return math.inf if f_cascade < 0 else -math.inf
-    return 100.0 * (f_cascade - f_greedy) / f_greedy
-
-
-def compare_cost(
-    program: ScenarioProgram,
-    r: int,
-    mode: RemovalMode = RemovalMode.REGULARIZED,
-    tol: LpTolerances = DEFAULT_TOL,
-) -> CostComparison:
-    """Remove r scenarios by cascade batches and by greedy, same sample set.
-
-    r must be a multiple of the dimension so the cascade can remove it in
-    whole batches (ell = r / d stages).
-    """
-    d = program.d
-    if r % d != 0:
-        raise ValueError(f"r={r} is not a multiple of d={d}")
-    trace = run_cascade(program, r // d, mode=mode, tol=tol,
-                        record_degeneracy=False)
-    gtrace = greedy_removal(program, r, tol=tol)
-    return CostComparison(
-        r_cascade=r,
-        r_greedy=r,
-        cascade_objective=trace.final_objective,
-        greedy_objective=gtrace.final_objective,
-        improvement_pct=_improvement_pct(
-            trace.final_objective, gtrace.final_objective
-        ),
-        cascade_trace=trace,
-        greedy_trace=gtrace,
-    )
-
-
-def solver_call_count(comparison: CostComparison) -> tuple[int, int]:
-    """Stage-level solve counts (cascade, greedy) from an instrumented run.
-
-    Cascade counts one solve per stage.  Greedy counts the initial solve,
-    every candidate re-solve, and every winner re-solve; support-detection
-    re-solves are tallied separately on the traces and not included here.
-    """
-    cascade = comparison.cascade_trace.counts.stage_solves
-    greedy = (
-        comparison.greedy_trace.counts.stage_solves
-        + comparison.greedy_trace.counts.candidate_solves
-    )
-    return cascade, greedy
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +329,6 @@ def run_analytic_tightness(
         epsilon,
         trials,
         source,
-        scheme="cascade",
         mode=RemovalMode.FULLY_SUPPORTED,
         tol=tol,
         per_trial=per_trial,
@@ -447,7 +365,7 @@ def run_outer_mc(
     per_trial: list = []
     est = outer_probability_mc(
         family, ell, epsilon, trials, source,
-        scheme="cascade", mode=mode, n_inner=n_inner, tol=tol,
+        mode=mode, n_inner=n_inner, tol=tol,
         per_trial=per_trial,
     )
     d = family.d
@@ -476,6 +394,14 @@ class SizingSweep:
     greedy_stage_solves: int
 
 
+def _improvement_pct(f_cascade: float, f_greedy: float) -> float:
+    if f_cascade == f_greedy:
+        return 0.0
+    if f_greedy == 0.0:
+        return math.inf if f_cascade < 0 else -math.inf
+    return 100.0 * (f_cascade - f_greedy) / f_greedy
+
+
 def run_resource_compare(
     d: int,
     n: int,
@@ -483,7 +409,6 @@ def run_resource_compare(
     beta: float,
     eps_grid: Sequence[float],
     source: RandomSource,
-    mode: RemovalMode = RemovalMode.REGULARIZED,
     tol: LpTolerances = DEFAULT_TOL,
 ) -> SizingSweep:
     """Cost of bound-sized batched removal vs bound-sized greedy removal.
@@ -494,7 +419,10 @@ def run_resource_compare(
     scheme that can only discard batches.  One seeded scenario set serves
     the whole grid; since both schemes extend their own removal sequences
     as r grows, a single cascade run to the largest ell and a single greedy
-    run to the largest r provide every grid point by prefix lookup.
+    run to the largest r provide every grid point by prefix lookup.  The
+    solve counts are read from the traces: the cascade's stage solves, and
+    greedy's stage plus candidate solves (engine.greedy_solve_count's
+    convention).
     """
     program = gen_resource(d, n, m, source.generator())
     sizes = []
@@ -505,8 +433,8 @@ def run_resource_compare(
     max_ell = max((rc // d for _, rc, _ in sizes), default=0)
     max_rg = max((rg for _, _, rg in sizes), default=0)
 
-    trace = run_cascade(program, max_ell, mode=mode, tol=tol,
-                        record_degeneracy=False)
+    trace = run_cascade(program, max_ell, mode=RemovalMode.REGULARIZED,
+                        tol=tol, record_degeneracy=False)
     cascade_obj = {k * d: trace.stages[k].objective for k in range(max_ell + 1)}
     if max_rg > 0:
         gtrace = greedy_removal(program, max_rg, tol=tol)

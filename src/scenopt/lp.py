@@ -416,6 +416,18 @@ def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:
     return x[d] <= tol.feas
 
 
+def checked_inverse(M, tol: LpTolerances) -> Optional[np.ndarray]:
+    """M^-1, or None when M is singular or M^-1 M is off the identity by
+    more than tol.pivot anywhere."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return None
+    if np.abs(inv @ M - np.eye(M.shape[0])).max() > tol.pivot:
+        return None
+    return inv
+
+
 def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
                ) -> Optional[float]:
     """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
@@ -439,16 +451,11 @@ def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
     more than _STALL_LIMIT steps in a row are degenerate.
     """
     basis = np.array(basis, dtype=np.intp)
-    eye = np.eye(basis.size)
     never = dropped | ~np.isfinite(h)  # rows that cannot block a step
     stall = 0
     for _ in range(_MAX_PIVOTS):
-        M = G[basis]
-        try:
-            inv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            return None
-        if np.abs(inv @ M - eye).max() > tol.pivot:
+        inv = checked_inverse(G[basis], tol)
+        if inv is None:
             return None
         x = inv @ h[basis]
         mu = -(cost @ inv)
@@ -514,11 +521,8 @@ def solve(
             pin_coeffs.append(axis)
             pin_rhs.append(float(x[j]))
     x.setflags(write=False)
-    if lp.n_rows:
-        residual = coeffs @ x - rhs
-        active = frozenset(np.flatnonzero(np.abs(residual) <= tol.active).tolist())
-    else:
-        active = frozenset()
+    residual = coeffs @ x - rhs
+    active = frozenset(np.flatnonzero(np.abs(residual) <= tol.active).tolist())
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,

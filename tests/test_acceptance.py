@@ -30,14 +30,12 @@ from scenopt.experiments import (
     AnalyticFamily,
     RandomSource,
     ResourceFamily,
-    compare_cost,
     gen_analytic,
     gen_resource,
     outer_probability_mc,
     run_analytic_tightness,
     run_outer_mc,
     run_resource_compare,
-    solver_call_count,
 )
 
 from oracles import binom_tail_prefixes, support_set_definitional
@@ -238,12 +236,19 @@ def test_criterion_7_solver_call_counts():
     # full support set (d = 1), so the convention is exact
     src = RandomSource(seed=77)
     program = gen_analytic(30, src.generator())
-    cc = compare_cost(program, 5, mode=RemovalMode.FULLY_SUPPORTED)
-    cascade_calls, greedy_calls = solver_call_count(cc)
+
+    def logical_counts(ell, mode):
+        # cascade stage solves; greedy stage plus candidate solves (r = ell)
+        cascade = run_cascade(program, ell, mode=mode, record_degeneracy=False)
+        greedy = greedy_removal(program, ell).counts
+        return (cascade.counts.stage_solves,
+                greedy.stage_solves + greedy.candidate_solves)
+
+    cascade_calls, greedy_calls = logical_counts(5, RemovalMode.FULLY_SUPPORTED)
     instrumented_ok = (
         cascade_calls == cascade_solve_count(5)
         and greedy_calls == greedy_solve_count(5, 1)
-        and solver_call_count(compare_cost(program, 0)) == (1, 1)
+        and logical_counts(0, RemovalMode.REGULARIZED) == (1, 1)
     )
     ok = formula_ok and instrumented_ok
     line = _report(
@@ -325,7 +330,7 @@ def test_criterion_9_monotonicity_properties():
 
     est = outer_probability_mc(
         AnalyticFamily(m=12), 1, 1.0, 25, RandomSource(seed=4),
-        scheme="cascade", mode=RemovalMode.FULLY_SUPPORTED,
+        mode=RemovalMode.FULLY_SUPPORTED,
     )
     if est.exceed_count != 0:
         problems.append("violation probability exceeded 1")

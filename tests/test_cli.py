@@ -71,6 +71,33 @@ class TestBoundCommand:
         assert code == EXIT_INPUT
         assert "error" in err
 
+    @pytest.mark.parametrize("query", [
+        ["--invert", "nan"],
+        ["--eps", "0.1", "--beta", "nan", "--max-r"],
+    ])
+    def test_nan_beta_exits_2(self, capsys, query):
+        code, out, err = run_cli(
+            capsys, "bound", "--formula", "cascade", "--m", "10", "--d", "2",
+            *query,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "beta must be positive" in err
+
+    def test_analytic_is_one_dimensional(self, capsys):
+        args = ["bound", "--formula", "analytic", "--m", "10", "--r", "2"]
+        code, out, err = run_cli(capsys, *args, "--d", "3", "--invert", "0.1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "1-D" in err
+        # at d = 1 the inversion solves the analytic tail it evaluates
+        code, out, _ = run_cli(capsys, *args, "--invert", "0.1")
+        assert code == EXIT_OK
+        eps_star = parse_json(out)["epsilon_star"]
+        assert eps_star == pytest.approx(0.4496, abs=1e-4)
+        _, out, _ = run_cli(capsys, *args, "--eps", str(eps_star))
+        assert parse_json(out)["value"] == pytest.approx(0.1, abs=1e-8)
+
 
 class TestCascadeCommand:
     def test_analytic_run_with_verification(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ from scenopt.engine import (
     RemovalMode,
     Scenario,
     cascade_solve_count,
+    greedy_removal,
     greedy_solve_count,
     run_cascade,
     solve_stage,
@@ -15,7 +16,6 @@ from scenopt.experiments import (
     AnalyticFamily,
     RandomSource,
     ResourceFamily,
-    compare_cost,
     estimate_violation,
     gen_analytic,
     gen_resource,
@@ -25,7 +25,6 @@ from scenopt.experiments import (
     run_analytic_tightness,
     run_outer_mc,
     run_resource_compare,
-    solver_call_count,
 )
 
 from oracles import assemble_blocks
@@ -171,7 +170,7 @@ class TestOuterProbability:
     def test_eps_one_never_exceeded(self):
         est = outer_probability_mc(
             AnalyticFamily(m=15), 2, 1.0, 50, RandomSource(seed=29),
-            scheme="cascade", mode=RemovalMode.FULLY_SUPPORTED,
+            mode=RemovalMode.FULLY_SUPPORTED,
         )
         assert est.exceed_count == 0
 
@@ -181,7 +180,7 @@ class TestOuterProbability:
         src = RandomSource(seed=31)
         fam = AnalyticFamily(m=20)
         rows: list = []
-        outer_probability_mc(fam, 2, 0.2, 10, src, scheme="cascade",
+        outer_probability_mc(fam, 2, 0.2, 10, src,
                              mode=RemovalMode.FULLY_SUPPORTED, per_trial=rows)
         prog7 = fam.generate(src.generator(7))
         trace7 = run_cascade(prog7, 2, mode=RemovalMode.FULLY_SUPPORTED)
@@ -191,36 +190,29 @@ class TestOuterProbability:
         with pytest.raises(AllTrialsExcluded, match="all 4 trials") as err:
             outer_probability_mc(
                 TiedMaxFamily(m=8), 1, 0.2, 4, RandomSource(seed=43),
-                scheme="cascade", mode=RemovalMode.FULLY_SUPPORTED,
+                mode=RemovalMode.FULLY_SUPPORTED,
             )
         assert err.value.trials == 4
         with pytest.raises(ValueError, match="trials must be positive"):
             outer_probability_mc(TiedMaxFamily(m=8), 1, 0.2, 0,
                                  RandomSource(seed=43))
 
-    def test_greedy_scheme_supported(self):
-        est = outer_probability_mc(
-            AnalyticFamily(m=15), 3, 0.2, 20, RandomSource(seed=37),
-            scheme="greedy",
-        )
-        assert est.trials == 20
-        assert 0.0 <= est.point <= 1.0
+
+def _logical_counts(cascade_trace, greedy_trace):
+    """Cascade stage solves, and greedy stage plus candidate solves."""
+    gcounts = greedy_trace.counts
+    return (cascade_trace.counts.stage_solves,
+            gcounts.stage_solves + gcounts.candidate_solves)
 
 
 class TestCostComparison:
     def test_r_zero_identity(self):
         src = RandomSource(seed=41)
         prog = gen_resource(2, 2, 30, src.generator())
-        cc = compare_cost(prog, 0)
-        assert cc.improvement_pct == 0.0
-        assert cc.cascade_objective == cc.greedy_objective
-        assert solver_call_count(cc) == (1, 1)
-
-    def test_non_multiple_rejected(self):
-        src = RandomSource(seed=43)
-        prog = gen_resource(2, 2, 30, src.generator())
-        with pytest.raises(ValueError):
-            compare_cost(prog, 3)
+        trace = run_cascade(prog, 0, record_degeneracy=False)
+        gtrace = greedy_removal(prog, 0)
+        assert trace.final_objective == gtrace.final_objective
+        assert _logical_counts(trace, gtrace) == (1, 1)
 
     def test_solve_count_formulas(self):
         assert cascade_solve_count(10) == 11
@@ -231,8 +223,10 @@ class TestCostComparison:
     def test_instrumented_counts_match_formulas_in_1d(self):
         src = RandomSource(seed=47)
         prog = gen_analytic(20, src.generator())
-        cc = compare_cost(prog, 3, mode=RemovalMode.FULLY_SUPPORTED)
-        cascade_calls, greedy_calls = solver_call_count(cc)
+        cascade_calls, greedy_calls = _logical_counts(
+            run_cascade(prog, 3, mode=RemovalMode.FULLY_SUPPORTED,
+                        record_degeneracy=False),
+            greedy_removal(prog, 3))
         assert cascade_calls == cascade_solve_count(3)
         assert greedy_calls == greedy_solve_count(3, 1)
 
@@ -293,7 +287,7 @@ class TestCsvEmission:
             rows: list = []
             outer_probability_mc(
                 AnalyticFamily(m=15), 2, 0.2, 10, RandomSource(seed=seed),
-                scheme="cascade", mode=RemovalMode.FULLY_SUPPORTED,
+                mode=RemovalMode.FULLY_SUPPORTED,
                 per_trial=rows,
             )
             return rows_to_csv(

@@ -393,3 +393,108 @@ class TestAgainstEnumeration:
             if sol_t.status is LpStatus.INFEASIBLE:
                 continue
             assert sol_t.objective >= sol.objective - 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Pathological corpus: exponential pivot paths, many rows through one
+# vertex, tied maxima, near-parallel rows and badly scaled rows.  Every case
+# must end in a status, never in a SimplexStallError.
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_enumeration(lp, sol, oracle_lp=None, compare_x=True):
+    """Status and objective of enumerate_lp on oracle_lp (lp by default),
+    which must describe the same feasible set, and sol.x feasible in lp."""
+    status, objective, lex = enumerate_lp(lp if oracle_lp is None else oracle_lp)
+    assert sol.status.value == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, abs=1e-7)
+        assert check_feasible(lp, sol.x, DEFAULT_TOL)
+        if compare_x:
+            np.testing.assert_allclose(sol.x, lex, rtol=0.0, atol=1e-6)
+
+
+def klee_minty(d):
+    """max sum_j 2^(d-j) x_j  s.t.  2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i,
+    x >= 0, the cube on which primal Dantzig pricing from the origin visits
+    all 2^d vertices; the optimum is (0, ..., 0, 5^d)."""
+    rows = np.zeros((d, d))
+    for i in range(d):
+        rows[i, :i] = 2.0 ** (i - np.arange(i) + 1)
+        rows[i, i] = 1.0
+    return LinearProgram(
+        cost=-(2.0 ** np.arange(d - 1, -1, -1)), row_coeffs=rows,
+        row_rhs=5.0 ** np.arange(1, d + 1), lower=np.zeros(d),
+        upper=np.full(d, np.inf),
+    )
+
+
+class TestPathologicalCorpus:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_klee_minty_cube(self, d):
+        sol = solve(klee_minty(d))
+        assert sol.status is LpStatus.OPTIMAL
+        expected = np.zeros(d)
+        expected[-1] = 5.0 ** d
+        np.testing.assert_allclose(sol.x, expected, rtol=0.0, atol=1e-9)
+        assert sol.objective == -(5.0 ** d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_forty_rows_through_one_vertex(self, d):
+        # 40 nonnegative normals through an interior point v of [0, 1]^d,
+        # 10 rows slack there, and a cost inside the normal cone of the
+        # first d tight rows, so v is the unique minimizer
+        rng = np.random.default_rng(d)
+        v = rng.uniform(0.2, 0.8, d)
+        tight = rng.uniform(0.1, 1.0, (40, d))
+        loose = rng.normal(size=(10, d))
+        rows = np.vstack([tight, loose])
+        rhs = np.concatenate([tight @ v, loose @ v + rng.uniform(0.1, 1.0, 10)])
+        perm = rng.permutation(50)
+        lp = box_lp(-(rng.uniform(0.5, 1.0, d) @ tight[:d]), rows[perm],
+                    rhs[perm], np.zeros(d), np.ones(d))
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, v, rtol=0.0, atol=1e-12)
+        assert len(sol.active_rows) == 40
+        if d <= 3:
+            # at d = 5 the 60 constraints have 5.5 million 5-subsets
+            assert_matches_enumeration(lp, sol)
+
+    def test_twenty_equal_analytic_maxima(self):
+        # the analytic family's rows x >= delta_i, the largest delta 20 times
+        rng = np.random.default_rng(20)
+        deltas = rng.permutation(
+            np.concatenate([rng.uniform(0.0, 0.6, 10), np.full(20, 0.75)]))
+        lp = box_lp([1.0], -np.ones((30, 1)), -deltas, [0.0], [1.0])
+        sol = solve(lp)
+        assert sol.x[0] == 0.75 and sol.objective == 0.75
+        assert sol.active_rows == frozenset(np.flatnonzero(deltas == 0.75).tolist())
+        assert_matches_enumeration(lp, sol)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_thirty_near_parallel_rows(self, d):
+        # a.x <= 1 perturbed by 1e-9 and maximized along a: the optimal face
+        # is nearly flat, so points 0.05 apart differ in cost by about 1e-9
+        # and the lex point is not compared
+        rng = np.random.default_rng(30 + d)
+        a = rng.normal(size=d)
+        rows = a + 1e-9 * rng.normal(size=(30, d))
+        rhs = 1.0 + 1e-9 * rng.normal(size=30)
+        lp = box_lp(-a, rows, rhs, np.full(d, -5.0), np.full(d, 5.0))
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert_matches_enumeration(lp, sol, compare_x=False)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaled_resource_rows(self, scale):
+        # scaling whole rows keeps the feasible set, so the oracle runs on
+        # the unscaled rows (its determinant cutoff would drop 1e-6 rows)
+        program = gen_resource(3, 2, 20, RandomSource(seed=40).generator())
+        base, _ = program.assemble(program.labels)
+        lp = LinearProgram(cost=base.cost, row_coeffs=base.row_coeffs * scale,
+                           row_rhs=base.row_rhs * scale, lower=base.lower,
+                           upper=base.upper)
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert_matches_enumeration(lp, sol, oracle_lp=base)
