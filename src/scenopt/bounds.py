@@ -19,10 +19,10 @@ multiplicative recurrence seeded by (1-eps)^m, or, when that product
 underflows, per-term evaluation in log space, so that huge binomial
 coefficients and tiny tail products neither overflow nor underflow.  When
 C(m, i) is representable in double precision its exact integer value, built
-from C(m, i-1) by an exact integer recurrence, anchors the term, which
-keeps the absolute error of the sum comfortably below 1e-12 in the ranges
-this package works in.  Each tail is the correctly rounded sum of its terms
-(math.fsum).
+from C(m, i-1) by an exact integer recurrence, anchors the term; otherwise
+log C(m, i) comes from math.lgamma.  This keeps the absolute error of the
+sum comfortably below 1e-12 in the ranges this package works in.  Each tail
+is the correctly rounded sum of its terms (math.fsum).
 
 Sizing queries sweep the terms once.  max_removable keeps the running sum
 exactly, as an integer count of 2**-1074 (every double is a whole number
@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count, islice, repeat
-
-from scipy.special import gammaln
 
 _FORMULAS = ("cascade", "classical", "compression")
 
@@ -55,6 +53,15 @@ _UNIT_SCALE = 1 << _UNIT_EXP
 
 # invert_epsilon bisects down to an interval of this absolute width in eps.
 _BISECT_WIDTH = 1e-9
+
+# The largest sample count a double holds exactly; the log-space terms and
+# log-gamma take m as a float.
+_MAX_M = 2**53
+
+
+def _check_m(m: int) -> None:
+    if m > _MAX_M:
+        raise ValueError(f"m must be at most 2**53, got {m}")
 
 
 def _validate_eps(eps: float) -> float:
@@ -74,7 +81,7 @@ def _log_combs(m: int):
         if exact and comb <= _MAX_EXACT_COMB:
             yield math.log(comb)
         else:
-            yield float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+            yield math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
         if exact:
             comb = comb * (m - i) // (i + 1)
 
@@ -136,6 +143,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
     eps = _validate_eps(eps)
     if m < 1:
         raise ValueError("m must be positive")
+    _check_m(m)
     if not 0 <= k_max < m:
         raise ValueError(f"k_max must satisfy 0 <= k_max < m, got {k_max}")
     return _tail(m, k_max, eps, _log_combs(m))
@@ -171,7 +179,7 @@ def _classical_raw(d: int, r: int, tail: float) -> float:
         return factor * tail
     if tail == 0.0:
         return 0.0
-    log_factor = float(gammaln(r + d) - gammaln(r + 1) - gammaln(d))
+    log_factor = math.lgamma(r + d) - math.lgamma(r + 1) - math.lgamma(d)
     return math.exp(log_factor + math.log(tail))
 
 
@@ -199,6 +207,7 @@ def analytic_violation_cdf(m: int, r: int, eps: float) -> float:
 
 def _check_query(m: int, d: int, r: int) -> None:
     m, d, r = int(m), int(d), int(r)
+    _check_m(m)
     if d < 1:
         raise ValueError("d must be at least 1")
     if r < 0:
@@ -208,6 +217,7 @@ def _check_query(m: int, d: int, r: int) -> None:
 
 
 def _check_zeta(m: int, zeta: int) -> None:
+    _check_m(m)
     if not 0 < zeta < m:
         raise ValueError(f"zeta must satisfy 0 < zeta < m, got zeta={zeta} m={m}")
 

@@ -206,7 +206,7 @@ def estimate_violation(
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     coeffs, rhs = sampler(n_samples, rng)
-    slack = coeffs @ x - rhs
+    slack = (coeffs.reshape(-1, x.size) @ x).reshape(rhs.shape) - rhs
     violated = np.any(slack > tol.feas, axis=1)
     point = float(np.mean(violated))
     return ViolationEstimate(

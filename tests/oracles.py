@@ -16,21 +16,21 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
 from scenopt.bounds import bound_cascade, bound_classical, bound_compression
 from scenopt.lp import DEFAULT_TOL, LinearProgram, solve
 
 
 def binom_tail_exact(m: int, k_max: int, eps: float) -> Fraction:
-    """Sum_{i<=k_max} C(m,i) e^i (1-e)^(m-i) with e the exact binary float."""
-    e = Fraction(eps)
-    term = (1 - e) ** m
-    total = term
-    for i in range(1, k_max + 1):
-        term = term * e * (m - i + 1) / ((1 - e) * i)
-        total += term
-    return total
+    """Sum_{i<=k_max} C(m,i) e^i (1-e)^(m-i) with e the exact binary float.
+
+    With e = a/q, the sum is an integer over q^m: sum_i C(m,i) a^i b^(m-i)
+    with b = q - a, and b^(m - k_max) factors out of every term.
+    """
+    a, q = Fraction(eps).as_integer_ratio()
+    b = q - a
+    head = sum(comb(m, i) * a**i * b ** (k_max - i) for i in range(k_max + 1))
+    return Fraction(head * b ** (m - k_max), q**m)
 
 
 def binom_tail_prefixes(m: int, k_max: int, eps: float) -> list[Fraction]:
@@ -76,7 +76,7 @@ def binom_tail_termwise(m: int, k_max: int, eps: float) -> float:
         if m <= 10_000 and (c := comb(m, i)) <= 1e300:
             log_comb = math.log(c)
         else:
-            log_comb = float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+            log_comb = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
         terms.append(math.exp(log_comb + i * log_eps + (m - i) * log_1m))
     return min(1.0, math.fsum(terms))
 
@@ -122,7 +122,10 @@ def enumerate_lp(lp: LinearProgram, feas_tol: float = 1e-9):
 
     Returns (status, objective, lexicographic-minimal optimal vertex); the
     status is "infeasible" when no vertex is feasible, which for a problem
-    with a bounded full box implies an empty feasible set.
+    with a bounded full box implies an empty feasible set.  Both cutoffs are
+    relative: a d-subset is singular when |det| is below 1e-10 times the
+    product of its row norms, and a point violates a row a.x <= b when
+    a.x - b exceeds feas_tol * max(|a|, |b|).
     """
     d = lp.d
     # constraint catalog: rows a.x <= b, bounds as x_j <= u_j, -x_j <= -l_j
@@ -136,6 +139,11 @@ def enumerate_lp(lp: LinearProgram, feas_tol: float = 1e-9):
     A = np.vstack(normals)
     b = np.concatenate(offsets)
     n_con = b.shape[0]
+    # unit normals make both cutoffs relative; a zero row keeps norm 1
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0.0] = 1.0
+    A = A / norms[:, None]
+    b = b / norms
 
     combos = list(combinations(range(n_con), d))
     if not combos:
@@ -148,7 +156,7 @@ def enumerate_lp(lp: LinearProgram, feas_tol: float = 1e-9):
         if det < 1e-10:
             continue
         x = np.linalg.solve(mat, rhs)
-        if np.all(A @ x <= b + feas_tol):
+        if np.all(A @ x <= b + feas_tol * np.maximum(1.0, np.abs(b))):
             vertices.append(x)
     if not vertices:
         return "infeasible", None, None

@@ -4,7 +4,6 @@ from itertools import islice
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from scenopt.bounds import (
     _log_combs,
@@ -33,7 +32,7 @@ def tail_path(m, eps):
     """Which term source binom_tail uses at (m, eps)."""
     if eps in (0.0, 1.0) or m * math.log1p(-eps) > -700.0:
         return "recurrence"
-    return "exact-comb" if m <= 10_000 else "gammaln"
+    return "exact-comb" if m <= 10_000 else "log-gamma"
 
 
 class TestBinomTail:
@@ -70,6 +69,13 @@ class TestBinomTail:
             float(binom_tail_exact(2000, 29, 0.03)), abs=1e-12
         )
 
+    def test_log_gamma_path_against_exact_oracle(self):
+        # beyond m = 10,000 every log C(m, i) comes from math.lgamma
+        for m, k, eps in [(20_000, 30, 0.04), (12_000, 40, 0.07)]:
+            assert tail_path(m, eps) == "log-gamma"
+            want = float(binom_tail_exact(m, k, eps))
+            assert abs(binom_tail(m, k, eps) - want) <= 1e-10 * want, (m, k, eps)
+
     def test_decreasing_in_eps(self):
         # strictly decreasing wherever double precision can resolve the
         # change; never increasing anywhere, including the plateaus where
@@ -91,7 +97,7 @@ class TestBinomTail:
                  for eps in (0.0, 1e-300, 0.03, 0.5, 0.999, 1.0)]
         cases += [(10_000, 0.075), (10_000, 0.5), (20_000, 0.04), (20_000, 0.9)]
         assert {tail_path(m, eps) for m, eps in cases} == {
-            "recurrence", "exact-comb", "gammaln"}
+            "recurrence", "exact-comb", "log-gamma"}
         for m, eps in cases:
             for k in ({0, m // 3, m - 1} if m <= 2000 else {0, 300, 900}):
                 assert binom_tail(m, k, eps) == binom_tail_termwise(m, k, eps), (
@@ -104,7 +110,7 @@ class TestBinomTail:
         def reference(i):
             if (c := math.comb(m, i)) <= 1e300:
                 return math.log(c)
-            return float(gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1))
+            return math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
 
         got = list(islice(_log_combs(m), m + 1))
         indices = [*range(400), *range(m // 2 - 3, m // 2 + 4),
@@ -120,6 +126,9 @@ class TestBinomTail:
             binom_tail(10, -1, 0.5)
         with pytest.raises(ValueError):
             binom_tail(10, 2, 1.5)
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            binom_tail(2**53 + 1, 2, 0.5)
+        assert binom_tail(2**53, 2, 0.5) == 0.0  # the largest exact m is kept
 
 
 class TestBoundFormulas:
@@ -176,6 +185,11 @@ class TestBoundFormulas:
             bound_compression(10, 10, 0.1)
         with pytest.raises(ValueError):
             analytic_violation_cdf(10, 10, 0.1)
+        for guarded in (lambda m: bound_classical(m, 1, 2, 0.5),
+                        lambda m: bound_compression(m, 3, 0.5),
+                        lambda m: invert_epsilon(m, 1, 2, 1e-6, "compression")):
+            with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+                guarded(2**53 + 1)
 
 
 class TestPrefixSums:
@@ -208,7 +222,7 @@ class TestInversion:
         (200, 2, 4, 0.2),
         (100, 2, 0, 1.0),         # lower boundary
         (10_000, 10, 440, 1e-6),  # bisection crosses into exact-comb log space
-        (20_000, 10, 30, 1e-6),   # and into gammaln log space
+        (20_000, 10, 30, 1e-6),   # and onto the log-gamma path
     ]
 
     @pytest.mark.parametrize("formula", FORMULAS)
@@ -292,7 +306,7 @@ class TestMaxRemovable:
 
     def test_sizing_grid_covers_every_tail_path(self):
         assert {tail_path(m, eps) for m, _, eps, _ in self.SIZING} == {
-            "recurrence", "exact-comb", "gammaln"}
+            "recurrence", "exact-comb", "log-gamma"}
 
     @pytest.mark.parametrize("batch", (False, True))
     @pytest.mark.parametrize("formula", FORMULAS)
@@ -306,6 +320,7 @@ class TestMaxRemovable:
         ((10, 12, 0.5, 1e-6, "classical"), "m must exceed r \\+ d"),
         ((10, 0, 0.5, 1e-6, "compression"), "d must be at least 1"),
         ((5, 10, 0.5, 1e-6, "bogus"), "unknown formula"),
+        ((2**53 + 1, 1, 0.5, 1e-6), "m must be at most 2\\*\\*53"),
     ])
     def test_inputs_validated_before_scanning(self, args, message):
         with pytest.raises(ValueError, match=message):

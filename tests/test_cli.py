@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenopt
 from scenopt import engine, experiments
 from scenopt.cli import (
     EXIT_ASSUMPTION,
@@ -83,6 +88,20 @@ class TestBoundCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and "beta must be positive" in err
+
+    @pytest.mark.parametrize("query", [
+        ["--r", "1", "--eps", "0.5"],
+        ["--eps", "0.5", "--beta", "1e-6", "--max-r"],
+        ["--r", "1", "--invert", "1e-6"],
+    ])
+    def test_m_beyond_double_precision_exits_2(self, capsys, query):
+        code, out, err = run_cli(
+            capsys, "bound", "--formula", "cascade",
+            "--m", "400000000000000000000", "--d", "1", *query,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "m must be at most 2**53" in err
 
     def test_analytic_is_one_dimensional(self, capsys):
         args = ["bound", "--formula", "analytic", "--m", "10", "--r", "2"]
@@ -446,6 +465,18 @@ def test_artifacts_match_golden_digests(capsys, tmp_path, argv):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_RUNS[argv]}
     assert digests == GOLDEN_RUNS[argv]
+
+
+def test_import_loads_no_scipy():
+    # start-up cost: the package's only dependency is numpy
+    src = str(Path(scenopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, scenopt.cli; "
+             "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestGridParsing:
