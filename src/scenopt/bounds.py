@@ -21,22 +21,34 @@ coefficients and tiny tail products neither overflow nor underflow.  When
 C(m, i) is representable in double precision its exact integer value, built
 from C(m, i-1) by an exact integer recurrence, anchors the term; otherwise
 log C(m, i) comes from math.lgamma.  This keeps the absolute error of the
-sum comfortably below 1e-12 in the ranges this package works in.  Each tail
-is the correctly rounded sum of its terms (math.fsum).
+sum comfortably below 1e-12 in the ranges this package works in.
+
+Only terms that can be nonzero are evaluated; a term equal to 0.0 adds
+nothing to an exact sum.  The recurrence stops at its first term that is
+exactly 0.0, since every later one is 0.0 times a finite factor.  In log
+space the terms that can be nonzero lie in one window of indices around
+the mode, found by bisection (_log_window); it grows as
+sqrt(m eps (1-eps)), not with m.  A tail whose window holds more than
+_MAX_TERMS = 2**22 terms raises ValueError instead of running for minutes
+(the recurrence path never comes close: its terms vanish within a few
+thousand indices).  Each tail is the correctly rounded sum of its terms
+(math.fsum), which does not depend on their order; they go in largest
+first, which keeps fsum's list of partials short.
 
 Sizing queries sweep the terms once.  max_removable keeps the running sum
 exactly, as an integer count of 2**-1074 (every double is a whole number
 of these units), and rounds it once per candidate r; integer true division
 rounds correctly just as math.fsum does, so each rounded prefix equals the
-tail a per-r evaluation would return, bit for bit.  invert_epsilon computes
-each log C(m, i) once and reuses it at every bisection step.
+tail a per-r evaluation would return, bit for bit.  Its sweep starts at the
+window's first index.  invert_epsilon computes each log C(m, i) at most
+once, on the first bisection step whose window holds i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import count
 
 _FORMULAS = ("cascade", "classical", "compression")
 
@@ -58,6 +70,18 @@ _BISECT_WIDTH = 1e-9
 # log-gamma take m as a float.
 _MAX_M = 2**53
 
+# math.exp is 0.0 below log(2**-1075) = -745.13, where e^x is under half the
+# smallest subnormal; the extra 0.87 leaves room for a libm that does not
+# round correctly there.  Log-space terms below this are exactly 0.0.
+_LOG_ZERO = -746.0
+
+# Relative rounding allowance of a log-space term's argument: 2**13 units in
+# the last place of its largest part (see _log_window).
+_LOG_ARG_ERR = 2.0**-40
+
+# The most terms a tail may evaluate (and max_removable may sweep).
+_MAX_TERMS = 2**22
+
 
 def _check_m(m: int) -> None:
     if m > _MAX_M:
@@ -71,13 +95,14 @@ def _validate_eps(eps: float) -> float:
     return eps
 
 
-def _log_combs(m: int):
-    """Yield log C(m, i) for i = 0, 1, ..., m: the log of the exact integer,
-    carried by C(m, i+1) = C(m, i) * (m-i) // (i+1), wherever the switches
-    above allow it, and log-gamma elsewhere."""
+def _log_combs(m: int, start: int = 0):
+    """Yield log C(m, i) for i = start, start + 1, ..., m: the log of the
+    exact integer, carried from math.comb(m, start) by C(m, i+1) =
+    C(m, i) * (m-i) // (i+1), wherever the switches above allow it, and
+    log-gamma elsewhere."""
     exact = m <= _MAX_EXACT_COMB_M
-    comb = 1
-    for i in count():
+    comb = math.comb(m, start) if exact else 0
+    for i in count(start):
         if exact and comb <= _MAX_EXACT_COMB:
             yield math.log(comb)
         else:
@@ -86,37 +111,132 @@ def _log_combs(m: int):
             comb = comb * (m - i) // (i + 1)
 
 
-def _tail_terms(m: int, eps: float, log_coeffs):
-    """Yield C(m, i) eps^i (1-eps)^(m-i) for i = 0, 1, ... (for i < m).
+def _memo_log_combs(m: int):
+    """log_combs(lo, hi) -> log C(m, i) for i = lo .. hi, computing each
+    value once, from one exact anchor per run of indices not seen before."""
+    memo: dict[int, float] = {}
+    spans: list[tuple[int, int]] = []  # index ranges already in memo
+
+    def fill(lo: int, hi: int) -> None:
+        memo.update(zip(range(lo, hi + 1), _log_combs(m, lo)))
+
+    def log_combs(lo: int, hi: int):
+        i = lo
+        for a, b in sorted(spans):
+            if a > hi:
+                break
+            if a > i:
+                fill(i, a - 1)
+            i = max(i, b + 1)
+        if i <= hi:
+            fill(i, hi)
+        if lo <= hi:
+            spans.append((lo, hi))
+        return map(memo.__getitem__, range(lo, hi + 1))
+
+    return log_combs
+
+
+def _first_true(pred, lo: int, hi: int) -> int:
+    """Bisection: the b in [lo, hi] where pred turns true on [lo, hi).
+
+    pred(b) was seen true unless b == hi, and pred(b - 1) was seen false
+    unless b == lo.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _log_window(m: int, k_max: int, eps: float, log_eps: float,
+                log_1m: float) -> tuple[int, int]:
+    """(lo, hi): every log-space term with index outside [lo, hi] is 0.0.
+
+    hi <= k_max, and lo > hi when no term up to k_max can be nonzero.
+    Let R(i) = log C(m, i) + i log_eps + (m - i) log_1m, in exact
+    arithmetic on the two rounded logs.  A term is exp of R(i) evaluated in
+    floats; the bisection reads g(i), R(i) evaluated in floats through
+    log-gamma.  Every part of either sum is at most
+    S = 3 lgamma(m + 1) + m (|log_eps| + |log_1m|) in magnitude, so both lie
+    within E = 2**-40 S of R(i): that allows 2**13 ulps of S, which covers
+    the handful of roundings and the few-ulp errors of log and lgamma.
+    Below the floor F = _LOG_ZERO - 2E, g(i) < F gives R(i) < F + E and a
+    term argument below _LOG_ZERO, so the term is 0.0.
+
+    R is concave in i (log-gamma is convex).  The exact log-pmf peaks
+    within one index of mu = floor((m+1) eps), computed in integers from
+    eps's binary value.  Rounding the logs tilts R's slope by at most
+    2**-52 (|log eps| + |log(1-eps)|), which moves the peak by at most that
+    times m eps (1-eps), R's inverse curvature there: under 0.7 for
+    m <= 2**53.  So R rises on [0, mu - 2] and falls on [mu + 2, m].  On
+    the rising part the bisection returns lo with g(lo - 1) < F, hence
+    R(i) <= R(lo - 1) < F + E for every i < lo; the falling part is the
+    mirror image.  Indices mu - 1 .. mu + 1 are always kept.
+    """
+    lg_m = math.lgamma(m + 1)
+    floor = _LOG_ZERO - 2.0 * _LOG_ARG_ERR * (
+        3.0 * lg_m + m * (abs(log_eps) + abs(log_1m)))
+
+    def above(i: int) -> bool:
+        return (lg_m - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+                + i * log_eps + (m - i) * log_1m) >= floor
+
+    a, q = eps.as_integer_ratio()
+    mu = (m + 1) * a // q
+    lo = _first_true(above, 0, max(mu - 1, 0))
+    if k_max < mu + 2:
+        return lo, k_max
+    return lo, _first_true(lambda i: not above(i), mu + 2, k_max + 1) - 1
+
+
+def _recurrence_terms(m: int, eps: float, log_t0: float, k_max: int):
+    term = math.exp(log_t0)
+    ratio = eps / (1.0 - eps)
+    yield term
+    for i in range(1, k_max + 1):
+        term *= ratio * (m - i + 1) / i
+        if term == 0.0:
+            return  # every later term is 0.0 times a finite factor
+        yield term
+
+
+def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
+    """(first, terms): the terms C(m, i) eps^i (1-eps)^(m-i) for i = first,
+    first + 1, ... (at most to k_max < m) that can be nonzero, in index
+    order, as a lazy iterable.  Every term left out is exactly 0.0.
 
     The usual regime runs a multiplicative term recurrence seeded by the
     log of the i=0 term; every term stays a moderate float even when the
     binomial coefficient alone would overflow.  When (1-eps)^m itself
-    underflows, each term is evaluated independently in log space from
-    log C(m, i), the i-th item of log_coeffs (_log_combs(m), or a list of
-    its items shared by a caller that evaluates many eps).
+    underflows, each term of _log_window's window is evaluated on its own
+    in log space from log C(m, i): log_combs(lo, hi) supplies them
+    (_memo_log_combs, for a caller that evaluates many eps), else
+    _log_combs.  Raises ValueError when the window exceeds _MAX_TERMS.
     """
     if eps == 1.0:
-        yield from repeat(0.0)  # only the i = m term is nonzero
-        return
+        return k_max + 1, ()  # only the i = m term is nonzero
     log_1m = math.log1p(-eps)
     log_t0 = m * log_1m
     if log_t0 > -700.0:
-        term = math.exp(log_t0)
-        ratio = eps / (1.0 - eps)
-        yield term
-        for i in count(1):
-            term *= ratio * (m - i + 1) / i
-            yield term
-    else:
-        log_eps = math.log(eps)
-        for i, log_comb in enumerate(log_coeffs):
-            yield math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+        return 0, _recurrence_terms(m, eps, log_t0, k_max)
+    log_eps = math.log(eps)
+    lo, hi = _log_window(m, k_max, eps, log_eps, log_1m)
+    if hi - lo + 1 > _MAX_TERMS:
+        raise ValueError(
+            f"the binomial tail at m={m}, eps={eps} spans {hi - lo + 1} "
+            f"terms that may be nonzero, more than the cap of 2**22 terms")
+    coeffs = log_combs(lo, hi) if log_combs is not None else _log_combs(m, lo)
+    return lo, (math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+                for i, log_comb in zip(range(lo, hi + 1), coeffs))
 
 
-def _tail(m: int, k_max: int, eps: float, log_coeffs) -> float:
-    terms = islice(_tail_terms(m, eps, log_coeffs), k_max + 1)
-    return min(1.0, math.fsum(terms))
+def _tail(m: int, k_max: int, eps: float, log_combs=None) -> float:
+    _, terms = _tail_terms(m, eps, k_max, log_combs)
+    return min(1.0, math.fsum(sorted(terms, reverse=True)))
 
 
 def _prefix_sums(terms):
@@ -137,6 +257,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
     """Lower binomial tail P[Bin(m, eps) <= k_max], 0 <= k_max < m.
 
     The correctly rounded sum of the first k_max + 1 terms, clamped to 1.
+    Raises ValueError when more than 2**22 of them can be nonzero.
     """
     m = int(m)
     k_max = int(k_max)
@@ -146,7 +267,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
     _check_m(m)
     if not 0 <= k_max < m:
         raise ValueError(f"k_max must satisfy 0 <= k_max < m, got {k_max}")
-    return _tail(m, k_max, eps, _log_combs(m))
+    return _tail(m, k_max, eps)
 
 
 @dataclass(frozen=True)
@@ -259,8 +380,9 @@ def invert_epsilon(
     boundary flag is set and 0 is returned.
 
     log C(m, i) does not depend on eps: each is computed at most once per
-    call and shared by every bisection step.  Each step returns exactly
-    the value of the public bound function at its eps.
+    call, on the first step whose window holds i, and shared by every later
+    step.  Each step returns exactly the value of the public bound function
+    at its eps, and raises the same ValueError past the 2**22-term cap.
     """
     beta = float(beta)
     if not beta > 0.0:
@@ -271,10 +393,10 @@ def invert_epsilon(
         _check_zeta(m, r + d)
     else:
         _check_query(m, d, r)
-    log_coeffs = list(islice(_log_combs(m), r + d))
+    log_combs = _memo_log_combs(m)
 
     def bound(eps: float) -> float:
-        return _bound_value(formula, d, r, _tail(m, r + d - 1, eps, log_coeffs))
+        return _bound_value(formula, d, r, _tail(m, r + d - 1, eps, log_combs))
 
     if bound(0.0) <= beta:
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
@@ -299,13 +421,17 @@ def max_removable(
     """Largest r with bound(m, d, r, eps) <= beta; 0 when even r=0 fails.
 
     The bound increases with r, so an upward scan stops at the first
-    failure.  The scan is one sweep over the tail's terms: r's tail
-    T(m, r+d-1, eps) is the previous one plus one term, summed exactly and
-    rounded once, which equals math.fsum of the prefix bit for bit.  So
-    the answer is the one a per-r evaluation of the public bound functions
-    gives, in time linear in it.  With batch=True the result is floored to
-    the nearest multiple of d, matching schemes that can only discard whole
-    batches.
+    failure.  The scan is one sweep over the tail's terms that can be
+    nonzero: r's tail T(m, r+d-1, eps) is the previous one plus one term,
+    summed exactly and rounded once, which equals math.fsum of the prefix
+    bit for bit.  Every r whose prefix ends before the first such term has
+    tail 0 <= beta, so the sweep starts there; past the last one the tail
+    stays put.  So the answer is the one a per-r evaluation of the public
+    bound functions gives, in time linear in the nonzero terms swept, which
+    grow as sqrt(m eps (1-eps)), not with the answer.  When more than 2**22
+    terms up to k = m - 2 can be nonzero, ValueError is raised before any
+    is evaluated.  With batch=True the result is floored to the nearest
+    multiple of d, matching schemes that can only discard whole batches.
     """
     beta = float(beta)
     eps = _validate_eps(eps)
@@ -314,14 +440,23 @@ def max_removable(
     m, d = int(m), int(d)
     _check_formula(formula)
     _check_query(m, d, 0)
-    # prefix k = r + d - 1 for r = 0 .. m - d - 1, the largest r with m > r + d
-    tails = islice(_prefix_sums(_tail_terms(m, eps, _log_combs(m))), d - 1, m - 1)
-    best = 0
-    for r, tail in enumerate(tails):
-        if _bound_value(formula, d, r, min(1.0, tail)) <= beta:
-            best = r
-        else:
+    r_last = m - d - 1  # the largest r with m > r + d; its prefix is k = m - 2
+    first, terms = _tail_terms(m, eps, m - 2)
+    k, tail = first - 1, 0.0
+    for k, tail in enumerate(_prefix_sums(terms), first):
+        r = k - d + 1
+        if r >= 0 and _bound_value(formula, d, r, min(1.0, tail)) > beta:
             break
+    else:
+        # Past the last nonzero term every prefix sums to this tail.  The
+        # cascade and compression bounds stay put, and so does the classical
+        # one at d = 1; beta >= 1 passes every clamped value.  Otherwise the
+        # classical factor C(r+d-1, r) >= r + 1 grows until it fails.
+        r = max(k - d + 2, 0)
+        constant = formula != "classical" or d == 1 or beta >= 1.0
+        while r <= r_last and _bound_value(formula, d, r, min(1.0, tail)) <= beta:
+            r = r_last + 1 if constant else r + 1
+    best = max(r - 1, 0)
     if batch:
         best -= best % d
     return best

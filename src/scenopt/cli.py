@@ -15,6 +15,7 @@ a simplex stall or a singular simplex basis).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -382,7 +383,10 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: argparse keeps no state
+    between parse_args calls, and every default here is a constant."""
     parser = argparse.ArgumentParser(
         prog="scenopt",
         description="Scenario optimization with batched constraint discarding.",

@@ -112,9 +112,11 @@ def _is_int(value) -> bool:
 
 def _as_labels(values) -> np.ndarray:
     """Scenario labels as an int array; they must be distinct positive integers."""
-    for v in values:
-        if not _is_int(v):
-            raise LpInputError(f"scenario label {v!r} is not an integer")
+    if not (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in "iu"):
+        for v in values:
+            if not _is_int(v):
+                raise LpInputError(f"scenario label {v!r} is not an integer")
     labels = np.asarray(values, dtype=np.int64)
     if labels.size == 0:
         raise LpInputError("a scenario program needs at least one scenario")

@@ -6,13 +6,14 @@ bounds, exhaustive vertex enumeration for small LPs, and the definitional
 remove-one-scenario loop for support sets.  The block-by-block stacking
 that `ScenarioProgram.assemble` replaced is kept as the reference for the
 stored row layout, the two-solve greedy loop as the reference for greedy
-removal, and the per-call term list, per-r rescan and per-step bisection
-as the references for the one-sweep bound sizing.
+removal, and the per-call term list, per-r rescan, per-step bisection and
+the sweep over every term from i = 0 as the references for the bound
+sizing that sums only the terms that can be nonzero.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice, repeat
 from math import comb
 
 import numpy as np
@@ -61,23 +62,11 @@ def binom_tail_termwise(m: int, k_max: int, eps: float) -> float:
     if eps == 1.0:
         return 0.0
     log_1m = math.log1p(-eps)
-    log_t0 = m * log_1m
-    if log_t0 > -700.0:
-        term = math.exp(log_t0)
-        ratio = eps / (1.0 - eps)
-        terms = [term]
-        for i in range(1, k_max + 1):
-            term *= ratio * (m - i + 1) / i
-            terms.append(term)
-        return min(1.0, math.fsum(terms))
+    if m * log_1m > -700.0:
+        return min(1.0, math.fsum(islice(_recurrence(m, eps), k_max + 1)))
     log_eps = math.log(eps)
-    terms = []
-    for i in range(k_max + 1):
-        if m <= 10_000 and (c := comb(m, i)) <= 1e300:
-            log_comb = math.log(c)
-        else:
-            log_comb = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
-        terms.append(math.exp(log_comb + i * log_eps + (m - i) * log_1m))
+    terms = [math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+             for i, log_comb in zip(range(k_max + 1), _log_combs(m))]
     return min(1.0, math.fsum(terms))
 
 
@@ -100,6 +89,73 @@ def max_removable_rescan(m, d, eps, beta, formula="cascade", batch=False):
     if batch:
         best -= best % d
     return best
+
+
+def max_removable_sweep(m, d, eps, beta, formula="cascade", batch=False):
+    """max_removable as one sweep over every term from i = 0, each prefix
+    summed exactly in units of 2**-1074 and rounded once, stopping at the
+    first r whose bound fails (the sizing before terms that are exactly 0.0
+    were skipped).  Linear in the answer."""
+    if eps == 1.0:
+        terms = repeat(0.0)
+    elif m * math.log1p(-eps) > -700.0:
+        terms = _recurrence(m, eps)
+    else:
+        log_eps, log_1m = math.log(eps), math.log1p(-eps)
+        terms = (math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+                 for i, log_comb in enumerate(_log_combs(m)))
+    best = exact = 0
+    for k, term in zip(range(m - 1), terms):
+        num, den = term.as_integer_ratio()
+        exact += num << (1075 - den.bit_length())
+        r = k - d + 1
+        if r < 0:
+            continue
+        tail = min(1.0, exact / (1 << 1074))
+        if formula == "classical":
+            value = min(_classical(d, r, tail), 1.0)
+        else:
+            value = tail
+        if value > beta:
+            break
+        best = r
+    if batch:
+        best -= best % d
+    return best
+
+
+def _recurrence(m, eps):
+    term = math.exp(m * math.log1p(-eps))
+    ratio = eps / (1.0 - eps)
+    yield term
+    for i in count(1):
+        term *= ratio * (m - i + 1) / i
+        yield term
+
+
+def _log_combs(m):
+    """log C(m, i) for i = 0, 1, ...: of the exact integer, carried from
+    C(m, 0) = 1, up to m = 10000 while it stays below 1e300, and from
+    log-gamma elsewhere."""
+    exact = m <= 10_000
+    c = 1
+    for i in count():
+        if exact and c <= 1e300:
+            yield math.log(c)
+        else:
+            yield math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+        if exact:
+            c = c * (m - i) // (i + 1)
+
+
+def _classical(d, r, tail):
+    factor = comb(r + d - 1, r)
+    if factor <= 1e300:
+        return factor * tail
+    if tail == 0.0:
+        return 0.0
+    return math.exp(math.lgamma(r + d) - math.lgamma(r + 1) - math.lgamma(d)
+                    + math.log(tail))
 
 
 def invert_epsilon_bisect(m, d, r, beta, formula="cascade", tol=1e-9):

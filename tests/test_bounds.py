@@ -1,10 +1,11 @@
 import math
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scenopt import bounds
 from scenopt.bounds import (
     _log_combs,
     _prefix_sums,
@@ -23,9 +24,21 @@ from oracles import (
     classical_exact,
     invert_epsilon_bisect,
     max_removable_rescan,
+    max_removable_sweep,
 )
 
 FORMULAS = ("cascade", "classical", "compression")
+
+
+def switch_eps(m, scale):
+    """eps with m * log(1 - eps) = -700 * scale: scale 1 is where the term
+    recurrence hands over to log space."""
+    return -math.expm1(-700.0 * scale / m)
+
+
+# (m, eps) on either side of the recurrence switch, on each log-space path
+SWITCH = [(m, switch_eps(m, scale))
+          for m in (1_500, 9_000, 30_000) for scale in (0.98, 1.0, 1.02)]
 
 
 def tail_path(m, eps):
@@ -103,6 +116,26 @@ class TestBinomTail:
                 assert binom_tail(m, k, eps) == binom_tail_termwise(m, k, eps), (
                     m, k, eps)
 
+    def test_window_matches_termwise_reference_across_the_switch(self):
+        # k below the window of nonzero terms, inside it, above the mode
+        # and past the window's end; near the switch the window starts at 0
+        cases = SWITCH + [(9_000, 0.5), (100_000, 0.3)]
+        assert {tail_path(m, eps) for m, eps in cases} == {
+            "recurrence", "exact-comb", "log-gamma"}
+        for m, eps in cases:
+            mean, sigma = m * eps, math.sqrt(m * eps * (1.0 - eps))
+            ks = {min(max(round(mean + z * sigma), 0), m - 1)
+                  for z in (-40, -37, -3, 0, 3, 37, 40)}
+            for k in sorted(ks | {0, m - 1}):
+                assert binom_tail(m, k, eps) == binom_tail_termwise(m, k, eps), (
+                    m, k, eps)
+
+    def test_empty_window_is_exactly_zero(self):
+        # every term up to k is 0.0: nothing is evaluated, and no cap applies
+        assert binom_tail(2**53, 2, 0.5) == 0.0
+        assert binom_tail(10**15, 10**6, 0.5) == 0.0
+        assert binom_tail(10**6, 480_000, 0.5) == 0.0
+
     @pytest.mark.parametrize("m", [9_999, 10_000])
     def test_log_coefficients_match_per_index_comb(self, m):
         # the exact-comb log below 1e300 and log-gamma above it, as computed
@@ -118,6 +151,9 @@ class TestBinomTail:
         assert {math.comb(m, i) <= 1e300 for i in indices} == {True, False}
         for i in indices:
             assert got[i] == reference(i), i
+        # a window's exact anchor, math.comb(m, start), continues the same
+        for start in (0, 1, 399, m // 2 - 3, m - 400):
+            assert list(islice(_log_combs(m, start), 300)) == got[start:start + 300]
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +259,8 @@ class TestInversion:
         (100, 2, 0, 1.0),         # lower boundary
         (10_000, 10, 440, 1e-6),  # bisection crosses into exact-comb log space
         (20_000, 10, 30, 1e-6),   # and onto the log-gamma path
+        (30_000, 10, 700, 0.5),   # steps across the switch, k near the mode
+        (9_000, 2, 300, 0.999),   # k above the mode at the answer
     ]
 
     @pytest.mark.parametrize("formula", FORMULAS)
@@ -231,6 +269,27 @@ class TestInversion:
         inv = invert_epsilon(m, d, r, beta, formula)
         assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
             m, d, r, beta, formula)
+
+    def test_each_log_coefficient_computed_once_inside_a_window(
+            self, monkeypatch):
+        seen = []
+        log_combs = bounds._log_combs
+
+        def spy(m, start=0):
+            for i, value in zip(count(start), log_combs(m, start)):
+                seen.append(i)
+                yield value
+
+        monkeypatch.setattr(bounds, "_log_combs", spy)
+        # exact-comb and log-gamma coefficients; at the answer the leading
+        # terms underflow, so no window reaches i = 0
+        for m, r in ((9_000, 3_000), (100_000, 20_000)):
+            seen.clear()
+            inv = invert_epsilon(m, 10, r, 1e-6)
+            assert seen and len(seen) == len(set(seen)), m
+            assert 0 < min(seen) and max(seen) <= r + 9, m
+            assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
+                m, 10, r, 1e-6)
 
     def test_round_trip(self):
         for m, d, r in [(2000, 10, 10), (200, 2, 4), (50, 1, 5)]:
@@ -315,6 +374,22 @@ class TestMaxRemovable:
         assert max_removable(m, d, eps, beta, formula, batch) == (
             max_removable_rescan(m, d, eps, beta, formula, batch))
 
+    # (m, d, eps, beta) across the switch; beta near and at 1 sweeps the
+    # whole window and then the constant tail past it
+    SWEEP = [(m, d, eps, beta) for m, eps in SWITCH[::2] for d in (1, 10)
+             for beta in (1e-6, 1.0 - 1e-15)]
+    SWEEP += [(m, 3, eps, 1.0) for m, eps in SWITCH[1::3]]
+    SWEEP += [(3_000, 2, 0.5, 0.5), (3_000, 2, 1.0 - 1e-9, 1e-3),
+              (2_000, 2, 1.0, 1e-9), (2_000, 2, 0.0, 0.5)]
+
+    @pytest.mark.parametrize("batch", (False, True))
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,d,eps,beta", SWEEP)
+    def test_matches_sweep_over_every_term(self, m, d, eps, beta, formula,
+                                           batch):
+        assert max_removable(m, d, eps, beta, formula, batch) == (
+            max_removable_sweep(m, d, eps, beta, formula, batch))
+
     @pytest.mark.parametrize("args,message", [
         ((10, 10, 0.5, 1e-6), "m must exceed r \\+ d"),
         ((10, 12, 0.5, 1e-6, "classical"), "m must exceed r \\+ d"),
@@ -328,3 +403,25 @@ class TestMaxRemovable:
 
     def test_classical_batch_floors_to_zero_at_low_eps(self):
         assert max_removable(2000, 10, 0.03, 1e-6, "classical", batch=True) == 0
+
+
+class TestTermCap:
+    """Beyond 2**22 terms that can be nonzero, a query fails fast."""
+
+    def test_binom_tail(self):
+        with pytest.raises(ValueError, match="cap of 2\\*\\*22 terms"):
+            binom_tail(10**15, 5 * 10**14, 0.5)
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_max_removable(self, formula):
+        with pytest.raises(ValueError, match="cap of 2\\*\\*22 terms"):
+            max_removable(10**15, 1, 0.5, 1e-6, formula)
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_invert_epsilon(self, formula):
+        with pytest.raises(ValueError, match="cap of 2\\*\\*22 terms"):
+            invert_epsilon(10**15, 1, 5 * 10**14, 1e-6, formula)
+
+    def test_recorded_large_m_answer(self):
+        # the 480,793 leading terms underflow to 0.0; the sweep skips them
+        assert max_removable(10**6, 1, 0.5, 1e-6) == 497_622

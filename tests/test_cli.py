@@ -17,6 +17,7 @@ from scenopt.cli import (
     EXIT_SOLVER,
     OUTDIR_ENV,
     _parse_grid,
+    build_parser,
     main,
 )
 from scenopt.engine import Scenario, ScenarioProgram
@@ -103,6 +104,20 @@ class TestBoundCommand:
         assert out == ""
         assert err.startswith("error:") and "m must be at most 2**53" in err
 
+    @pytest.mark.parametrize("query", [
+        ["--r", "500000000000000", "--eps", "0.5"],
+        ["--eps", "0.5", "--beta", "1e-6", "--max-r"],
+        ["--r", "500000000000000", "--invert", "1e-6"],
+    ])
+    def test_window_beyond_term_cap_exits_2(self, capsys, query):
+        code, out, err = run_cli(
+            capsys, "bound", "--formula", "cascade",
+            "--m", "1000000000000000", "--d", "1", *query,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "cap of 2**22 terms" in err
+
     def test_analytic_is_one_dimensional(self, capsys):
         args = ["bound", "--formula", "analytic", "--m", "10", "--r", "2"]
         code, out, err = run_cli(capsys, *args, "--d", "3", "--invert", "0.1")
@@ -116,6 +131,26 @@ class TestBoundCommand:
         assert eps_star == pytest.approx(0.4496, abs=1e-4)
         _, out, _ = run_cli(capsys, *args, "--eps", str(eps_star))
         assert parse_json(out)["value"] == pytest.approx(0.1, abs=1e-8)
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    bound = ["bound", "--formula", "cascade", "--m", "2000", "--d", "10",
+             "--eps", "0.03", "--beta", "1e-6", "--max-r"]
+    code, first, _ = run_cli(capsys, *bound)
+    assert code == EXIT_OK
+    assert parse_json(first)["max_removable"] == 17
+    code, out, _ = run_cli(
+        capsys, "cascade", "--generator", "analytic", "--m", "10",
+        "--ell", "3", "--seed", "5", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK and parse_json(out)["stages"] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--formula", "bogus", "--m", "10"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    code, again, _ = run_cli(capsys, *bound)
+    assert code == EXIT_OK and again == first
+    assert build_parser() is build_parser()
 
 
 class TestCascadeCommand:

@@ -969,6 +969,28 @@ class TestRowLayout:
                                           coeffs, rhs)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (np.array([1.0, 2.0]), "label np.float64\\(1.0\\) is not an integer"),
+    (np.array([True, False]), "label np.True_ is not an integer"),
+    (np.array([[1, 2]]), "is not an integer"),
+    ([1, 2.5], "label 2.5 is not an integer"),
+    (np.array([2, 0]), "label 0 is not positive"),
+    (np.array([3, 3]), "must be distinct"),
+])
+def test_label_arrays_checked(labels, message):
+    with pytest.raises(LpInputError, match=message):
+        ScenarioProgram.from_rows([1.0], [0.0], [1.0], labels, [1, 1],
+                                  [[-1.0], [-1.0]], [-0.1, -0.2])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
+def test_integer_label_arrays_accepted_whole(dtype):
+    prog = ScenarioProgram.from_rows([1.0], [0.0], [1.0],
+                                     np.array([3, 1], dtype=dtype), [1, 3],
+                                     [[-1.0], [-1.0]], [-0.1, -0.2])
+    assert [s.label for s in prog.scenarios] == [3, 1]
+
+
 def test_built_program_is_never_validated_again(monkeypatch):
     """Stage, support, candidate and degeneracy solves select rows of the
     program's validated LinearProgram; none constructs (and so re-checks)
