@@ -25,6 +25,7 @@ distinct programs may run concurrently since all inputs are immutable.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -38,6 +39,7 @@ from scenopt.lp import (
     LpSolution,
     LpStatus,
     LpTolerances,
+    SimplexStallError,
     checked_inverse,
     reoptimize,
     solve,
@@ -346,11 +348,9 @@ class ScenarioProgram:
 class SolveCounts:
     """Tally of LP solves by role; stage solves are the headline number.
 
-    The counts are logical: one support solve per tested candidate (however
-    many LP cores it took, none when the stage vertex's edge certified it)
-    and one candidate solve per greedy candidate, also when its objective is
-    taken from support detection's re-solve of the same LP or reached by
-    simplex steps from the stage vertex instead of solved again.
+    The counts are logical: one support solve per tested candidate and one
+    candidate solve per greedy candidate, however many LP cores it took,
+    none when lp.reoptimize answered it from the stage vertex.
     """
 
     stage_solves: int = 0
@@ -457,9 +457,19 @@ def solve_stage(
     return solve(lp, tol=tol)
 
 
+@contextmanager
+def _naming_stalls(where):
+    """Re-raise a SimplexStallError with `where`, the name of its LP, in front."""
+    try:
+        yield
+    except SimplexStallError as exc:
+        raise SimplexStallError(f"{where}: {exc}") from None
+
+
 def _solved_stage(program, labels, tol, where="stage program"):
     lp, owners = program.assemble(labels)
-    sol = solve(lp, tol=tol)
+    with _naming_stalls(where):
+        sol = solve(lp, tol=tol)
     if not sol.is_optimal:
         raise StageSolveError(where, sol.status)
     return lp, owners, sol
@@ -467,77 +477,37 @@ def _solved_stage(program, labels, tol, where="stage program"):
 
 class _Vertex(NamedTuple):
     """A stage minimizer x with the stage LP's constraints as the rows of
-    G x <= h: the LP rows, then x <= upper and -x <= -lower (infinite bounds
-    never bind), and slack = h - G x.  When exactly d of them are active at
-    x and their matrix M has a checked inverse (lp.checked_inverse), basis
-    lists them, LP rows first, and inv = M^-1; otherwise both are None."""
+    G x <= h: the LP rows, then x <= upper and -x <= -lower over the finite
+    bounds.  When exactly d of them are active at x and their matrix M
+    has a checked inverse (lp.checked_inverse), the vertex is simple: basis
+    lists them, LP rows first, and inv = M^-1, the start of lp.reoptimize;
+    otherwise both are None."""
 
     G: np.ndarray
     h: np.ndarray
-    slack: np.ndarray
     basis: Optional[np.ndarray]
     inv: Optional[np.ndarray]
 
 
 def _stage_vertex(lp, sol, tol) -> _Vertex:
     x, d, n_rows = sol.x, lp.d, lp.n_rows
+    up, lo = np.isfinite(lp.upper), np.isfinite(lp.lower)
     eye = np.eye(d)
-    G = np.vstack([lp.row_coeffs, eye, -eye])
-    h = np.concatenate([lp.row_rhs, lp.upper, -lp.lower])
-    slack = h - G @ x
+    G = np.vstack([lp.row_coeffs, eye[up], -eye[lo]])
+    h = np.concatenate([lp.row_rhs, lp.upper[up], -lp.lower[lo]])
+    bound_slack = np.concatenate([(lp.upper - x)[up], (x - lp.lower)[lo]])
     rows = np.array(sorted(sol.active_rows), dtype=np.intp)
     active = np.concatenate(
-        [rows, n_rows + np.flatnonzero(np.abs(slack[n_rows:]) <= tol.active)])
+        [rows, n_rows + np.flatnonzero(np.abs(bound_slack) <= tol.active)])
     inv = checked_inverse(G[active], tol) if active.size == d else None
     if inv is None:
-        return _Vertex(G, h, slack, None, None)
-    return _Vertex(G, h, slack, active, inv)
-
-
-def _edge_certified(lp, owners, sol, vertex, tol, margin):
-    """Labels that an edge of the stage vertex proves to be support.
-
-    At a simple vertex (vertex.basis is set) the edge leaving active row k
-    is M^-1 e_k: it crosses row k and keeps the other d-1 tight.  Candidate
-    edges are the active LP rows; rows of the edge's own scenario are
-    dropped from the ratio test and the check.  Returns an empty set when
-    the vertex is not simple.
-    """
-    if vertex.basis is None:
-        return frozenset()
-    G, h, slack = vertex.G, vertex.h, vertex.slack
-    x, n_rows = sol.x, lp.n_rows
-    rows = vertex.basis[:len(sol.active_rows)]
-    edges = vertex.inv[:, :rows.size].T  # edge j crosses active row rows[j]
-    rate = -(edges @ lp.cost)
-    gone = owners[rows]
-    owned = np.zeros((rows.size, G.shape[0]), dtype=bool)
-    owned[:, :n_rows] = owners == gone[:, None]
-    room = slack.copy()
-    room[vertex.basis] = np.inf  # kept tight along every edge
-    # slack used up per unit step; the ratio test's theta is 1 / its maximum
-    pace = np.where(owned, 0.0, (edges @ G.T) * (1.0 / room))
-    reach = pace.max(axis=1, initial=0.0)
-    # a rate within rounding of zero is a cost tie, left to the re-solve
-    floor = tol.pivot * np.abs(lp.cost).sum() * np.abs(edges).max(axis=1)
-    ok = (rate > floor) & (rate > margin * reach)  # theta * rate > margin
-    if not ok.any():
-        return frozenset()
-    # every point of the edge up to theta is feasible; check the one where
-    # the drop reaches min(theta * rate, 2 * margin), finite for theta = inf
-    step = 1.0 / np.maximum(reach[ok], rate[ok] / (2.0 * margin))
-    points = x + edges[ok] * step[:, None]
-    feasible = ((points @ G.T - h <= tol.feas) | owned[ok]).all(axis=1)
-    return frozenset(gone[ok][feasible].tolist())
+        return _Vertex(G, h, None, None)
+    return _Vertex(G, h, active, inv)
 
 
 def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
                            counts, where=None):
     """Labels whose removal moves the minimizer by more than tol.x.
-
-    Returns {label: objective of the unrefined LP without it} over the
-    support labels, None where that objective is not known: the LP is
-    unbounded, or the label was certified without solving it.
 
     Only scenarios owning at least one active row are tested: a scenario
     whose rows are all slack at the tie-broken minimizer cannot change it,
@@ -552,51 +522,56 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
     |c|_1*tol.x + tol.feas), and |c.(x' - x)| <= |c|_1 * max|x' - x|, so
     max|x' - x| > tol.x.
 
-    Most candidates are decided at the stage vertex (Dantzig's edge and
-    ratio test, in _edge_certified).  When exactly d constraints are active,
-    the edge leaving an active row of scenario s keeps the other d-1 tight
-    and lowers the cost at rate rho = -c.dir; the ratio test over the
-    constraints s does not own gives the step theta at which the first one
-    blocks.  Every point of the edge up to theta satisfies the program
-    without s, so its optimum costs at most c.x - theta*rho (theta = inf:
-    the reduced LP is unbounded along the edge).  If theta*rho exceeds the
-    margin, and a point of the edge with a drop above the margin checks
-    feasible within tol.feas, the unrefined re-solve below would also find
-    a drop above the margin, so s is support with no LP solved.
+    At a simple stage vertex (vertex.basis is set) lp.reoptimize takes
+    simplex steps from it past the candidate's rows.  Every vertex it visits
+    satisfies the program without the candidate (the one it stops at is
+    checked within tol.feas), so that vertex's cost bounds the reduced
+    optimum from above.  It stops at the first vertex that costs less than
+    sol.objective - margin, and the candidate is support with no LP solved;
+    when it reaches the reduced optimum inside the margin, the refined
+    re-solve below decides at once.
 
-    Every other candidate (more or fewer than d active constraints, a
-    singular vertex basis, a rate that is zero or negative, a drop inside
-    the margin) is re-solved unrefined; inside the margin (cost ties that
-    only move the tie-break, duplicated maxima, near-ties) the refined
-    re-solve decides by max|x' - x| > tol.x.  Each candidate counts as one
-    support solve either way.
+    Every other candidate (no simple vertex, a step left undecided, or an
+    unbounded edge, which the ratio test alone does not prove) is re-solved
+    unrefined.  Inside the margin (cost ties that only move the tie-break,
+    duplicated maxima, near-ties) the refined re-solve decides by
+    max|x' - x| > tol.x.  Each candidate counts as one support solve.
     """
     margin = 2.0 * np.abs(program.cost).sum() * tol.x + tol.feas
-    certified = _edge_certified(lp, owners, sol, vertex, tol, margin)
-    support = {}
+    dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+    support = set()
     for lab in sorted({int(owners[i]) for i in sol.active_rows}):
         counts.support_solves += 1
-        if lab in certified:
-            support[lab] = None
-            continue
-        lp_red, _ = program.assemble(labels - {lab})
-        coarse = solve(lp_red, tol=tol, refine=False)
-        if coarse.status is LpStatus.UNBOUNDED:
-            # the minimizer ceased to exist, which certainly changes it
-            support[lab] = None
-            continue
-        if not coarse.is_optimal:
-            without = f"the program without label {lab}"
-            raise StageSolveError(f"{where}: {without}" if where else without,
-                                  coarse.status)
-        if sol.objective - coarse.objective <= margin:
+        without = f"the program without label {lab}"
+        if where:
+            without = f"{where}: {without}"
+        obj = lp_red = None
+        if vertex.basis is not None:
+            dropped[:lp.n_rows] = owners == lab
+            obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
+                             dropped, tol, vertex.inv, sol.objective - margin)
+        if obj is None or obj == -np.inf:
+            lp_red, _ = program.assemble(labels - {lab})
+            with _naming_stalls(without):
+                coarse = solve(lp_red, tol=tol, refine=False)
+            if coarse.status is LpStatus.UNBOUNDED:
+                # the minimizer ceased to exist, which certainly changes it
+                support.add(lab)
+                continue
+            if not coarse.is_optimal:
+                raise StageSolveError(without, coarse.status)
+            obj = coarse.objective
+        if sol.objective - obj <= margin:
             # refining an optimal LP either succeeds or finds no lexicographic
             # minimum (unbounded), which changes the minimizer too
-            sol_red = solve(lp_red, tol=tol)
+            if lp_red is None:
+                lp_red, _ = program.assemble(labels - {lab})
+            with _naming_stalls(without):
+                sol_red = solve(lp_red, tol=tol)
             if sol_red.is_optimal and np.max(np.abs(sol_red.x - sol.x)) <= tol.x:
                 continue
-        support[lab] = coarse.objective
-    return support
+        support.add(lab)
+    return frozenset(support)
 
 
 def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool:
@@ -609,9 +584,9 @@ def _stage_support(program, active_labels, tol):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
     lp, owners, sol = _solved_stage(program, labels, tol)
-    return sol, frozenset(_support_from_solution(
+    return sol, _support_from_solution(
         program, labels, lp, sol, owners, _stage_vertex(lp, sol, tol), tol,
-        SolveCounts()))
+        SolveCounts())
 
 
 def support_set(
@@ -689,10 +664,9 @@ def run_cascade(
         where = f"stage {k}"
         lp, owners, sol = _solved_stage(program, available, tol, where)
         counts.stage_solves += 1
-        support = frozenset(_support_from_solution(
+        support = _support_from_solution(
             program, available, lp, sol, owners, _stage_vertex(lp, sol, tol),
-            tol, counts, where
-        ))
+            tol, counts, where)
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
         if mode is RemovalMode.FULLY_SUPPORTED:
@@ -777,14 +751,13 @@ def greedy_removal(
     provably leaves the minimizer unchanged); ties on the candidate's
     objective break toward the smallest label.  When a stage has an empty
     support set every available label is a candidate under the same rule.
-    Where support detection re-solved a candidate's LP unrefined, its
-    objective is reused.  Otherwise, at a simple stage vertex (exactly d
-    constraints active, their matrix nonsingular), lp.reoptimize pivots from
-    the vertex past the candidate's rows to the optimum of the program
-    without it.  A candidate it leaves undecided, or whose program it finds
-    unbounded, is solved cold and unrefined, which confirms an unbounded
-    program before CandidateSolveError is raised.  Each candidate counts as
-    one candidate solve whichever way its objective was found.
+    At a simple stage vertex (exactly d constraints active, their matrix
+    nonsingular) lp.reoptimize pivots from the vertex past the candidate's
+    rows to the optimum of the program without it.  A candidate it leaves
+    undecided, or whose program it finds unbounded, is solved cold and
+    unrefined, which confirms an unbounded program before
+    CandidateSolveError is raised; so is every candidate of a stage whose
+    vertex is not simple.  Each candidate counts as one candidate solve.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -810,17 +783,16 @@ def greedy_removal(
         best_label = None
         best_obj = np.inf
         for lab in candidates:
-            # support detection may already have solved this LP unrefined;
-            # otherwise pivot from the stage vertex past the label's rows
-            obj = support.get(lab)
-            if obj is None and vertex.basis is not None:
+            obj = None
+            if vertex.basis is not None:
                 dropped[:lp.n_rows] = owners == lab
                 obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                                 dropped, tol)
+                                 dropped, tol, vertex.inv)
             if obj is None or obj == -np.inf:
                 # undecided at the vertex, or an unbounded edge to confirm
                 lp_c, _ = program.assemble(available - {lab})
-                sol_c = solve(lp_c, tol=tol, refine=False)
+                with _naming_stalls(f"{where}: the program without label {lab}"):
+                    sol_c = solve(lp_c, tol=tol, refine=False)
                 if not sol_c.is_optimal:
                     raise CandidateSolveError(step, lab, sol_c.status)
                 obj = sol_c.objective

@@ -25,7 +25,10 @@ invariant under row permutations.
 
 reoptimize answers a related question without a cold start: from a vertex
 of G x <= h and its basis of d tight rows, it takes primal simplex steps to
-the optimal cost once some rows are dropped (greedy removal's candidates).
+the optimal cost once some rows are dropped.  It is the one answer to "what
+does the program cost without this scenario" at a stage vertex: run to the
+optimum for greedy removal's candidates, or stopped at the first feasible
+vertex below a given cost for support detection.
 
 LP data is validated once, when a LinearProgram is built; select and the
 solver use its read-only arrays without checking them again.  Every solve
@@ -428,13 +431,14 @@ def checked_inverse(M, tol: LpTolerances) -> Optional[np.ndarray]:
     return inv
 
 
-def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
-               ) -> Optional[float]:
+def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL,
+               inv=None, stop=-np.inf) -> Optional[float]:
     """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
-    by primal simplex steps from a vertex of G x <= h.
+    by primal simplex steps from a vertex of G x <= h (h finite).
 
     basis lists the d rows tight at the vertex; their matrix M must be
-    nonsingular and the vertex must satisfy every row.  Each step solves
+    nonsingular and the vertex must satisfy every row.  inv, when given, is
+    checked_inverse(M), and the first step uses it.  Each step solves
     x = M^-1 h_basis and the multipliers mu = -M^-T cost, the vertex's
     optimality certificate when mu >= 0.  A dropped basis row leaves first,
     along the edge M^-1 e_k signed so that the cost does not rise; otherwise
@@ -443,20 +447,25 @@ def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
     index among ties.  Viewed on the dual program this is Lemke's (1954) dual
     simplex, warm-started from the vertex's basis.
 
-    Returns cost.x at the first vertex whose mu >= -tol.pivot with no dropped
-    row in its basis; -inf when an edge lowers the cost by more than
-    tol.pivot per unit and no row blocks it (the program is unbounded); None
-    when the step is undecided: M is singular or off its inverse by more
-    than tol.pivot, a cost-neutral edge of a dropped row is unblocked, or
-    more than _STALL_LIMIT steps in a row are degenerate.
+    The vertex a ratio test reaches at step theta costs cost.x - theta*|mu_k|.
+    Once that is below stop, the vertex is checked against the rows not
+    dropped within tol.feas (the ratio test lets a row of slope at most
+    tol.pivot be crossed); its cost is returned if it passes, else None.
+
+    Otherwise returns cost.x at the first vertex whose mu >= -tol.pivot with
+    no dropped row in its basis; -inf when an edge lowers the cost by more
+    than tol.pivot per unit and no row blocks it (the program is unbounded);
+    None when the step is undecided: M is singular or off its inverse by
+    more than tol.pivot, a cost-neutral edge of a dropped row is unblocked,
+    or more than _STALL_LIMIT steps in a row are degenerate.
     """
     basis = np.array(basis, dtype=np.intp)
-    never = dropped | ~np.isfinite(h)  # rows that cannot block a step
     stall = 0
-    for _ in range(_MAX_PIVOTS):
-        inv = checked_inverse(G[basis], tol)
-        if inv is None:
-            return None
+    for steps in range(_MAX_PIVOTS):
+        if steps or inv is None:
+            inv = checked_inverse(G[basis], tol)
+            if inv is None:
+                return None
         x = inv @ h[basis]
         mu = -(cost @ inv)
         gone = np.flatnonzero(dropped[basis])
@@ -471,12 +480,16 @@ def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL
         direction = sign * inv[:, k]
         slope = G @ direction
         slope[basis] = 0.0
-        slope[never] = 0.0
+        slope[dropped] = 0.0
         blocking = np.flatnonzero(slope > tol.pivot)
         if not blocking.size:
             return -np.inf if abs(mu[k]) > tol.pivot else None
         ratios = np.maximum(h[blocking] - G[blocking] @ x, 0.0) / slope[blocking]
         theta = ratios.min()
+        reached = cost @ x - theta * abs(mu[k])
+        if reached < stop:
+            excess = G @ (x + theta * direction) - h
+            return None if (excess[~dropped] > tol.feas).any() else float(reached)
         basis[k] = blocking[ratios <= theta + tol.pivot * (1.0 + theta)][0]
         stall = stall + 1 if theta <= tol.pivot else 0
         if stall > _STALL_LIMIT:

@@ -240,7 +240,8 @@ class TestCascadeCommand:
             "--ell", "1", "--out", str(tmp_path),
         )
         assert code == EXIT_SOLVER
-        assert err == "error: no convergence within 200000 pivots\n"
+        # the stall names the LP it came from
+        assert err == "error: stage 0: no convergence within 200000 pivots\n"
 
     def test_singular_basis_exits_4(self, capsys, tmp_path, monkeypatch):
         # np.linalg.LinAlgError is a ValueError, which alone would exit 2
@@ -253,7 +254,7 @@ class TestCascadeCommand:
             "--ell", "1", "--out", str(tmp_path),
         )
         assert code == EXIT_SOLVER
-        assert err == ("error: simplex phase 2 (rows=1, columns=12): "
+        assert err == ("error: stage 0: simplex phase 2 (rows=1, columns=12): "
                        "singular basis after 0 pivots\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
@@ -339,6 +340,28 @@ class TestGreedyCommand:
         assert code == EXIT_SOLVER
         assert err == ("error: greedy step 1: stage program returned status "
                        "unbounded\n")
+
+
+    def test_stall_names_its_lp_and_exits_4(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the second refined solve is the stage program of greedy step 1
+        real_solve = engine.solve
+        refined = []
+
+        def stall_second_refined(lp, tol=engine.DEFAULT_TOL, refine=True):
+            refined.extend([None] * refine)
+            if len(refined) == 2 and refine:
+                raise SimplexStallError("refinement face lost feasibility")
+            return real_solve(lp, tol=tol, refine=refine)
+
+        monkeypatch.setattr(engine, "solve", stall_second_refined)
+        code, _, err = run_cli(
+            capsys, "greedy", "--generator", "analytic", "--m", "10",
+            "--r", "2", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == ("error: greedy step 1: stage program: refinement face "
+                       "lost feasibility\n")
 
 
 class TestExperimentCommand:
@@ -500,6 +523,37 @@ def test_artifacts_match_golden_digests(capsys, tmp_path, argv):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_RUNS[argv]}
     assert digests == GOLDEN_RUNS[argv]
+
+
+# sha256 of each artifact of a d = 10 greedy and a d = 10 cascade run,
+# recorded when support detection still had its own edge test and greedy
+# reused its objectives: they pin greedy's choice among reoptimized
+# candidates and the cascade's degeneracy column.
+GOLDEN_TRACES = {
+    ("greedy", "--generator", "resource", "--d", "10", "--n", "2",
+     "--m", "300", "--r", "8", "--seed", "5"): {
+        "greedy_steps.csv":
+            "029cf93b6d42cff3981a96c061060c3df914598cf254f8ac5a956fe0f00f8739",
+        "greedy_trace.json":
+            "3334feea325f4ec6b44504f64784f9a4a53c4cce3ff6b875d7d8283794422cfc",
+    },
+    ("cascade", "--generator", "resource", "--d", "10", "--n", "2",
+     "--m", "300", "--ell", "3", "--seed", "5"): {
+        "cascade_stages.csv":
+            "3281263b9eb694f7c0109a6de47cfb2a68a33c17053e293ed883fb5479d23287",
+        "cascade_trace.json":
+            "1c80ea382dd7b1f95b77d958f5c4e0bcb822c80d9c4b3379754ed5f4d4a96e7c",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_TRACES), ids=lambda a: a[0])
+def test_traces_match_golden_digests(capsys, tmp_path, argv):
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_TRACES[argv]}
+    assert digests == GOLDEN_TRACES[argv]
 
 
 def test_import_loads_no_scipy():

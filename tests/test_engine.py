@@ -28,6 +28,7 @@ from scenopt.lp import (
     LpInputError,
     LpStatus,
     LpTolerances,
+    SimplexStallError,
     reoptimize,
     solve,
 )
@@ -156,21 +157,35 @@ def count_refined_solves(monkeypatch):
     return flags
 
 
+def tie_break_program():
+    # minimize x1 over [0,1]^2: scenario 1 (x2 >= 0.5) binds only x2,
+    # scenario 2 (x1 >= 0.3) binds the cost, scenario 3 is slack
+    return ScenarioProgram(
+        cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
+        scenarios=(
+            Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
+            Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
+            Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
+        ),
+    )
+
+
+def reoptimized_without(prog, label, tol=engine.DEFAULT_TOL, stop=-np.inf):
+    """lp.reoptimize from the stage vertex of prog past label's rows."""
+    lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+    vertex = engine._stage_vertex(lp, sol, tol)
+    dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+    dropped[:lp.n_rows] = owners == label
+    return reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis, dropped, tol,
+                      vertex.inv, stop)
+
+
 class TestSupportCertificate:
     """Support scenarios whose removal keeps the cost are found only by the
     refined re-solve that runs inside the cost-drop margin."""
 
     def test_tie_break_only_support(self, monkeypatch):
-        # minimize x1 over [0,1]^2: scenario 1 (x2 >= 0.5) binds only x2,
-        # scenario 2 (x1 >= 0.3) binds the cost, scenario 3 is slack
-        prog = ScenarioProgram(
-            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
-            scenarios=(
-                Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
-                Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
-                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
-            ),
-        )
+        prog = tie_break_program()
         flags = count_refined_solves(monkeypatch)
         sup = support_set(prog)
         # the stage solve plus one fallback, for scenario 1 only
@@ -186,9 +201,10 @@ class TestSupportCertificate:
         assert support_set_definitional(prog, prog.labels) == frozenset()
 
 
-class TestEdgeCertificate:
-    """Support candidates are decided at the stage vertex by an edge and a
-    ratio test; anything the edge cannot prove goes to the re-solve."""
+class TestSupportFromTheVertex:
+    """Support candidates are decided at the stage vertex by lp.reoptimize,
+    stopped at the first vertex whose cost drop exceeds the margin; anything
+    it cannot prove goes to the re-solve."""
 
     def test_generic_stages_solve_no_support_lp(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -217,30 +233,29 @@ class TestEdgeCertificate:
         assert support_set(prog) == frozenset()
         assert flags == [True] + [False, True] * 2
 
-    def test_zero_rate_edge_is_not_certified(self):
-        # test_tie_break_only_support's stage: crossing scenario 1's row
-        # (x2 >= 0.5) keeps the cost, so only scenario 2 is certified
-        prog = ScenarioProgram(
-            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
-            scenarios=(
-                Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
-                Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
-                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
-            ),
-        )
+    def test_zero_rate_edge_is_not_certified(self, monkeypatch):
+        # crossing scenario 1's row (x2 >= 0.5) keeps the cost: reoptimize
+        # reaches the optimum 0.3 without it, inside the margin, and only
+        # the refined re-solve proves it support; scenario 2's edge drops
+        # the cost to 0 and is decided at the vertex
+        prog = tie_break_program()
         tol = engine.DEFAULT_TOL
-        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
-        margin = 2.0 * tol.x + tol.feas
-        assert engine._edge_certified(
-            lp, owners, sol, engine._stage_vertex(lp, sol, tol), tol, margin) == {2}
+        stop = 0.3 - (2.0 * tol.x + tol.feas)
+        assert reoptimized_without(prog, 1, stop=stop) == pytest.approx(0.3)
+        assert reoptimized_without(prog, 2, stop=stop) < stop
+        flags = count_refined_solves(monkeypatch)
+        assert support_set(prog) == frozenset({1, 2})
+        # the stage solve and scenario 1's refined re-solve
+        assert flags == [True, True]
 
     def test_drop_inside_margin_falls_back(self, monkeypatch):
-        # one active row (the gap 1.5e-6 exceeds tol.active), but the edge
-        # drop 1.5e-6 is inside the 2.1e-6 margin: the re-solve decides
+        # one active row (the gap 1.5e-6 exceeds tol.active), but the drop
+        # 1.5e-6 to the reduced optimum is inside the 2.1e-6 margin: the
+        # refined re-solve decides, with no unrefined one before it
         prog = analytic_program([0.3, 0.8, 0.8 + 1.5e-6, 0.1])
         flags = count_refined_solves(monkeypatch)
         sup = support_set(prog)
-        assert flags == [True, False, True]
+        assert flags == [True, True]
         assert sup == frozenset({3})
         assert sup == support_set_definitional(prog, prog.labels)
 
@@ -248,7 +263,8 @@ class TestEdgeCertificate:
         # the edge crossing scenario 1's row (x1 >= 0.5) along x2 = 0 meets
         # scenario 2's row after a drop of 2e-6, inside the 3e-6 margin;
         # the row is so shallow that the edge point at twice the margin
-        # violates it by only 4e-7 < tol.feas, so the ratio test must stop it
+        # violates it by only 4e-7 < tol.feas, so the ratio test must stop
+        # the edge there, and the next edge reaches x1 = 0
         tol = LpTolerances(active=1e-8, feas=1e-6)
         prog = ScenarioProgram(
             cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
@@ -258,14 +274,14 @@ class TestEdgeCertificate:
                          rhs=[-0.1 * (0.5 - 2e-6)]),
             ),
         )
-        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
-        margin = 2.0 * tol.x + tol.feas
-        assert engine._edge_certified(
-            lp, owners, sol, engine._stage_vertex(lp, sol, tol), tol, margin) == set()
+        first = reoptimized_without(prog, 1, tol, stop=0.5 - 1e-6)
+        assert first == pytest.approx(0.5 - 2e-6, abs=1e-12)
+        assert reoptimized_without(prog, 1, tol, stop=0.5 - 3e-6) == (
+            pytest.approx(0.0, abs=1e-12))
         flags = count_refined_solves(monkeypatch)
         assert support_set(prog, tol=tol) == frozenset({1})
-        # the stage solve and scenario 1's unrefined re-solve
-        assert flags == [True, False]
+        # the stage solve alone
+        assert flags == [True]
 
     def test_certified_labels_carry_no_objective(self):
         prog = analytic_program([0.3, 0.8, 0.1])
@@ -275,7 +291,7 @@ class TestEdgeCertificate:
         support = engine._support_from_solution(
             prog, prog.labels, lp, sol, owners,
             engine._stage_vertex(lp, sol, tol), tol, counts)
-        assert support == {2: None}
+        assert type(support) is frozenset and support == {2}
         assert counts.support_solves == 1
 
 
@@ -603,6 +619,11 @@ class TestVerifyCompression:
         assert failures == 20
 
 
+# one support row per stage, and two tied maxima (no simple vertex)
+DISTINCT = analytic_program([0.31, 0.95, 0.42, 0.88, 0.10])
+TIED = analytic_program([0.2, 0.9, 0.4, 0.9, 0.1])
+
+
 class TestGreedy:
     def test_1d_removes_two_largest(self):
         deltas = [0.31, 0.95, 0.42, 0.88, 0.10]
@@ -676,6 +697,36 @@ class TestGreedy:
         assert str(err.value) == (f"{where}: the program without label 2 "
                                   "returned status infeasible")
 
+    @pytest.mark.parametrize("where, run, refined, nth", [
+        ("stage program", lambda: support_set(DISTINCT), True, 1),
+        ("stage 1", lambda: run_cascade(DISTINCT, 1), True, 3),
+        ("greedy step 1: stage program",
+         lambda: greedy_removal(DISTINCT, 1), True, 2),
+        ("the program without label 4", lambda: support_set(TIED), False, 2),
+        ("stage 0: the program without label 2",
+         lambda: run_cascade(TIED, 1), False, 1),
+        ("greedy step 1: the program without label 4",
+         lambda: greedy_removal(TIED, 1), True, 3),
+        # the first two unrefined solves are support detection's
+        ("greedy step 1: the program without label 1",
+         lambda: greedy_removal(TIED, 1), False, 3),
+    ])
+    def test_stalls_name_their_lp(self, monkeypatch, where, run, refined, nth):
+        # the nth engine solve with refine == refined stalls
+        real_solve = engine.solve
+        seen = []
+
+        def stall(lp, tol=engine.DEFAULT_TOL, refine=True):
+            seen.append(refine)
+            if refine is refined and seen.count(refine) == nth:
+                raise SimplexStallError("refinement face lost feasibility")
+            return real_solve(lp, tol=tol, refine=refine)
+
+        monkeypatch.setattr(engine, "solve", stall)
+        with pytest.raises(SimplexStallError) as err:
+            run()
+        assert str(err.value) == f"{where}: refinement face lost feasibility"
+
 
 class TestGreedyMatchesTwoSolveLoop:
     def assert_same(self, prog, r):
@@ -730,7 +781,10 @@ class TestReoptimize:
     def test_matches_unrefined_resolve(self, d, m, sparse_m, density):
         # every support candidate of each stage vertex: the objective
         # reached by pivoting past the candidate's rows is the unrefined
-        # re-solve's, and an unbounded edge means an unbounded re-solve
+        # re-solve's, and an unbounded edge means an unbounded re-solve.
+        # Starting from the vertex's inverse changes no bit, and a run
+        # stopped at stop = stage cost - margin ends below stop exactly
+        # when the full run does.
         rng = np.random.default_rng(101 + d)
         programs = [random_resource(rng, d, 2, m) for _ in range(5)]
         programs += [sparse_resource(rng, d, 2, sparse_m, density)
@@ -745,10 +799,16 @@ class TestReoptimize:
             vertex = engine._stage_vertex(lp, sol, tol)
             assert vertex.basis is not None
             dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+            stop = sol.objective - (2.0 * np.abs(lp.cost).sum() * tol.x
+                                    + tol.feas)
             for lab in sorted({int(owners[i]) for i in sol.active_rows}):
                 dropped[:lp.n_rows] = owners == lab
-                obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                                 dropped, tol)
+                args = (vertex.G, vertex.h, lp.cost, vertex.basis, dropped, tol)
+                obj = reoptimize(*args)
+                assert reoptimize(*args, inv=vertex.inv) == obj
+                stopped = reoptimize(*args, inv=vertex.inv, stop=stop)
+                assert (stopped < stop) == (obj < stop)
+                verdicts["stopped"] += stopped < stop
                 cold = solve(prog.assemble(prog.labels - {lab})[0],
                              tol=tol, refine=False)
                 if obj == -np.inf:
@@ -758,8 +818,12 @@ class TestReoptimize:
                     assert cold.is_optimal
                     assert abs(obj - cold.objective) <= (
                         1e-12 * max(1.0, abs(cold.objective)))
+                    # a stopped vertex is feasible without the label
+                    assert stopped >= cold.objective - (
+                        1e-12 * max(1.0, abs(cold.objective)))
                     verdicts["optimal"] += 1
         assert verdicts["unbounded"] >= 1 and verdicts["optimal"] >= 50
+        assert verdicts["stopped"] >= 50
 
     def test_undecided_when_a_dropped_row_leaves_a_cost_neutral_line(self):
         # x2 is free and costs nothing: once x1 <= 1 has left the basis,
@@ -779,6 +843,23 @@ class TestReoptimize:
         dropped[:lp.n_rows] = owners == 2
         assert reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
                           dropped, tol) is None
+
+    def test_stopped_vertex_past_a_flat_row_is_undecided(self):
+        # without scenario 1 (x >= 5, scaled by 1000) the edge runs down to
+        # x = 0.  Scenario 2's row (x >= 1, scaled by 5e-7) has slope 5e-10
+        # along it, below tol.pivot, so the ratio test lets the edge cross
+        # it; the full run returns that vertex's cost 0, the stopped run
+        # finds the row violated by 5e-7 > tol.feas and returns None
+        prog = ScenarioProgram(
+            cost=[1.0], lower=[0.0], upper=[10.0],
+            scenarios=(Scenario(label=1, coeffs=[[-1000.0]], rhs=[-5000.0]),
+                       Scenario(label=2, coeffs=[[-5e-7]], rhs=[-5e-7])),
+        )
+        assert reoptimized_without(prog, 1) == 0.0
+        assert reoptimized_without(prog, 1, stop=4.0) is None
+        # support detection falls back to the re-solve, whose optimum is 1
+        assert support_set(prog) == frozenset({1})
+        assert solve_stage(prog, {2}).objective == pytest.approx(1.0)
 
 
 class TestSolveCounts:
