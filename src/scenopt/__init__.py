@@ -9,12 +9,10 @@ Modules:
 """
 
 from scenopt.lp import (
-    DEFAULT_TOL,
     LinearProgram,
     LpInputError,
     LpSolution,
     LpStatus,
-    LpTolerances,
     check_feasible,
     solve,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "CandidateSolveError",
     "CascadeError",
     "CascadeTrace",
-    "DEFAULT_TOL",
     "DegeneracyDetected",
     "EpsilonInversion",
     "GreedyTrace",
@@ -68,7 +65,6 @@ __all__ = [
     "LpInputError",
     "LpSolution",
     "LpStatus",
-    "LpTolerances",
     "RemovalMode",
     "Scenario",
     "ScenarioProgram",

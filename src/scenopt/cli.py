@@ -37,7 +37,14 @@ from scenopt.engine import (
     verify_compression,
 )
 from scenopt.experiments import AllTrialsExcluded, RandomSource
-from scenopt.lp import DEFAULT_TOL, LpInputError, LpTolerances, SimplexStallError
+from scenopt.lp import (
+    ACTIVE_TOL,
+    FEAS_TOL,
+    PIVOT_TOL,
+    X_TOL,
+    LpInputError,
+    SimplexStallError,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,20 +52,6 @@ EXIT_ASSUMPTION = 3
 EXIT_SOLVER = 4
 
 OUTDIR_ENV = "SCENOPT_OUT_DIR"
-
-
-def _tolerances(args) -> LpTolerances:
-    return LpTolerances(
-        feas=args.tol_feas,
-        active=args.tol_active,
-        x=args.tol_x,
-    )
-
-
-def _add_tolerance_flags(parser):
-    parser.add_argument("--tol-feas", type=float, default=DEFAULT_TOL.feas)
-    parser.add_argument("--tol-active", type=float, default=DEFAULT_TOL.active)
-    parser.add_argument("--tol-x", type=float, default=DEFAULT_TOL.x)
 
 
 def _add_program_source_flags(parser):
@@ -164,10 +157,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    tol = _tolerances(args)
     program = _load_program(args)
     mode = RemovalMode(args.mode)
-    trace = run_cascade(program, args.ell, mode=mode, tol=tol)
+    trace = run_cascade(program, args.ell, mode=mode)
     out = _out_dir(args)
     trace_path = out / "cascade_trace.json"
     trace_path.write_text(json.dumps(trace.to_dict(), indent=2) + "\n")
@@ -193,16 +185,15 @@ def _cmd_cascade(args) -> int:
     }
     if args.verify_compression:
         summary["compression_verified"] = verify_compression(
-            program, args.ell, trace, tol=tol
+            program, args.ell, trace
         )
     _emit(summary)
     return EXIT_OK
 
 
 def _cmd_greedy(args) -> int:
-    tol = _tolerances(args)
     program = _load_program(args)
-    trace = greedy_removal(program, args.r, tol=tol)
+    trace = greedy_removal(program, args.r)
     out = _out_dir(args)
     trace_path = out / "greedy_trace.json"
     trace_path.write_text(json.dumps(trace.to_dict(), indent=2) + "\n")
@@ -255,7 +246,6 @@ def _require(args, *names: str) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    tol = _tolerances(args)
     out = _out_dir(args)
     source = RandomSource(seed=args.seed)
     name = args.name
@@ -270,7 +260,7 @@ def _cmd_experiment(args) -> int:
             "epsilon": args.eps, "trials": args.trials, "seed": args.seed,
         }
         result = experiments.run_analytic_tightness(
-            args.m, args.ell, args.eps, args.trials, source, tol=tol
+            args.m, args.ell, args.eps, args.trials, source
         )
         trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
         est = result.estimate
@@ -311,7 +301,7 @@ def _cmd_experiment(args) -> int:
         )
         result = experiments.run_outer_mc(
             family, args.ell, args.eps, args.trials, source,
-            mode=mode, n_inner=args.n_inner, tol=tol,
+            mode=mode, n_inner=args.n_inner,
         )
         trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
         est = result.estimate
@@ -339,7 +329,7 @@ def _cmd_experiment(args) -> int:
             "beta": args.beta, "eps_grid": grid, "seed": args.seed,
         }
         sweep = experiments.run_resource_compare(
-            args.d, args.n, args.m, args.beta, grid, source, tol=tol
+            args.d, args.n, args.m, args.beta, grid, source
         )
         trials_csv = experiments.rows_to_csv(
             ["epsilon", "r_cascade", "r_greedy", "cascade_objective",
@@ -365,7 +355,8 @@ def _cmd_experiment(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise LpInputError(f"unknown experiment {name!r}")
 
-    config["tolerances"] = vars(tol)
+    config["tolerances"] = {"feas": FEAS_TOL, "active": ACTIVE_TOL,
+                            "x": X_TOL, "pivot": PIVOT_TOL}
     (out / f"{stem}_trials.csv").write_text(trials_csv)
     (out / f"{stem}_summary.csv").write_text(summary_csv)
     (out / f"{stem}_metadata.json").write_text(experiments.metadata_blob(config))
@@ -415,14 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[m.value for m in RemovalMode])
     p_cascade.add_argument("--verify-compression", action="store_true")
     p_cascade.add_argument("--out")
-    _add_tolerance_flags(p_cascade)
     p_cascade.set_defaults(func=_cmd_cascade)
 
     p_greedy = sub.add_parser("greedy", help="run greedy one-by-one removal")
     _add_program_source_flags(p_greedy)
     p_greedy.add_argument("--r", type=int, required=True)
     p_greedy.add_argument("--out")
-    _add_tolerance_flags(p_greedy)
     p_greedy.set_defaults(func=_cmd_greedy)
 
     p_exp = sub.add_parser("experiment", help="run a full experiment pipeline")
@@ -444,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-inner", type=int, default=10_000)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out")
-    _add_tolerance_flags(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -33,12 +33,13 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from scenopt.lp import (
-    DEFAULT_TOL,
+    ACTIVE_TOL,
+    FEAS_TOL,
+    X_TOL,
     LinearProgram,
     LpInputError,
     LpSolution,
     LpStatus,
-    LpTolerances,
     SimplexStallError,
     checked_inverse,
     reoptimize,
@@ -449,12 +450,11 @@ class GreedyTrace:
 def solve_stage(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> LpSolution:
     """Solve the program restricted to the given labels (all by default)."""
     labels = program.labels if active_labels is None else set(active_labels)
     lp, _ = program.assemble(labels)
-    return solve(lp, tol=tol)
+    return solve(lp)
 
 
 @contextmanager
@@ -466,10 +466,10 @@ def _naming_stalls(where):
         raise SimplexStallError(f"{where}: {exc}") from None
 
 
-def _solved_stage(program, labels, tol, where="stage program"):
+def _solved_stage(program, labels, where="stage program"):
     lp, owners = program.assemble(labels)
     with _naming_stalls(where):
-        sol = solve(lp, tol=tol)
+        sol = solve(lp)
     if not sol.is_optimal:
         raise StageSolveError(where, sol.status)
     return lp, owners, sol
@@ -489,7 +489,7 @@ class _Vertex(NamedTuple):
     inv: Optional[np.ndarray]
 
 
-def _stage_vertex(lp, sol, tol) -> _Vertex:
+def _stage_vertex(lp, sol) -> _Vertex:
     x, d, n_rows = sol.x, lp.d, lp.n_rows
     up, lo = np.isfinite(lp.upper), np.isfinite(lp.lower)
     eye = np.eye(d)
@@ -498,16 +498,16 @@ def _stage_vertex(lp, sol, tol) -> _Vertex:
     bound_slack = np.concatenate([(lp.upper - x)[up], (x - lp.lower)[lo]])
     rows = np.array(sorted(sol.active_rows), dtype=np.intp)
     active = np.concatenate(
-        [rows, n_rows + np.flatnonzero(np.abs(bound_slack) <= tol.active)])
-    inv = checked_inverse(G[active], tol) if active.size == d else None
+        [rows, n_rows + np.flatnonzero(np.abs(bound_slack) <= ACTIVE_TOL)])
+    inv = checked_inverse(G[active]) if active.size == d else None
     if inv is None:
         return _Vertex(G, h, None, None)
     return _Vertex(G, h, active, inv)
 
 
-def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
-                           counts, where=None):
-    """Labels whose removal moves the minimizer by more than tol.x.
+def _support_from_solution(program, labels, lp, sol, owners, vertex, counts,
+                           where=None):
+    """Labels whose removal moves the minimizer by more than X_TOL.
 
     Only scenarios owning at least one active row are tested: a scenario
     whose rows are all slack at the tie-broken minimizer cannot change it,
@@ -516,16 +516,16 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
     neighborhood of the optimum.
 
     A candidate is support when its reduced LP is unbounded or its optimum
-    lies below sol.objective by more than margin = 2*|c|_1*tol.x + tol.feas:
+    lies below sol.objective by more than margin = 2*|c|_1*X_TOL + FEAS_TOL:
     the refined minimizer x' of the reduced LP costs at most the unrefined
     optimum plus the drift its pinned cost row allows (covered by
-    |c|_1*tol.x + tol.feas), and |c.(x' - x)| <= |c|_1 * max|x' - x|, so
-    max|x' - x| > tol.x.
+    |c|_1*X_TOL + FEAS_TOL), and |c.(x' - x)| <= |c|_1 * max|x' - x|, so
+    max|x' - x| > X_TOL.
 
     At a simple stage vertex (vertex.basis is set) lp.reoptimize takes
     simplex steps from it past the candidate's rows.  Every vertex it visits
-    satisfies the program without the candidate (the one it stops at is
-    checked within tol.feas), so that vertex's cost bounds the reduced
+    satisfies the program without the candidate (the one it ends at is
+    checked within FEAS_TOL), so that vertex's cost bounds the reduced
     optimum from above.  It stops at the first vertex that costs less than
     sol.objective - margin, and the candidate is support with no LP solved;
     when it reaches the reduced optimum inside the margin, the refined
@@ -535,9 +535,9 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
     unbounded edge, which the ratio test alone does not prove) is re-solved
     unrefined.  Inside the margin (cost ties that only move the tie-break,
     duplicated maxima, near-ties) the refined re-solve decides by
-    max|x' - x| > tol.x.  Each candidate counts as one support solve.
+    max|x' - x| > X_TOL.  Each candidate counts as one support solve.
     """
-    margin = 2.0 * np.abs(program.cost).sum() * tol.x + tol.feas
+    margin = 2.0 * np.abs(program.cost).sum() * X_TOL + FEAS_TOL
     dropped = np.zeros(vertex.h.shape[0], dtype=bool)
     support = set()
     for lab in sorted({int(owners[i]) for i in sol.active_rows}):
@@ -549,11 +549,11 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
         if vertex.basis is not None:
             dropped[:lp.n_rows] = owners == lab
             obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                             dropped, tol, vertex.inv, sol.objective - margin)
+                             dropped, vertex.inv, sol.objective - margin)
         if obj is None or obj == -np.inf:
             lp_red, _ = program.assemble(labels - {lab})
             with _naming_stalls(without):
-                coarse = solve(lp_red, tol=tol, refine=False)
+                coarse = solve(lp_red, refine=False)
             if coarse.status is LpStatus.UNBOUNDED:
                 # the minimizer ceased to exist, which certainly changes it
                 support.add(lab)
@@ -567,46 +567,46 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, tol,
             if lp_red is None:
                 lp_red, _ = program.assemble(labels - {lab})
             with _naming_stalls(without):
-                sol_red = solve(lp_red, tol=tol)
-            if sol_red.is_optimal and np.max(np.abs(sol_red.x - sol.x)) <= tol.x:
+                sol_red = solve(lp_red)
+            if sol_red.is_optimal and np.max(np.abs(sol_red.x - sol.x)) <= X_TOL:
                 continue
         support.add(lab)
     return frozenset(support)
 
 
-def _reproduces(sol_sup: LpSolution, sol: LpSolution, tol: LpTolerances) -> bool:
+def _reproduces(sol_sup: LpSolution, sol: LpSolution) -> bool:
     """True iff the support-only solve lands on the stage minimizer."""
     return bool(sol_sup.is_optimal
-                and np.max(np.abs(sol_sup.x - sol.x)) <= tol.x)
+                and np.max(np.abs(sol_sup.x - sol.x)) <= X_TOL)
 
 
-def _stage_support(program, active_labels, tol):
+def _stage_support(program, active_labels):
     """Minimizer of the restricted program and its support scenarios."""
     labels = program.labels if active_labels is None else set(active_labels)
-    lp, owners, sol = _solved_stage(program, labels, tol)
+    lp, owners, sol = _solved_stage(program, labels)
     return sol, _support_from_solution(
-        program, labels, lp, sol, owners, _stage_vertex(lp, sol, tol), tol,
+        program, labels, lp, sol, owners, _stage_vertex(lp, sol),
         SolveCounts())
 
 
 def support_set(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> frozenset[int]:
     """Support scenarios of the restricted program's minimizer."""
-    return _stage_support(program, active_labels, tol)[1]
+    return _stage_support(program, active_labels)[1]
 
 
 def is_nondegenerate(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> bool:
     """True iff enforcing only the support set reproduces the minimizer."""
-    sol, support = _stage_support(program, active_labels, tol)
+    sol, support = _stage_support(program, active_labels)
     lp_sup, _ = program.assemble(support)
-    return _reproduces(solve(lp_sup, tol=tol), sol, tol)
+    with _naming_stalls("stage program: the support-only program"):
+        sol_sup = solve(lp_sup)
+    return _reproduces(sol_sup, sol)
 
 
 def padding_set(
@@ -634,7 +634,6 @@ def run_cascade(
     program: ScenarioProgram,
     ell: int,
     mode: RemovalMode = RemovalMode.REGULARIZED,
-    tol: LpTolerances = DEFAULT_TOL,
     record_degeneracy: bool = True,
     _allow_exact_cover: bool = False,
 ) -> CascadeTrace:
@@ -662,11 +661,11 @@ def run_cascade(
     stages: list[StageRecord] = []
     for k in range(ell + 1):
         where = f"stage {k}"
-        lp, owners, sol = _solved_stage(program, available, tol, where)
+        lp, owners, sol = _solved_stage(program, available, where)
         counts.stage_solves += 1
         support = _support_from_solution(
-            program, available, lp, sol, owners, _stage_vertex(lp, sol, tol),
-            tol, counts, where)
+            program, available, lp, sol, owners, _stage_vertex(lp, sol),
+            counts, where)
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
         if mode is RemovalMode.FULLY_SUPPORTED:
@@ -679,7 +678,9 @@ def run_cascade(
         degenerate: Optional[bool] = None
         if record_degeneracy:
             lp_sup, _ = program.assemble(support)
-            degenerate = not _reproduces(solve(lp_sup, tol=tol), sol, tol)
+            with _naming_stalls(f"{where}: the support-only program"):
+                sol_sup = solve(lp_sup)
+            degenerate = not _reproduces(sol_sup, sol)
             counts.degeneracy_solves += 1
         stages.append(
             StageRecord(
@@ -710,12 +711,11 @@ def verify_compression(
     program: ScenarioProgram,
     ell: int,
     trace: CascadeTrace,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> bool:
     """Re-run the cascade on the compression candidate alone and compare.
 
     Returns True iff every stage minimizer of the re-run matches the
-    original within tol.x and, in regularized mode, every padding set
+    original within X_TOL and, in regularized mode, every padding set
     matches exactly.
     """
     sub = program.restrict(trace.compression_candidate)
@@ -723,12 +723,11 @@ def verify_compression(
         sub,
         ell,
         mode=trace.mode,
-        tol=tol,
         record_degeneracy=False,
         _allow_exact_cover=True,
     )
     for orig, redo in zip(trace.stages, retrace.stages):
-        if np.max(np.abs(np.asarray(redo.minimizer) - np.asarray(orig.minimizer))) > tol.x:
+        if np.max(np.abs(np.asarray(redo.minimizer) - np.asarray(orig.minimizer))) > X_TOL:
             return False
         if trace.mode is RemovalMode.REGULARIZED and redo.padding != orig.padding:
             return False
@@ -743,7 +742,6 @@ def verify_compression(
 def greedy_removal(
     program: ScenarioProgram,
     r: int,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> GreedyTrace:
     """Remove r scenarios one at a time, each time the best cost improver.
 
@@ -754,7 +752,8 @@ def greedy_removal(
     At a simple stage vertex (exactly d constraints active, their matrix
     nonsingular) lp.reoptimize pivots from the vertex past the candidate's
     rows to the optimum of the program without it.  A candidate it leaves
-    undecided, or whose program it finds unbounded, is solved cold and
+    undecided (an optimum that fails its feasibility check included), or
+    whose program it finds unbounded, is solved cold and
     unrefined, which confirms an unbounded program before
     CandidateSolveError is raised; so is every candidate of a stage whose
     vertex is not simple.  Each candidate counts as one candidate solve.
@@ -768,15 +767,15 @@ def greedy_removal(
         )
     counts = SolveCounts()
     available = set(program.labels)
-    lp, owners, sol = _solved_stage(program, available, tol,
+    lp, owners, sol = _solved_stage(program, available,
                                     "greedy step 0: stage program")
     counts.stage_solves += 1
     steps: list[GreedyStep] = []
     for step in range(1, r + 1):
         where = f"greedy step {step}"
-        vertex = _stage_vertex(lp, sol, tol)
+        vertex = _stage_vertex(lp, sol)
         support = _support_from_solution(
-            program, available, lp, sol, owners, vertex, tol, counts, where
+            program, available, lp, sol, owners, vertex, counts, where
         )
         candidates = sorted(support) if support else sorted(available)
         dropped = np.zeros(vertex.h.shape[0], dtype=bool)
@@ -787,12 +786,12 @@ def greedy_removal(
             if vertex.basis is not None:
                 dropped[:lp.n_rows] = owners == lab
                 obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                                 dropped, tol, vertex.inv)
+                                 dropped, vertex.inv)
             if obj is None or obj == -np.inf:
                 # undecided at the vertex, or an unbounded edge to confirm
                 lp_c, _ = program.assemble(available - {lab})
                 with _naming_stalls(f"{where}: the program without label {lab}"):
-                    sol_c = solve(lp_c, tol=tol, refine=False)
+                    sol_c = solve(lp_c, refine=False)
                 if not sol_c.is_optimal:
                     raise CandidateSolveError(step, lab, sol_c.status)
                 obj = sol_c.objective
@@ -801,7 +800,7 @@ def greedy_removal(
                 best_obj = obj
                 best_label = lab
         available.remove(best_label)
-        lp, owners, sol = _solved_stage(program, available, tol,
+        lp, owners, sol = _solved_stage(program, available,
                                         f"{where}: stage program")
         counts.stage_solves += 1
         steps.append(

@@ -42,7 +42,7 @@ from scenopt.engine import (
     greedy_removal,
     run_cascade,
 )
-from scenopt.lp import DEFAULT_TOL, LpTolerances
+from scenopt.lp import FEAS_TOL
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -194,20 +194,19 @@ def estimate_violation(
     x: Sequence[float],
     n_samples: int,
     rng: np.random.Generator,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> ViolationEstimate:
     """Fraction of fresh scenarios whose block is violated by x.
 
     sampler(count, rng) must return (coeffs, rhs) with shapes
     (count, rows, d) and (count, rows); a scenario is violated when any of
-    its rows exceeds its rhs by more than tol.feas.
+    its rows exceeds its rhs by more than FEAS_TOL.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     coeffs, rhs = sampler(n_samples, rng)
     slack = (coeffs.reshape(-1, x.size) @ x).reshape(rhs.shape) - rhs
-    violated = np.any(slack > tol.feas, axis=1)
+    violated = np.any(slack > FEAS_TOL, axis=1)
     point = float(np.mean(violated))
     return ViolationEstimate(
         point=point,
@@ -229,7 +228,6 @@ def outer_probability_mc(
     source: RandomSource,
     mode: RemovalMode = RemovalMode.REGULARIZED,
     n_inner: int = 10_000,
-    tol: LpTolerances = DEFAULT_TOL,
     per_trial: Optional[list] = None,
 ) -> OuterProbabilityEstimate:
     """Estimate P^m{ violation of the cascade's final solution > epsilon }.
@@ -253,7 +251,7 @@ def outer_probability_mc(
         program = family.generate(rng)
         try:
             trace = run_cascade(
-                program, ell, mode=mode, tol=tol, record_degeneracy=False
+                program, ell, mode=mode, record_degeneracy=False
             )
         except AssumptionViolated:
             excluded += 1
@@ -267,7 +265,7 @@ def outer_probability_mc(
         if family.exact_violation is not None:
             viol = family.exact_violation(x)
         else:
-            est = estimate_violation(family.sample_blocks, x, n_inner, rng, tol)
+            est = estimate_violation(family.sample_blocks, x, n_inner, rng)
             viol = est.point
             if abs(viol - epsilon) <= est.half_width_95:
                 borderline += 1
@@ -313,7 +311,6 @@ def run_analytic_tightness(
     epsilon: float,
     trials: int,
     source: RandomSource,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> TightnessResult:
     """Outer probability of the 1-D cascade vs its closed form.
 
@@ -322,6 +319,7 @@ def run_analytic_tightness(
     tail with r = ell (d = 1).  The tight flag records a two-sided match
     within three half-widths, not merely an upper bound.
     """
+    analytic = bounds.analytic_violation_cdf(m, ell, epsilon)
     per_trial: list = []
     est = outer_probability_mc(
         AnalyticFamily(m=m),
@@ -330,10 +328,8 @@ def run_analytic_tightness(
         trials,
         source,
         mode=RemovalMode.FULLY_SUPPORTED,
-        tol=tol,
         per_trial=per_trial,
     )
-    analytic = bounds.analytic_violation_cdf(m, ell, epsilon)
     tight = abs(est.point - analytic) <= 3.0 * est.half_width_95
     return TightnessResult(
         estimate=est,
@@ -359,17 +355,15 @@ def run_outer_mc(
     source: RandomSource,
     mode: RemovalMode = RemovalMode.REGULARIZED,
     n_inner: int = 10_000,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> OuterMcResult:
     """Outer probability of a cascade vs the batched-removal bound."""
+    d = family.d
+    value = bounds.bound_cascade(family.m, d, ell * d, epsilon).value
     per_trial: list = []
     est = outer_probability_mc(
         family, ell, epsilon, trials, source,
-        mode=mode, n_inner=n_inner, tol=tol,
-        per_trial=per_trial,
+        mode=mode, n_inner=n_inner, per_trial=per_trial,
     )
-    d = family.d
-    value = bounds.bound_cascade(family.m, d, ell * d, epsilon).value
     valid = est.point <= value + 3.0 * est.combined_half_width
     return OuterMcResult(
         estimate=est, bound_value=value, valid=valid, rows=tuple(per_trial)
@@ -409,7 +403,6 @@ def run_resource_compare(
     beta: float,
     eps_grid: Sequence[float],
     source: RandomSource,
-    tol: LpTolerances = DEFAULT_TOL,
 ) -> SizingSweep:
     """Cost of bound-sized batched removal vs bound-sized greedy removal.
 
@@ -434,10 +427,10 @@ def run_resource_compare(
     max_rg = max((rg for _, _, rg in sizes), default=0)
 
     trace = run_cascade(program, max_ell, mode=RemovalMode.REGULARIZED,
-                        tol=tol, record_degeneracy=False)
+                        record_degeneracy=False)
     cascade_obj = {k * d: trace.stages[k].objective for k in range(max_ell + 1)}
     if max_rg > 0:
-        gtrace = greedy_removal(program, max_rg, tol=tol)
+        gtrace = greedy_removal(program, max_rg)
         greedy_obj = {0: trace.stages[0].objective}
         greedy_obj.update({s.step: s.objective for s in gtrace.steps})
         greedy_stage_solves = (

@@ -27,8 +27,12 @@ reoptimize answers a related question without a cold start: from a vertex
 of G x <= h and its basis of d tight rows, it takes primal simplex steps to
 the optimal cost once some rows are dropped.  It is the one answer to "what
 does the program cost without this scenario" at a stage vertex: run to the
-optimum for greedy removal's candidates, or stopped at the first feasible
-vertex below a given cost for support detection.
+optimum for greedy removal's candidates, or stopped at the first vertex
+below a given cost for support detection; either end vertex is returned only
+when it passes a feasibility check.
+
+The numerical tolerances FEAS_TOL, ACTIVE_TOL, X_TOL and PIVOT_TOL are
+absolute module constants, shared by the whole package.
 
 LP data is validated once, when a LinearProgram is built; select and the
 solver use its read-only arrays without checking them again.  Every solve
@@ -60,35 +64,13 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpTolerances:
-    """Numerical tolerances shared across the package.
-
-    feas: feasibility slack accepted on rows and bounds.
-    active: activity detection, |a.x - rhs| <= active marks a row active.
-    x: infinity-norm threshold under which two minimizers count as equal.
-    pivot: simplex zero threshold; reduced costs above -pivot count as
-        optimal, direction entries below it cannot block, and ratio-test
-        ties are broken within it.
-
-    Every field must be a finite positive number.
-    """
-
-    feas: float = 1e-7
-    active: float = 1e-6
-    x: float = 1e-6
-    pivot: float = 1e-9
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (isinstance(value, (int, float, np.number))
-                    and np.isfinite(value) and value > 0):
-                raise LpInputError(
-                    f"tolerance {name}={value!r} must be finite and positive"
-                )
-
-
-DEFAULT_TOL = LpTolerances()
+# Numerical tolerances.
+FEAS_TOL = 1e-7  # feasibility slack accepted on rows and bounds
+ACTIVE_TOL = 1e-6  # |a.x - rhs| <= ACTIVE_TOL marks a row active
+X_TOL = 1e-6  # two minimizers this close in the infinity norm are equal
+# simplex zero: reduced costs above -PIVOT_TOL count as optimal, direction
+# entries below it cannot block, and ratio-test ties are broken within it
+PIVOT_TOL = 1e-9
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -192,16 +174,16 @@ _STALL_LIMIT = 64
 _REFACTOR_EVERY = 32
 
 
-def _entering(reduced, basis, tol, use_bland):
+def _entering(reduced, basis, use_bland):
     """The entering column for these reduced costs, or None at optimality:
     the most negative one (Dantzig), or the lowest eligible index (Bland);
     ties go to the lowest index either way."""
     reduced[basis] = 0.0
-    enter = int((reduced < -tol).argmax() if use_bland else reduced.argmin())
-    return enter if reduced[enter] < -tol else None
+    enter = int((reduced < -PIVOT_TOL).argmax() if use_bland else reduced.argmin())
+    return enter if reduced[enter] < -PIVOT_TOL else None
 
 
-def _iterate(E, h, q, basis, tol):
+def _iterate(E, h, q, basis):
     """Pivot in place until optimal or unbounded; returns the simplex
     multipliers pi at optimality, or None when the program is unbounded.
 
@@ -230,17 +212,17 @@ def _iterate(E, h, q, basis, tol):
                 x_b = inv @ h
                 etas = 0
             pi = q[basis] @ inv
-            enter = _entering(q - pi @ E, basis, tol, use_bland)
+            enter = _entering(q - pi @ E, basis, use_bland)
             if enter is None:
                 pi = np.linalg.solve(E[:, basis].T, q[basis])
-                enter = _entering(q - pi @ E, basis, tol, use_bland)
+                enter = _entering(q - pi @ E, basis, use_bland)
                 if enter is None:
                     return pi
                 inv = np.linalg.inv(E[:, basis])
                 x_b = inv @ h
                 etas = 0
             direction = inv @ E[:, enter]
-            positive = direction > tol
+            positive = direction > PIVOT_TOL
             if not positive.any():
                 if etas:
                     # eta drift can fake an unbounded ray near optimality
@@ -250,7 +232,7 @@ def _iterate(E, h, q, basis, tol):
             ratios = np.full(n_rows, np.inf)
             ratios[positive] = x_b[positive] / direction[positive]
             theta = ratios.min()
-            ties = np.flatnonzero(ratios <= theta + tol * (1.0 + abs(theta)))
+            ties = np.flatnonzero(ratios <= theta + PIVOT_TOL * (1.0 + abs(theta)))
             # Among blocking rows, leave on the smallest variable index (Bland).
             leave = min(ties, key=basis.__getitem__)
             # eta step: the entering column takes row leave at value step
@@ -264,7 +246,7 @@ def _iterate(E, h, q, basis, tol):
             etas += 1
             if etas == _REFACTOR_EVERY:
                 inv = None
-            if theta <= tol:
+            if theta <= PIVOT_TOL:
                 stall += 1
                 if stall > _STALL_LIMIT + 2 * n_rows:
                     use_bland = True
@@ -275,7 +257,7 @@ def _iterate(E, h, q, basis, tol):
     raise SimplexStallError(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
-def _phase_one(E, h, basis, uncovered, tol) -> bool:
+def _phase_one(E, h, basis, uncovered) -> bool:
     """Cover the uncovered rows with artificials and minimize their sum;
     on success leave a basis of E's own columns in place and return True,
     or return False when the artificials cannot reach zero (infeasible)."""
@@ -287,13 +269,13 @@ def _phase_one(E, h, basis, uncovered, tol) -> bool:
     q1[n_cols:] = 1.0
     for slot, r in enumerate(uncovered):
         basis[r] = n_cols + slot
-    if _iterate(E1, h, q1, basis, tol.pivot) is None:
+    if _iterate(E1, h, q1, basis) is None:
         raise SimplexStallError("the artificial sum cannot be unbounded")
     x_b = np.linalg.solve(E1[:, basis], h)
     infeas = float(
         sum(x_b[i] for i, b in enumerate(basis) if b >= n_cols)
     )
-    if infeas > max(tol.feas, tol.feas * np.abs(h).max(initial=1.0)):
+    if infeas > max(FEAS_TOL, FEAS_TOL * np.abs(h).max(initial=1.0)):
         return False
 
     # Drive leftover artificials out of the basis.  Every dual row of
@@ -322,7 +304,7 @@ def _phase_one(E, h, basis, uncovered, tol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
+def _solve_core(objective, coeffs, rhs, lower, upper):
     """Minimize `objective` subject to coeffs @ x <= rhs, lower <= x <= upper
     (no tie-break), on validated float arrays.
 
@@ -379,10 +361,10 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
 
     phase = 1
     try:
-        dual_feasible = not uncovered or _phase_one(E, h, basis, uncovered, tol)
+        dual_feasible = not uncovered or _phase_one(E, h, basis, uncovered)
         if dual_feasible:
             phase = 2
-            duals = _iterate(E, h, q, basis, tol.pivot)
+            duals = _iterate(E, h, q, basis)
     except (SimplexStallError, np.linalg.LinAlgError) as exc:
         raise SimplexStallError(
             f"simplex phase {phase} (rows={dim}, columns={E.shape[1]}): {exc}"
@@ -390,7 +372,7 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
     if not dual_feasible:
         # Dual infeasible: the primal is unbounded or infeasible; an elastic
         # feasibility probe (min t with R x - t <= s, t >= 0) settles which.
-        if _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol):
+        if _is_feasible_set_nonempty(coeffs, rhs, lower, upper):
             return LpStatus.UNBOUNDED, None
         return LpStatus.INFEASIBLE, None
     if duals is None:
@@ -404,7 +386,7 @@ def _solve_core(objective, coeffs, rhs, lower, upper, tol: LpTolerances):
     return LpStatus.OPTIMAL, x
 
 
-def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:
+def _is_feasible_set_nonempty(coeffs, rhs, lower, upper) -> bool:
     d = lower.shape[0]
     status, x = _solve_core(
         np.concatenate([np.zeros(d), [1.0]]),
@@ -412,27 +394,26 @@ def _is_feasible_set_nonempty(coeffs, rhs, lower, upper, tol) -> bool:
         rhs,
         np.concatenate([lower, [0.0]]),
         np.concatenate([upper, [np.inf]]),
-        tol,
     )
     if status is not LpStatus.OPTIMAL:
         raise SimplexStallError("elastic feasibility probe failed to solve")
-    return x[d] <= tol.feas
+    return x[d] <= FEAS_TOL
 
 
-def checked_inverse(M, tol: LpTolerances) -> Optional[np.ndarray]:
+def checked_inverse(M) -> Optional[np.ndarray]:
     """M^-1, or None when M is singular or M^-1 M is off the identity by
-    more than tol.pivot anywhere."""
+    more than PIVOT_TOL anywhere."""
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         return None
-    if np.abs(inv @ M - np.eye(M.shape[0])).max() > tol.pivot:
+    if np.abs(inv @ M - np.eye(M.shape[0])).max() > PIVOT_TOL:
         return None
     return inv
 
 
-def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL,
-               inv=None, stop=-np.inf) -> Optional[float]:
+def reoptimize(G, h, cost, basis, dropped, inv=None, stop=-np.inf
+               ) -> Optional[float]:
     """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
     by primal simplex steps from a vertex of G x <= h (h finite).
 
@@ -442,28 +423,29 @@ def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL,
     x = M^-1 h_basis and the multipliers mu = -M^-T cost, the vertex's
     optimality certificate when mu >= 0.  A dropped basis row leaves first,
     along the edge M^-1 e_k signed so that the cost does not rise; otherwise
-    the most negative mu_k below -tol.pivot leaves along -M^-1 e_k.  The
+    the most negative mu_k below -PIVOT_TOL leaves along -M^-1 e_k.  The
     ratio test over the rows not dropped picks the entering row, the lowest
     index among ties.  Viewed on the dual program this is Lemke's (1954) dual
     simplex, warm-started from the vertex's basis.
 
-    The vertex a ratio test reaches at step theta costs cost.x - theta*|mu_k|.
-    Once that is below stop, the vertex is checked against the rows not
-    dropped within tol.feas (the ratio test lets a row of slope at most
-    tol.pivot be crossed); its cost is returned if it passes, else None.
+    The run ends at the first vertex whose mu >= -PIVOT_TOL with no dropped
+    row in its basis, or at the first vertex a ratio test reaches below
+    stop: at step theta that vertex costs cost.x - theta*|mu_k|.  The end
+    vertex is checked against the rows not dropped within FEAS_TOL, since
+    the ratio test lets a row of slope at most PIVOT_TOL be crossed; its
+    cost is returned if it passes, else None.
 
-    Otherwise returns cost.x at the first vertex whose mu >= -tol.pivot with
-    no dropped row in its basis; -inf when an edge lowers the cost by more
-    than tol.pivot per unit and no row blocks it (the program is unbounded);
+    Otherwise returns -inf when an edge lowers the cost by more than
+    PIVOT_TOL per unit and no row blocks it (the program is unbounded), or
     None when the step is undecided: M is singular or off its inverse by
-    more than tol.pivot, a cost-neutral edge of a dropped row is unblocked,
+    more than PIVOT_TOL, a cost-neutral edge of a dropped row is unblocked,
     or more than _STALL_LIMIT steps in a row are degenerate.
     """
     basis = np.array(basis, dtype=np.intp)
     stall = 0
     for steps in range(_MAX_PIVOTS):
         if steps or inv is None:
-            inv = checked_inverse(G[basis], tol)
+            inv = checked_inverse(G[basis])
             if inv is None:
                 return None
         x = inv @ h[basis]
@@ -474,34 +456,34 @@ def reoptimize(G, h, cost, basis, dropped, tol: LpTolerances = DEFAULT_TOL,
             sign = 1.0 if mu[k] >= 0.0 else -1.0
         else:
             k = int(mu.argmin())
-            if mu[k] >= -tol.pivot:
-                return float(cost @ x)
+            if mu[k] >= -PIVOT_TOL:
+                value = cost @ x
+                break
             sign = -1.0
         direction = sign * inv[:, k]
         slope = G @ direction
         slope[basis] = 0.0
         slope[dropped] = 0.0
-        blocking = np.flatnonzero(slope > tol.pivot)
+        blocking = np.flatnonzero(slope > PIVOT_TOL)
         if not blocking.size:
-            return -np.inf if abs(mu[k]) > tol.pivot else None
+            return -np.inf if abs(mu[k]) > PIVOT_TOL else None
         ratios = np.maximum(h[blocking] - G[blocking] @ x, 0.0) / slope[blocking]
         theta = ratios.min()
-        reached = cost @ x - theta * abs(mu[k])
-        if reached < stop:
-            excess = G @ (x + theta * direction) - h
-            return None if (excess[~dropped] > tol.feas).any() else float(reached)
-        basis[k] = blocking[ratios <= theta + tol.pivot * (1.0 + theta)][0]
-        stall = stall + 1 if theta <= tol.pivot else 0
+        value = cost @ x - theta * abs(mu[k])
+        if value < stop:
+            x = x + theta * direction
+            break
+        basis[k] = blocking[ratios <= theta + PIVOT_TOL * (1.0 + theta)][0]
+        stall = stall + 1 if theta <= PIVOT_TOL else 0
         if stall > _STALL_LIMIT:
             return None
-    return None
+    else:
+        return None
+    excess = G @ x - h
+    return None if (excess[~dropped] > FEAS_TOL).any() else float(value)
 
 
-def solve(
-    lp: LinearProgram,
-    tol: LpTolerances = DEFAULT_TOL,
-    refine: bool = True,
-) -> LpSolution:
+def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
     """Solve lp; when refine is set, return the lexicographic-min optimum.
 
     Refinement pins the achieved cost with an extra row, then minimizes each
@@ -511,7 +493,7 @@ def solve(
     may be returned (useful when only the objective value matters).
     """
     cost, coeffs, rhs = lp.cost, lp.row_coeffs, lp.row_rhs
-    status, x = _solve_core(cost, coeffs, rhs, lp.lower, lp.upper, tol)
+    status, x = _solve_core(cost, coeffs, rhs, lp.lower, lp.upper)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, x=None, objective=np.nan)
     if refine:
@@ -522,7 +504,7 @@ def solve(
             axis[j] = 1.0
             status_j, x_j = _solve_core(
                 axis, np.vstack([coeffs, pin_coeffs]),
-                np.concatenate([rhs, pin_rhs]), lp.lower, lp.upper, tol,
+                np.concatenate([rhs, pin_rhs]), lp.lower, lp.upper,
             )
             if status_j is LpStatus.UNBOUNDED:
                 # The optimal face extends to -inf in coordinate j; no
@@ -535,7 +517,7 @@ def solve(
             pin_rhs.append(float(x[j]))
     x.setflags(write=False)
     residual = coeffs @ x - rhs
-    active = frozenset(np.flatnonzero(np.abs(residual) <= tol.active).tolist())
+    active = frozenset(np.flatnonzero(np.abs(residual) <= ACTIVE_TOL).tolist())
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
@@ -544,15 +526,13 @@ def solve(
     )
 
 
-def check_feasible(
-    lp: LinearProgram, x: Sequence[float], tol: LpTolerances = DEFAULT_TOL
-) -> bool:
-    """True iff x satisfies every row and bound within tol.feas."""
+def check_feasible(lp: LinearProgram, x: Sequence[float]) -> bool:
+    """True iff x satisfies every row and bound within FEAS_TOL."""
     x = _as_float_vector(x, "x")
     if x.shape[0] != lp.d:
         raise LpInputError(f"x has length {x.shape[0]}, expected {lp.d}")
-    if np.any(x < lp.lower - tol.feas) or np.any(x > lp.upper + tol.feas):
+    if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         return False
-    if lp.n_rows and np.any(lp.row_coeffs @ x > lp.row_rhs + tol.feas):
+    if lp.n_rows and np.any(lp.row_coeffs @ x > lp.row_rhs + FEAS_TOL):
         return False
     return True

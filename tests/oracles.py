@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from scenopt.bounds import bound_cascade, bound_classical, bound_compression
-from scenopt.lp import DEFAULT_TOL, LinearProgram, solve
+from scenopt.lp import X_TOL, LinearProgram, solve
 
 
 def binom_tail_exact(m: int, k_max: int, eps: float) -> Fraction:
@@ -262,7 +262,7 @@ def assemble_blocks(scenarios, labels, d: int):
     return coeffs, rhs, owners
 
 
-def greedy_two_solve(program, r: int, tol=DEFAULT_TOL):
+def greedy_two_solve(program, r: int):
     """Greedy removal with a refined re-solve per support test and a second,
     unrefined re-solve per candidate, as greedy removal was first written.
 
@@ -274,7 +274,7 @@ def greedy_two_solve(program, r: int, tol=DEFAULT_TOL):
     def stage():
         lp, owners = program.assemble(available)
         counts["stage"] += 1
-        return owners, solve(lp, tol=tol)
+        return owners, solve(lp)
 
     owners, sol = stage()
     removed, objectives = [], []
@@ -282,14 +282,14 @@ def greedy_two_solve(program, r: int, tol=DEFAULT_TOL):
         support = []
         for lab in sorted({int(owners[i]) for i in sol.active_rows}):
             lp_red, _ = program.assemble(available - {lab})
-            red = solve(lp_red, tol=tol)
+            red = solve(lp_red)
             counts["support"] += 1
-            if not red.is_optimal or np.max(np.abs(red.x - sol.x)) > tol.x:
+            if not red.is_optimal or np.max(np.abs(red.x - sol.x)) > X_TOL:
                 support.append(lab)
         best_label, best_obj = None, np.inf
         for lab in support or sorted(available):
             lp_c, _ = program.assemble(available - {lab})
-            obj = solve(lp_c, tol=tol, refine=False).objective
+            obj = solve(lp_c, refine=False).objective
             counts["candidate"] += 1
             if obj < best_obj:
                 best_label, best_obj = lab, obj

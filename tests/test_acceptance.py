@@ -131,7 +131,7 @@ def test_criterion_3_tightness_of_analytic_outer_probability():
     assert analytic == bounds.bound_cascade(m, 1, ell, eps).value
     gap = abs(est.point - analytic)
     # trials aborted by a numerically collapsed support set (two uniform
-    # draws within tol.x of each other) are excluded and counted; more than
+    # draws within X_TOL of each other) are excluded and counted; more than
     # 1% of them would indicate a numerics problem rather than bad luck
     exclusion_rate = est.excluded_count / trials
     ok = gap <= 3.0 * est.half_width_95 and exclusion_rate <= 0.01

@@ -21,7 +21,13 @@ from scenopt.cli import (
     main,
 )
 from scenopt.engine import Scenario, ScenarioProgram
-from scenopt.lp import SimplexStallError
+from scenopt.lp import (
+    ACTIVE_TOL,
+    FEAS_TOL,
+    PIVOT_TOL,
+    X_TOL,
+    SimplexStallError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +249,29 @@ class TestCascadeCommand:
         # the stall names the LP it came from
         assert err == "error: stage 0: no convergence within 200000 pivots\n"
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_support_only_stall_names_the_stage(self, capsys, tmp_path,
+                                                monkeypatch, k):
+        # at d = 1 the support-only program is the one LP with a single row
+        real_solve = engine.solve
+        support_only = []
+
+        def stall(lp, refine=True):
+            if lp.n_rows == 1:
+                support_only.append(lp)
+                if len(support_only) == k + 1:
+                    raise SimplexStallError("no convergence within 200000 pivots")
+            return real_solve(lp, refine=refine)
+
+        monkeypatch.setattr(engine, "solve", stall)
+        code, _, err = run_cli(
+            capsys, "cascade", "--generator", "analytic", "--m", "10",
+            "--ell", "1", "--mode", "fully-supported", "--out", str(tmp_path),
+        )
+        assert code == EXIT_SOLVER
+        assert err == (f"error: stage {k}: the support-only program: "
+                       "no convergence within 200000 pivots\n")
+
     def test_singular_basis_exits_4(self, capsys, tmp_path, monkeypatch):
         # np.linalg.LinAlgError is a ValueError, which alone would exit 2
         def singular(*args, **kwargs):
@@ -257,14 +286,19 @@ class TestCascadeCommand:
         assert err == ("error: stage 0: simplex phase 2 (rows=1, columns=12): "
                        "singular basis after 0 pivots\n")
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
-    def test_bad_tolerance_exits_2(self, capsys, value):
-        code, _, err = run_cli(
-            capsys, "cascade", "--generator", "analytic", "--m", "10",
-            "--ell", "1", "--seed", "0", "--tol-x", value,
-        )
-        assert code == EXIT_INPUT
-        assert "tolerance x=" in err
+    @pytest.mark.parametrize("argv", [
+        ["cascade", "--generator", "analytic", "--m", "10", "--ell", "1"],
+        ["greedy", "--generator", "analytic", "--m", "10", "--r", "1"],
+        ["experiment", "analytic-tightness", "--m", "20", "--ell", "1",
+         "--eps", "0.3", "--trials", "4"],
+    ], ids=lambda a: a[0])
+    def test_tolerance_flags_are_not_options(self, capsys, tmp_path, argv):
+        # the tolerances are constants of scenopt.lp, not user settings
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol-feas", "1e-7", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --tol-feas" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_inconsistent_sizing_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -348,11 +382,11 @@ class TestGreedyCommand:
         real_solve = engine.solve
         refined = []
 
-        def stall_second_refined(lp, tol=engine.DEFAULT_TOL, refine=True):
+        def stall_second_refined(lp, refine=True):
             refined.extend([None] * refine)
             if len(refined) == 2 and refine:
                 raise SimplexStallError("refinement face lost feasibility")
-            return real_solve(lp, tol=tol, refine=refine)
+            return real_solve(lp, refine=refine)
 
         monkeypatch.setattr(engine, "solve", stall_second_refined)
         code, _, err = run_cli(
@@ -430,6 +464,48 @@ class TestExperimentCommand:
         assert code == EXIT_INPUT
         assert err.startswith("error: bad grid")
         assert "more than 10000 points" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "1.5", "-0.1"])
+    @pytest.mark.parametrize("argv", [
+        ["analytic-tightness", "--m", "50", "--ell", "5"],
+        ["outer-mc", "--m", "60", "--d", "2", "--n", "2", "--ell", "2"],
+    ], ids=["analytic-tightness", "outer-mc"])
+    def test_bad_eps_exits_2_before_any_trial(self, capsys, tmp_path,
+                                              monkeypatch, argv, eps):
+        def no_trials(self, rng):
+            raise AssertionError("a trial ran before --eps was checked")
+
+        for family in (experiments.AnalyticFamily, experiments.ResourceFamily):
+            monkeypatch.setattr(family, "generate", no_trials)
+        code, _, err = run_cli(
+            capsys, "experiment", *argv, "--eps", eps, "--trials", "3000",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error: epsilon must lie in [0, 1]")
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic-tightness", "--m", "20", "--ell", "1", "--eps", "0.3",
+         "--trials", "4"],
+        ["outer-mc", "--generator", "resource", "--m", "30", "--d", "2",
+         "--n", "2", "--ell", "1", "--eps", "0.2", "--trials", "2",
+         "--n-inner", "20"],
+        ["resource-compare", "--d", "2", "--n", "2", "--m", "40",
+         "--beta", "1e-3", "--eps-grid", "0.2:0.1:0.3"],
+    ], ids=lambda a: a[0])
+    def test_metadata_records_the_lp_tolerances(self, capsys, tmp_path, argv):
+        code, _, _ = run_cli(capsys, "experiment", *argv, "--seed", "0",
+                             "--out", str(tmp_path))
+        assert code == EXIT_OK
+        stem = argv[0].replace("-", "_")
+        meta = json.loads((tmp_path / f"{stem}_metadata.json").read_text())
+        assert meta["config"]["tolerances"] == {
+            "feas": FEAS_TOL, "active": ACTIVE_TOL, "x": X_TOL,
+            "pivot": PIVOT_TOL,
+        }
+        assert meta["config"]["tolerances"] == {
+            "feas": 1e-7, "active": 1e-6, "x": 1e-6, "pivot": 1e-9,
+        }
 
     def test_zero_inner_samples_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -23,11 +23,13 @@ from scenopt.engine import (
     support_set,
     verify_compression,
 )
+import scenopt.lp as lp_module
 from scenopt.lp import (
+    FEAS_TOL,
+    X_TOL,
     LinearProgram,
     LpInputError,
     LpStatus,
-    LpTolerances,
     SimplexStallError,
     reoptimize,
     solve,
@@ -149,9 +151,9 @@ def count_refined_solves(monkeypatch):
     flags = []
     real_solve = engine.solve
 
-    def spy(lp, tol=engine.DEFAULT_TOL, refine=True):
+    def spy(lp, refine=True):
         flags.append(refine)
-        return real_solve(lp, tol=tol, refine=refine)
+        return real_solve(lp, refine=refine)
 
     monkeypatch.setattr(engine, "solve", spy)
     return flags
@@ -170,13 +172,13 @@ def tie_break_program():
     )
 
 
-def reoptimized_without(prog, label, tol=engine.DEFAULT_TOL, stop=-np.inf):
+def reoptimized_without(prog, label, stop=-np.inf):
     """lp.reoptimize from the stage vertex of prog past label's rows."""
-    lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
-    vertex = engine._stage_vertex(lp, sol, tol)
+    lp, owners, sol = engine._solved_stage(prog, prog.labels)
+    vertex = engine._stage_vertex(lp, sol)
     dropped = np.zeros(vertex.h.shape[0], dtype=bool)
     dropped[:lp.n_rows] = owners == label
-    return reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis, dropped, tol,
+    return reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis, dropped,
                       vertex.inv, stop)
 
 
@@ -239,8 +241,7 @@ class TestSupportFromTheVertex:
         # the refined re-solve proves it support; scenario 2's edge drops
         # the cost to 0 and is decided at the vertex
         prog = tie_break_program()
-        tol = engine.DEFAULT_TOL
-        stop = 0.3 - (2.0 * tol.x + tol.feas)
+        stop = 0.3 - (2.0 * X_TOL + FEAS_TOL)
         assert reoptimized_without(prog, 1, stop=stop) == pytest.approx(0.3)
         assert reoptimized_without(prog, 2, stop=stop) < stop
         flags = count_refined_solves(monkeypatch)
@@ -249,7 +250,7 @@ class TestSupportFromTheVertex:
         assert flags == [True, True]
 
     def test_drop_inside_margin_falls_back(self, monkeypatch):
-        # one active row (the gap 1.5e-6 exceeds tol.active), but the drop
+        # one active row (the gap 1.5e-6 exceeds ACTIVE_TOL), but the drop
         # 1.5e-6 to the reduced optimum is inside the 2.1e-6 margin: the
         # refined re-solve decides, with no unrefined one before it
         prog = analytic_program([0.3, 0.8, 0.8 + 1.5e-6, 0.1])
@@ -263,9 +264,13 @@ class TestSupportFromTheVertex:
         # the edge crossing scenario 1's row (x1 >= 0.5) along x2 = 0 meets
         # scenario 2's row after a drop of 2e-6, inside the 3e-6 margin;
         # the row is so shallow that the edge point at twice the margin
-        # violates it by only 4e-7 < tol.feas, so the ratio test must stop
-        # the edge there, and the next edge reaches x1 = 0
-        tol = LpTolerances(active=1e-8, feas=1e-6)
+        # violates it by only 4e-7 < FEAS_TOL, so the ratio test must stop
+        # the edge there, and the next edge reaches x1 = 0.  That needs
+        # ACTIVE_TOL < FEAS_TOL, which the package's values do not give, so
+        # both are set in the modules this test runs through.
+        for module in (lp_module, engine):
+            monkeypatch.setattr(module, "ACTIVE_TOL", 1e-8)
+            monkeypatch.setattr(module, "FEAS_TOL", 1e-6)
         prog = ScenarioProgram(
             cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
             scenarios=(
@@ -274,23 +279,22 @@ class TestSupportFromTheVertex:
                          rhs=[-0.1 * (0.5 - 2e-6)]),
             ),
         )
-        first = reoptimized_without(prog, 1, tol, stop=0.5 - 1e-6)
+        first = reoptimized_without(prog, 1, stop=0.5 - 1e-6)
         assert first == pytest.approx(0.5 - 2e-6, abs=1e-12)
-        assert reoptimized_without(prog, 1, tol, stop=0.5 - 3e-6) == (
+        assert reoptimized_without(prog, 1, stop=0.5 - 3e-6) == (
             pytest.approx(0.0, abs=1e-12))
         flags = count_refined_solves(monkeypatch)
-        assert support_set(prog, tol=tol) == frozenset({1})
+        assert support_set(prog) == frozenset({1})
         # the stage solve alone
         assert flags == [True]
 
     def test_certified_labels_carry_no_objective(self):
         prog = analytic_program([0.3, 0.8, 0.1])
-        tol = engine.DEFAULT_TOL
-        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
+        lp, owners, sol = engine._solved_stage(prog, prog.labels)
         counts = engine.SolveCounts()
         support = engine._support_from_solution(
             prog, prog.labels, lp, sol, owners,
-            engine._stage_vertex(lp, sol, tol), tol, counts)
+            engine._stage_vertex(lp, sol), counts)
         assert type(support) is frozenset and support == {2}
         assert counts.support_solves == 1
 
@@ -685,9 +689,9 @@ class TestGreedy:
         prog = analytic_program([0.2, 0.9, 0.4, 0.9, 0.1])
         real_solve = engine.solve
 
-        def infeasible_unrefined(lp, tol=engine.DEFAULT_TOL, refine=True):
+        def infeasible_unrefined(lp, refine=True):
             if refine:
-                return real_solve(lp, tol=tol)
+                return real_solve(lp)
             return engine.LpSolution(status=engine.LpStatus.INFEASIBLE,
                                      x=None, objective=np.nan)
 
@@ -699,6 +703,8 @@ class TestGreedy:
 
     @pytest.mark.parametrize("where, run, refined, nth", [
         ("stage program", lambda: support_set(DISTINCT), True, 1),
+        ("stage program: the support-only program",
+         lambda: is_nondegenerate(DISTINCT), True, 2),
         ("stage 1", lambda: run_cascade(DISTINCT, 1), True, 3),
         ("greedy step 1: stage program",
          lambda: greedy_removal(DISTINCT, 1), True, 2),
@@ -716,11 +722,11 @@ class TestGreedy:
         real_solve = engine.solve
         seen = []
 
-        def stall(lp, tol=engine.DEFAULT_TOL, refine=True):
+        def stall(lp, refine=True):
             seen.append(refine)
             if refine is refined and seen.count(refine) == nth:
                 raise SimplexStallError("refinement face lost feasibility")
-            return real_solve(lp, tol=tol, refine=refine)
+            return real_solve(lp, refine=refine)
 
         monkeypatch.setattr(engine, "solve", stall)
         with pytest.raises(SimplexStallError) as err:
@@ -757,6 +763,27 @@ class TestGreedyMatchesTwoSolveLoop:
         rng = np.random.default_rng(97)
         self.assert_same(random_resource(rng, 10, 2, 300), 5)
 
+    def test_candidate_optimum_past_a_flat_row(self):
+        # without scenario 1 the edge down x1 crosses scenario 2's row,
+        # whose slope along it (5e-10) is below PIVOT_TOL; the vertex it
+        # reaches at x1 = 0 costs 3.0 but violates that row by 5e-7, so the
+        # cold solve prices the candidate at its true 3.1 and scenario 3's
+        # 3.05 wins
+        prog = ScenarioProgram(
+            cost=[0.1, 1.0], lower=[0.0, 0.0], upper=[10.0, 10.0],
+            scenarios=(
+                Scenario(label=1, coeffs=[[-1000.0, 0.0]], rhs=[-5000.0]),
+                Scenario(label=2, coeffs=[[-5e-7, 0.0]], rhs=[-5e-7]),
+                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-3.0]),
+                Scenario(label=4, coeffs=[[0.0, -1.0]], rhs=[-2.55]),
+            ),
+        )
+        assert reoptimized_without(prog, 1) is None
+        trace = greedy_removal(prog, 1)
+        assert [s.removed_label for s in trace.steps] == [3]
+        assert trace.steps[0].objective == pytest.approx(3.05)
+        self.assert_same(prog, 1)
+
 
 def sparse_resource(rng, d, n, m, density):
     """A resource program whose coefficients are zero outside a random
@@ -789,28 +816,27 @@ class TestReoptimize:
         programs = [random_resource(rng, d, 2, m) for _ in range(5)]
         programs += [sparse_resource(rng, d, 2, sparse_m, density)
                      for _ in range(40)]
-        tol = engine.DEFAULT_TOL
         verdicts = Counter()
         for prog in programs:
             lp, owners = prog.assemble(prog.labels)
-            sol = solve(lp, tol=tol)
+            sol = solve(lp)
             if not sol.is_optimal:  # a sparse stage may itself be unbounded
                 continue
-            vertex = engine._stage_vertex(lp, sol, tol)
+            vertex = engine._stage_vertex(lp, sol)
             assert vertex.basis is not None
             dropped = np.zeros(vertex.h.shape[0], dtype=bool)
-            stop = sol.objective - (2.0 * np.abs(lp.cost).sum() * tol.x
-                                    + tol.feas)
+            stop = sol.objective - (2.0 * np.abs(lp.cost).sum() * X_TOL
+                                    + FEAS_TOL)
             for lab in sorted({int(owners[i]) for i in sol.active_rows}):
                 dropped[:lp.n_rows] = owners == lab
-                args = (vertex.G, vertex.h, lp.cost, vertex.basis, dropped, tol)
+                args = (vertex.G, vertex.h, lp.cost, vertex.basis, dropped)
                 obj = reoptimize(*args)
                 assert reoptimize(*args, inv=vertex.inv) == obj
                 stopped = reoptimize(*args, inv=vertex.inv, stop=stop)
                 assert (stopped < stop) == (obj < stop)
                 verdicts["stopped"] += stopped < stop
                 cold = solve(prog.assemble(prog.labels - {lab})[0],
-                             tol=tol, refine=False)
+                             refine=False)
                 if obj == -np.inf:
                     assert cold.status is LpStatus.UNBOUNDED
                     verdicts["unbounded"] += 1
@@ -836,30 +862,41 @@ class TestReoptimize:
                          rhs=[1.0, 0.0]),
             ),
         )
-        tol = engine.DEFAULT_TOL
-        lp, owners, sol = engine._solved_stage(prog, prog.labels, tol)
-        vertex = engine._stage_vertex(lp, sol, tol)
+        lp, owners, sol = engine._solved_stage(prog, prog.labels)
+        vertex = engine._stage_vertex(lp, sol)
         dropped = np.zeros(vertex.h.shape[0], dtype=bool)
         dropped[:lp.n_rows] = owners == 2
         assert reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                          dropped, tol) is None
+                          dropped) is None
 
     def test_stopped_vertex_past_a_flat_row_is_undecided(self):
         # without scenario 1 (x >= 5, scaled by 1000) the edge runs down to
         # x = 0.  Scenario 2's row (x >= 1, scaled by 5e-7) has slope 5e-10
-        # along it, below tol.pivot, so the ratio test lets the edge cross
-        # it; the full run returns that vertex's cost 0, the stopped run
-        # finds the row violated by 5e-7 > tol.feas and returns None
+        # along it, below PIVOT_TOL, so the ratio test lets the edge cross
+        # it; both the full and the stopped run find the row violated at
+        # x = 0 by 5e-7 > FEAS_TOL and return None
         prog = ScenarioProgram(
             cost=[1.0], lower=[0.0], upper=[10.0],
             scenarios=(Scenario(label=1, coeffs=[[-1000.0]], rhs=[-5000.0]),
                        Scenario(label=2, coeffs=[[-5e-7]], rhs=[-5e-7])),
         )
-        assert reoptimized_without(prog, 1) == 0.0
+        assert reoptimized_without(prog, 1) is None
         assert reoptimized_without(prog, 1, stop=4.0) is None
         # support detection falls back to the re-solve, whose optimum is 1
         assert support_set(prog) == frozenset({1})
         assert solve_stage(prog, {2}).objective == pytest.approx(1.0)
+
+    def test_vertex_past_a_satisfied_flat_row_is_kept(self):
+        # the same edge crosses a row of slope 5e-10 whose rhs is 0, so the
+        # vertex at x = 0 satisfies it and the check keeps its cost
+        prog = ScenarioProgram(
+            cost=[1.0], lower=[0.0], upper=[10.0],
+            scenarios=(Scenario(label=1, coeffs=[[-1000.0]], rhs=[-5000.0]),
+                       Scenario(label=2, coeffs=[[-5e-7]], rhs=[0.0])),
+        )
+        assert reoptimized_without(prog, 1) == 0.0
+        assert reoptimized_without(prog, 1, stop=4.0) == 0.0
+        assert solve_stage(prog, {2}).objective == pytest.approx(0.0)
 
 
 class TestSolveCounts:
