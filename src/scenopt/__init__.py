@@ -33,7 +33,6 @@ from scenopt.engine import (
     is_nondegenerate,
     padding_set,
     run_cascade,
-    solve_stage,
     support_set,
     verify_compression,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "padding_set",
     "run_cascade",
     "solve",
-    "solve_stage",
     "support_set",
     "verify_compression",
     "__version__",

@@ -249,78 +249,57 @@ def _cmd_experiment(args) -> int:
     out = _out_dir(args)
     source = RandomSource(seed=args.seed)
     name = args.name
-    # per-trial columns of both Monte Carlo pipelines
-    mc_trial_header = ["seed", "trial", "final_objective", "violation",
-                       "exceed", "excluded"]
-
-    if name == "analytic-tightness":
+    if name in ("analytic-tightness", "outer-mc"):
+        # one outer-probability pipeline; analytic-tightness runs it on the
+        # analytic family, where the bound at d = 1 is the exact outer
+        # probability, and reports the two-sided verdict
         _require(args, "m", "ell", "eps")
+        tightness = name == "analytic-tightness"
+        analytic = tightness or args.generator == "analytic"
+        family = (
+            experiments.AnalyticFamily(m=args.m)
+            if analytic
+            else experiments.ResourceFamily(d=args.d, n=args.n, m=args.m)
+        )
+        mode = (
+            RemovalMode.FULLY_SUPPORTED if analytic else RemovalMode.REGULARIZED
+        )
         config = {
             "experiment": name, "m": args.m, "ell": args.ell,
             "epsilon": args.eps, "trials": args.trials, "seed": args.seed,
         }
-        result = experiments.run_analytic_tightness(
-            args.m, args.ell, args.eps, args.trials, source
-        )
-        trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
-        est = result.estimate
-        summary_rows = [[
-            est.point, est.half_width_95, result.analytic_value,
-            est.exceed_count, est.excluded_count, int(result.tight),
-        ]]
-        summary_csv = experiments.rows_to_csv(
-            ["estimate", "half_width_95", "analytic_value",
-             "exceed_count", "excluded_count", "tight"],
-            summary_rows,
-        )
-        stem = "analytic_tightness"
-        payload = {
-            "estimate": est.point,
-            "half_width_95": est.half_width_95,
-            "analytic_value": result.analytic_value,
-            "tight": result.tight,
-            "excluded": est.excluded_count,
-        }
-    elif name == "outer-mc":
-        _require(args, "m", "ell", "eps")
-        family = (
-            experiments.AnalyticFamily(m=args.m)
-            if args.generator == "analytic"
-            else experiments.ResourceFamily(d=args.d, n=args.n, m=args.m)
-        )
-        config = {
-            "experiment": name, "generator": args.generator, "m": args.m,
-            "d": family.d, "n": getattr(family, "n", None), "ell": args.ell,
-            "epsilon": args.eps, "trials": args.trials,
-            "n_inner": args.n_inner, "seed": args.seed,
-        }
-        mode = (
-            RemovalMode.FULLY_SUPPORTED
-            if args.generator == "analytic"
-            else RemovalMode.REGULARIZED
-        )
+        if not tightness:
+            config.update(generator=args.generator, d=family.d,
+                          n=getattr(family, "n", None), n_inner=args.n_inner)
         result = experiments.run_outer_mc(
             family, args.ell, args.eps, args.trials, source,
             mode=mode, n_inner=args.n_inner,
         )
-        trials_csv = experiments.rows_to_csv(mc_trial_header, result.rows)
-        est = result.estimate
-        summary_csv = experiments.rows_to_csv(
-            ["estimate", "half_width_95", "combined_half_width",
-             "bound_value", "exceed_count", "excluded_count", "valid"],
-            [[est.point, est.half_width_95, est.combined_half_width,
-              result.bound_value, est.exceed_count, est.excluded_count,
-              int(result.valid)]],
+        trials_csv = experiments.rows_to_csv(
+            ["seed", "trial", "final_objective", "violation", "exceed",
+             "excluded"],
+            result.rows,
         )
-        stem = "outer_mc"
-        payload = {
-            "estimate": est.point,
-            "half_width_95": est.half_width_95,
-            "combined_half_width": est.combined_half_width,
-            "bound_value": result.bound_value,
-            "valid": result.valid,
-            "excluded": est.excluded_count,
-        }
+        est = result.estimate
+        if tightness:
+            fields = {"estimate": est.point,
+                      "half_width_95": est.half_width_95,
+                      "analytic_value": result.bound_value}
+            verdict = "tight"
+        else:
+            fields = {"estimate": est.point,
+                      "half_width_95": est.half_width_95,
+                      "combined_half_width": est.combined_half_width,
+                      "bound_value": result.bound_value}
+            verdict = "valid"
+        summary_csv = experiments.rows_to_csv(
+            [*fields, "exceed_count", "excluded_count", verdict],
+            [[*fields.values(), est.exceed_count, est.excluded_count,
+              int(getattr(result, verdict))]],
+        )
+        stem = name.replace("-", "_")
+        payload = {**fields, verdict: getattr(result, verdict),
+                   "excluded": est.excluded_count}
     elif name == "resource-compare":
         _require(args, "m", "eps-grid")
         grid = _parse_grid(args.eps_grid)

@@ -14,9 +14,12 @@ stage's recorded batch, forms a candidate compression set of cardinality
 (ell+1)*d whose reconstruction property can be checked by re-running the
 cascade on the candidate alone.
 
-A greedy one-at-a-time removal baseline is provided for comparisons, along
-with instrumentation that counts stage-level solves separately from the
-support-detection and candidate re-solves.
+Each stage is solved once into one value that carries the only scan of
+the constraints active at its minimizer and answers "what does the program
+cost without this label" from that vertex, for support detection and for
+the greedy one-at-a-time removal baseline alike.  Instrumentation counts
+stage-level solves separately from the support-detection, candidate and
+degeneracy solves.
 
 Cascade execution is sequential by construction; independent cascades on
 distinct programs may run concurrently since all inputs are immutable.
@@ -113,13 +116,22 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+_MAX_LABEL = 2**63 - 1  # labels are stored as int64
+
+
 def _as_labels(values) -> np.ndarray:
-    """Scenario labels as an int array; they must be distinct positive integers."""
+    """Scenario labels as an int64 array; they must be distinct integers in
+    1 .. 2**63 - 1."""
     if not (isinstance(values, np.ndarray) and values.ndim == 1
-            and values.dtype.kind in "iu"):
+            and values.dtype.kind in "iu"
+            and np.can_cast(values.dtype, np.int64)):
         for v in values:
             if not _is_int(v):
                 raise LpInputError(f"scenario label {v!r} is not an integer")
+            if v < 1:
+                raise LpInputError(f"scenario label {v} is not positive")
+            if v > _MAX_LABEL:
+                raise LpInputError(f"scenario label {v} exceeds 2**63 - 1")
     labels = np.asarray(values, dtype=np.int64)
     if labels.size == 0:
         raise LpInputError("a scenario program needs at least one scenario")
@@ -243,7 +255,8 @@ class ScenarioProgram:
     def scenario(self, label: int) -> Scenario:
         if label not in self.labels:
             raise KeyError(label)
-        rows = slice(*np.searchsorted(self.owners, [label, label + 1]))
+        rows = slice(np.searchsorted(self.owners, label, side="left"),
+                     np.searchsorted(self.owners, label, side="right"))
         return Scenario(label=int(label), coeffs=self.coeffs[rows],
                         rhs=self.rhs[rows])
 
@@ -447,16 +460,6 @@ class GreedyTrace:
 # ---------------------------------------------------------------------------
 
 
-def solve_stage(
-    program: ScenarioProgram,
-    active_labels: Optional[Iterable[int]] = None,
-) -> LpSolution:
-    """Solve the program restricted to the given labels (all by default)."""
-    labels = program.labels if active_labels is None else set(active_labels)
-    lp, _ = program.assemble(labels)
-    return solve(lp)
-
-
 @contextmanager
 def _naming_stalls(where):
     """Re-raise a SimplexStallError with `where`, the name of its LP, in front."""
@@ -466,48 +469,57 @@ def _naming_stalls(where):
         raise SimplexStallError(f"{where}: {exc}") from None
 
 
-def _solved_stage(program, labels, where="stage program"):
+class _Stage(NamedTuple):
+    """A solved stage: the LP over `labels`, the owner of each of its rows
+    and its lex-min solution sol, with the LP's constraints as the rows of
+    G x <= h: the LP rows, then x <= upper and -x <= -lower over the finite
+    bounds.  active lists the constraints tight at sol.x within ACTIVE_TOL,
+    LP rows first.  When there are exactly d of them and their matrix M has
+    a checked inverse (lp.checked_inverse), the vertex is simple and inv =
+    M^-1, the start of lp.reoptimize; otherwise inv is None."""
+
+    labels: frozenset
+    lp: LinearProgram
+    owners: np.ndarray
+    sol: LpSolution
+    G: np.ndarray
+    h: np.ndarray
+    active: np.ndarray
+    inv: Optional[np.ndarray]
+
+    def cost_without(self, label, stop=-np.inf) -> Optional[float]:
+        """lp.reoptimize from a simple vertex past label's rows, stopped at
+        the first vertex below stop; None when the vertex is not simple."""
+        if self.inv is None:
+            return None
+        dropped = np.zeros(self.h.shape[0], dtype=bool)
+        dropped[:self.lp.n_rows] = self.owners == label
+        return reoptimize(self.G, self.h, self.lp.cost, self.active, dropped,
+                          self.inv, stop)
+
+
+def _solved_stage(program, labels, where="stage program") -> _Stage:
+    """The stage over labels, solved; a non-optimal LP raises StageSolveError."""
+    labels = frozenset(labels)
     lp, owners = program.assemble(labels)
     with _naming_stalls(where):
         sol = solve(lp)
     if not sol.is_optimal:
         raise StageSolveError(where, sol.status)
-    return lp, owners, sol
-
-
-class _Vertex(NamedTuple):
-    """A stage minimizer x with the stage LP's constraints as the rows of
-    G x <= h: the LP rows, then x <= upper and -x <= -lower over the finite
-    bounds.  When exactly d of them are active at x and their matrix M
-    has a checked inverse (lp.checked_inverse), the vertex is simple: basis
-    lists them, LP rows first, and inv = M^-1, the start of lp.reoptimize;
-    otherwise both are None."""
-
-    G: np.ndarray
-    h: np.ndarray
-    basis: Optional[np.ndarray]
-    inv: Optional[np.ndarray]
-
-
-def _stage_vertex(lp, sol) -> _Vertex:
-    x, d, n_rows = sol.x, lp.d, lp.n_rows
+    x = sol.x
     up, lo = np.isfinite(lp.upper), np.isfinite(lp.lower)
-    eye = np.eye(d)
+    eye = np.eye(lp.d)
     G = np.vstack([lp.row_coeffs, eye[up], -eye[lo]])
     h = np.concatenate([lp.row_rhs, lp.upper[up], -lp.lower[lo]])
-    bound_slack = np.concatenate([(lp.upper - x)[up], (x - lp.lower)[lo]])
-    rows = np.array(sorted(sol.active_rows), dtype=np.intp)
-    active = np.concatenate(
-        [rows, n_rows + np.flatnonzero(np.abs(bound_slack) <= ACTIVE_TOL)])
-    inv = checked_inverse(G[active]) if active.size == d else None
-    if inv is None:
-        return _Vertex(G, h, None, None)
-    return _Vertex(G, h, active, inv)
+    slack = np.concatenate([lp.row_coeffs @ x - lp.row_rhs,
+                            (lp.upper - x)[up], (x - lp.lower)[lo]])
+    active = np.flatnonzero(np.abs(slack) <= ACTIVE_TOL)
+    inv = checked_inverse(G[active]) if active.size == lp.d else None
+    return _Stage(labels, lp, owners, sol, G, h, active, inv)
 
 
-def _support_from_solution(program, labels, lp, sol, owners, vertex, counts,
-                           where=None):
-    """Labels whose removal moves the minimizer by more than X_TOL.
+def _support_from_solution(program, stage, counts, where=None):
+    """Labels whose removal moves the stage minimizer by more than X_TOL.
 
     Only scenarios owning at least one active row are tested: a scenario
     whose rows are all slack at the tie-broken minimizer cannot change it,
@@ -522,14 +534,13 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, counts,
     |c|_1*X_TOL + FEAS_TOL), and |c.(x' - x)| <= |c|_1 * max|x' - x|, so
     max|x' - x| > X_TOL.
 
-    At a simple stage vertex (vertex.basis is set) lp.reoptimize takes
-    simplex steps from it past the candidate's rows.  Every vertex it visits
-    satisfies the program without the candidate (the one it ends at is
-    checked within FEAS_TOL), so that vertex's cost bounds the reduced
-    optimum from above.  It stops at the first vertex that costs less than
-    sol.objective - margin, and the candidate is support with no LP solved;
-    when it reaches the reduced optimum inside the margin, the refined
-    re-solve below decides at once.
+    At a simple stage vertex stage.cost_without takes simplex steps from it
+    past the candidate's rows.  Every vertex it visits satisfies the program
+    without the candidate (the one it ends at is checked within FEAS_TOL),
+    so that vertex's cost bounds the reduced optimum from above.  It stops
+    at the first vertex that costs less than sol.objective - margin, and the
+    candidate is support with no LP solved; when it reaches the reduced
+    optimum inside the margin, the refined re-solve below decides at once.
 
     Every other candidate (no simple vertex, a step left undecided, or an
     unbounded edge, which the ratio test alone does not prove) is re-solved
@@ -537,21 +548,19 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, counts,
     duplicated maxima, near-ties) the refined re-solve decides by
     max|x' - x| > X_TOL.  Each candidate counts as one support solve.
     """
+    sol = stage.sol
     margin = 2.0 * np.abs(program.cost).sum() * X_TOL + FEAS_TOL
-    dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+    rows = stage.active[stage.active < stage.lp.n_rows]
     support = set()
-    for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+    for lab in sorted(set(stage.owners[rows].tolist())):
         counts.support_solves += 1
         without = f"the program without label {lab}"
         if where:
             without = f"{where}: {without}"
-        obj = lp_red = None
-        if vertex.basis is not None:
-            dropped[:lp.n_rows] = owners == lab
-            obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                             dropped, vertex.inv, sol.objective - margin)
+        lp_red = None
+        obj = stage.cost_without(lab, sol.objective - margin)
         if obj is None or obj == -np.inf:
-            lp_red, _ = program.assemble(labels - {lab})
+            lp_red, _ = program.assemble(stage.labels - {lab})
             with _naming_stalls(without):
                 coarse = solve(lp_red, refine=False)
             if coarse.status is LpStatus.UNBOUNDED:
@@ -565,7 +574,7 @@ def _support_from_solution(program, labels, lp, sol, owners, vertex, counts,
             # refining an optimal LP either succeeds or finds no lexicographic
             # minimum (unbounded), which changes the minimizer too
             if lp_red is None:
-                lp_red, _ = program.assemble(labels - {lab})
+                lp_red, _ = program.assemble(stage.labels - {lab})
             with _naming_stalls(without):
                 sol_red = solve(lp_red)
             if sol_red.is_optimal and np.max(np.abs(sol_red.x - sol.x)) <= X_TOL:
@@ -580,21 +589,14 @@ def _reproduces(sol_sup: LpSolution, sol: LpSolution) -> bool:
                 and np.max(np.abs(sol_sup.x - sol.x)) <= X_TOL)
 
 
-def _stage_support(program, active_labels):
-    """Minimizer of the restricted program and its support scenarios."""
-    labels = program.labels if active_labels is None else set(active_labels)
-    lp, owners, sol = _solved_stage(program, labels)
-    return sol, _support_from_solution(
-        program, labels, lp, sol, owners, _stage_vertex(lp, sol),
-        SolveCounts())
-
-
 def support_set(
     program: ScenarioProgram,
     active_labels: Optional[Iterable[int]] = None,
 ) -> frozenset[int]:
     """Support scenarios of the restricted program's minimizer."""
-    return _stage_support(program, active_labels)[1]
+    stage = _solved_stage(
+        program, program.labels if active_labels is None else active_labels)
+    return _support_from_solution(program, stage, SolveCounts())
 
 
 def is_nondegenerate(
@@ -602,11 +604,13 @@ def is_nondegenerate(
     active_labels: Optional[Iterable[int]] = None,
 ) -> bool:
     """True iff enforcing only the support set reproduces the minimizer."""
-    sol, support = _stage_support(program, active_labels)
+    stage = _solved_stage(
+        program, program.labels if active_labels is None else active_labels)
+    support = _support_from_solution(program, stage, SolveCounts())
     lp_sup, _ = program.assemble(support)
     with _naming_stalls("stage program: the support-only program"):
         sol_sup = solve(lp_sup)
-    return _reproduces(sol_sup, sol)
+    return _reproduces(sol_sup, stage.sol)
 
 
 def padding_set(
@@ -661,11 +665,9 @@ def run_cascade(
     stages: list[StageRecord] = []
     for k in range(ell + 1):
         where = f"stage {k}"
-        lp, owners, sol = _solved_stage(program, available, where)
+        stage = _solved_stage(program, available, where)
         counts.stage_solves += 1
-        support = _support_from_solution(
-            program, available, lp, sol, owners, _stage_vertex(lp, sol),
-            counts, where)
+        support = _support_from_solution(program, stage, counts, where)
         if len(support) > d:
             raise DegeneracyDetected(k, len(support), d)
         if mode is RemovalMode.FULLY_SUPPORTED:
@@ -680,13 +682,13 @@ def run_cascade(
             lp_sup, _ = program.assemble(support)
             with _naming_stalls(f"{where}: the support-only program"):
                 sol_sup = solve(lp_sup)
-            degenerate = not _reproduces(sol_sup, sol)
+            degenerate = not _reproduces(sol_sup, stage.sol)
             counts.degeneracy_solves += 1
         stages.append(
             StageRecord(
                 k=k,
-                minimizer=sol.x,
-                objective=sol.objective,
+                minimizer=stage.sol.x,
+                objective=stage.sol.objective,
                 support=support,
                 padding=padding,
                 removed=frozenset(batch),
@@ -750,13 +752,13 @@ def greedy_removal(
     objective break toward the smallest label.  When a stage has an empty
     support set every available label is a candidate under the same rule.
     At a simple stage vertex (exactly d constraints active, their matrix
-    nonsingular) lp.reoptimize pivots from the vertex past the candidate's
-    rows to the optimum of the program without it.  A candidate it leaves
-    undecided (an optimum that fails its feasibility check included), or
-    whose program it finds unbounded, is solved cold and
-    unrefined, which confirms an unbounded program before
-    CandidateSolveError is raised; so is every candidate of a stage whose
-    vertex is not simple.  Each candidate counts as one candidate solve.
+    nonsingular) _Stage.cost_without pivots from the vertex past the
+    candidate's rows to the optimum of the program without it.  A candidate
+    it leaves undecided (an optimum that fails its feasibility check
+    included, or a vertex that is not simple), or whose program it finds
+    unbounded, is solved cold and unrefined, which confirms an unbounded
+    program before CandidateSolveError is raised.  Each candidate counts as
+    one candidate solve.
     """
     d, m = program.d, program.m
     if r < 0:
@@ -766,30 +768,21 @@ def greedy_removal(
             f"greedy removal of r={r} needs r < m - d = {m - d}"
         )
     counts = SolveCounts()
-    available = set(program.labels)
-    lp, owners, sol = _solved_stage(program, available,
-                                    "greedy step 0: stage program")
+    stage = _solved_stage(program, program.labels,
+                          "greedy step 0: stage program")
     counts.stage_solves += 1
     steps: list[GreedyStep] = []
     for step in range(1, r + 1):
         where = f"greedy step {step}"
-        vertex = _stage_vertex(lp, sol)
-        support = _support_from_solution(
-            program, available, lp, sol, owners, vertex, counts, where
-        )
-        candidates = sorted(support) if support else sorted(available)
-        dropped = np.zeros(vertex.h.shape[0], dtype=bool)
+        support = _support_from_solution(program, stage, counts, where)
+        candidates = sorted(support or stage.labels)
         best_label = None
         best_obj = np.inf
         for lab in candidates:
-            obj = None
-            if vertex.basis is not None:
-                dropped[:lp.n_rows] = owners == lab
-                obj = reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                                 dropped, vertex.inv)
+            obj = stage.cost_without(lab)
             if obj is None or obj == -np.inf:
                 # undecided at the vertex, or an unbounded edge to confirm
-                lp_c, _ = program.assemble(available - {lab})
+                lp_c, _ = program.assemble(stage.labels - {lab})
                 with _naming_stalls(f"{where}: the program without label {lab}"):
                     sol_c = solve(lp_c, refine=False)
                 if not sol_c.is_optimal:
@@ -799,18 +792,17 @@ def greedy_removal(
             if obj < best_obj:
                 best_obj = obj
                 best_label = lab
-        available.remove(best_label)
-        lp, owners, sol = _solved_stage(program, available,
-                                        f"{where}: stage program")
+        stage = _solved_stage(program, stage.labels - {best_label},
+                              f"{where}: stage program")
         counts.stage_solves += 1
         steps.append(
             GreedyStep(step=step, removed_label=best_label,
-                       objective=sol.objective)
+                       objective=stage.sol.objective)
         )
     return GreedyTrace(
         steps=tuple(steps),
-        final_x=sol.x,
-        final_objective=sol.objective,
+        final_x=stage.sol.x,
+        final_objective=stage.sol.objective,
         counts=counts,
     )
 

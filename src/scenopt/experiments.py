@@ -12,10 +12,12 @@ Two scenario families are built in:
              scenario resource rows A(delta_i) x <= 1, where A entries are
              0.04 times Laplace draws with mean 1 and variance 3.
 
-Three pipelines run on them: the analytic family's outer probability
-against its closed form, a cascade's outer probability against the batched
-bound, and the resource-sharing comparison of bound-sized batched removal
-with bound-sized greedy removal.
+Two pipelines run on them.  run_outer_mc estimates a cascade's outer
+probability against the batched bound T(m, ell*d + d - 1, eps); on the
+analytic family (d = 1, fully supported) that bound is the exact outer
+probability, so the same pipeline tests its tightness.
+run_resource_compare compares bound-sized batched removal with bound-sized
+greedy removal on the resource family.
 
 Reproducibility: every trial derives its generator from (seed, trial
 index), so results are independent of execution order and identical runs
@@ -298,52 +300,11 @@ def outer_probability_mc(
 
 
 @dataclass(frozen=True)
-class TightnessResult:
-    estimate: OuterProbabilityEstimate
-    analytic_value: float
-    tight: bool
-    rows: tuple
-
-
-def run_analytic_tightness(
-    m: int,
-    ell: int,
-    epsilon: float,
-    trials: int,
-    source: RandomSource,
-) -> TightnessResult:
-    """Outer probability of the 1-D cascade vs its closed form.
-
-    The family is fully supported, so the cascade runs in fully-supported
-    mode and the exact outer probability is the analytic lower binomial
-    tail with r = ell (d = 1).  The tight flag records a two-sided match
-    within three half-widths, not merely an upper bound.
-    """
-    analytic = bounds.analytic_violation_cdf(m, ell, epsilon)
-    per_trial: list = []
-    est = outer_probability_mc(
-        AnalyticFamily(m=m),
-        ell,
-        epsilon,
-        trials,
-        source,
-        mode=RemovalMode.FULLY_SUPPORTED,
-        per_trial=per_trial,
-    )
-    tight = abs(est.point - analytic) <= 3.0 * est.half_width_95
-    return TightnessResult(
-        estimate=est,
-        analytic_value=analytic,
-        tight=tight,
-        rows=tuple(per_trial),
-    )
-
-
-@dataclass(frozen=True)
 class OuterMcResult:
     estimate: OuterProbabilityEstimate
     bound_value: float
     valid: bool
+    tight: bool
     rows: tuple
 
 
@@ -356,7 +317,15 @@ def run_outer_mc(
     mode: RemovalMode = RemovalMode.REGULARIZED,
     n_inner: int = 10_000,
 ) -> OuterMcResult:
-    """Outer probability of a cascade vs the batched-removal bound."""
+    """Outer probability of a cascade vs the batched-removal bound.
+
+    The bound T(m, ell*d + d - 1, eps) is checked, and the query rejected,
+    before any trial runs.  valid records the one-sided check against the
+    bound within three combined half-widths; tight records a two-sided
+    match within three outer half-widths.  The analytic family in
+    fully-supported mode attains the bound: at d = 1 it is the family's
+    exact outer probability, so tight is the tightness verdict there.
+    """
     d = family.d
     value = bounds.bound_cascade(family.m, d, ell * d, epsilon).value
     per_trial: list = []
@@ -364,9 +333,12 @@ def run_outer_mc(
         family, ell, epsilon, trials, source,
         mode=mode, n_inner=n_inner, per_trial=per_trial,
     )
-    valid = est.point <= value + 3.0 * est.combined_half_width
     return OuterMcResult(
-        estimate=est, bound_value=value, valid=valid, rows=tuple(per_trial)
+        estimate=est,
+        bound_value=value,
+        valid=est.point <= value + 3.0 * est.combined_half_width,
+        tight=abs(est.point - value) <= 3.0 * est.half_width_95,
+        rows=tuple(per_trial),
     )
 
 

@@ -23,6 +23,9 @@ refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
 invariant under row permutations.
 
+solve returns the minimizer and its cost; which constraints are active
+there is for the caller to read against ACTIVE_TOL.
+
 reoptimize answers a related question without a cold start: from a vertex
 of G x <= h and its basis of d tight rows, it takes primal simplex steps to
 the optimal cost once some rows are dropped.  It is the one answer to "what
@@ -41,7 +44,7 @@ is a pure function of its arguments; instances can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -149,12 +152,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome; x and active_rows are meaningful only when optimal."""
+    """Solver outcome; x is meaningful only when optimal."""
 
     status: LpStatus
     x: Optional[np.ndarray]
     objective: float
-    active_rows: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def is_optimal(self) -> bool:
@@ -412,13 +414,13 @@ def checked_inverse(M) -> Optional[np.ndarray]:
     return inv
 
 
-def reoptimize(G, h, cost, basis, dropped, inv=None, stop=-np.inf
+def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
                ) -> Optional[float]:
     """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
     by primal simplex steps from a vertex of G x <= h (h finite).
 
     basis lists the d rows tight at the vertex; their matrix M must be
-    nonsingular and the vertex must satisfy every row.  inv, when given, is
+    nonsingular and the vertex must satisfy every row.  inv is
     checked_inverse(M), and the first step uses it.  Each step solves
     x = M^-1 h_basis and the multipliers mu = -M^-T cost, the vertex's
     optimality certificate when mu >= 0.  A dropped basis row leaves first,
@@ -444,7 +446,7 @@ def reoptimize(G, h, cost, basis, dropped, inv=None, stop=-np.inf
     basis = np.array(basis, dtype=np.intp)
     stall = 0
     for steps in range(_MAX_PIVOTS):
-        if steps or inv is None:
+        if steps:
             inv = checked_inverse(G[basis])
             if inv is None:
                 return None
@@ -516,14 +518,7 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
             pin_coeffs.append(axis)
             pin_rhs.append(float(x[j]))
     x.setflags(write=False)
-    residual = coeffs @ x - rhs
-    active = frozenset(np.flatnonzero(np.abs(residual) <= ACTIVE_TOL).tolist())
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        x=x,
-        objective=float(cost @ x),
-        active_rows=active,
-    )
+    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective=float(cost @ x))
 
 
 def check_feasible(lp: LinearProgram, x: Sequence[float]) -> bool:

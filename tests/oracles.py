@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from scenopt.bounds import bound_cascade, bound_classical, bound_compression
-from scenopt.lp import X_TOL, LinearProgram, solve
+from scenopt.lp import ACTIVE_TOL, X_TOL, LinearProgram, solve
 
 
 def binom_tail_exact(m: int, k_max: int, eps: float) -> Fraction:
@@ -274,13 +274,15 @@ def greedy_two_solve(program, r: int):
     def stage():
         lp, owners = program.assemble(available)
         counts["stage"] += 1
-        return owners, solve(lp)
+        sol = solve(lp)
+        tight = np.abs(lp.row_coeffs @ sol.x - lp.row_rhs) <= ACTIVE_TOL
+        return sorted(set(owners[tight].tolist())), sol
 
-    owners, sol = stage()
+    tight_labels, sol = stage()
     removed, objectives = [], []
     for _ in range(r):
         support = []
-        for lab in sorted({int(owners[i]) for i in sol.active_rows}):
+        for lab in tight_labels:
             lp_red, _ = program.assemble(available - {lab})
             red = solve(lp_red)
             counts["support"] += 1
@@ -295,6 +297,6 @@ def greedy_two_solve(program, r: int):
                 best_label, best_obj = lab, obj
         available.remove(best_label)
         removed.append(best_label)
-        owners, sol = stage()
+        tight_labels, sol = stage()
         objectives.append(sol.objective)
     return removed, objectives, sol.x, counts

@@ -22,7 +22,6 @@ from scenopt.engine import (
     greedy_solve_count,
     greedy_removal,
     run_cascade,
-    solve_stage,
     support_set,
     verify_compression,
 )
@@ -33,10 +32,10 @@ from scenopt.experiments import (
     gen_analytic,
     gen_resource,
     outer_probability_mc,
-    run_analytic_tightness,
     run_outer_mc,
     run_resource_compare,
 )
+from scenopt.lp import solve
 
 from oracles import binom_tail_prefixes, support_set_definitional
 
@@ -123,18 +122,21 @@ def test_criterion_2_epsilon_inversion_reference_count():
 def test_criterion_3_tightness_of_analytic_outer_probability():
     """MC outer probability equals the closed form within 3 half-widths."""
     m, ell, eps, trials = 50, 5, 0.2, 20_000
-    result = run_analytic_tightness(
-        m=m, ell=ell, epsilon=eps, trials=trials, source=RandomSource(seed=101)
+    result = run_outer_mc(
+        AnalyticFamily(m=m), ell, eps, trials, RandomSource(seed=101),
+        mode=RemovalMode.FULLY_SUPPORTED,
     )
     est = result.estimate
-    analytic = result.analytic_value
-    assert analytic == bounds.bound_cascade(m, 1, ell, eps).value
+    # the cascade bound at d = 1 is the family's exact outer probability
+    analytic = result.bound_value
+    assert analytic == bounds.analytic_violation_cdf(m, ell, eps)
     gap = abs(est.point - analytic)
     # trials aborted by a numerically collapsed support set (two uniform
     # draws within X_TOL of each other) are excluded and counted; more than
     # 1% of them would indicate a numerics problem rather than bad luck
     exclusion_rate = est.excluded_count / trials
-    ok = gap <= 3.0 * est.half_width_95 and exclusion_rate <= 0.01
+    ok = (result.tight and gap <= 3.0 * est.half_width_95
+          and exclusion_rate <= 0.01)
     line = _report(
         3, ok,
         f"mc={est.point:.5f} analytic={analytic:.5f} |gap|={gap:.5f} "
@@ -324,7 +326,7 @@ def test_criterion_9_monotonicity_properties():
 
     for program, _, _ in runs:
         g0 = greedy_removal(program, 0)
-        full = solve_stage(program)
+        full = solve(program.assemble(program.labels)[0])
         if g0.final_objective != full.objective:
             problems.append("greedy r=0 differs from full solve")
 

@@ -192,6 +192,24 @@ class TestCascadeCommand:
         assert code == EXIT_OK
         assert parse_json(out)["final_objective"] == pytest.approx(0.5)
 
+    def test_label_beyond_int64_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "d": 1, "cost": [1.0], "bounds": [[0.0, 1.0]],
+            "scenarios": [
+                {"label": 1180591620717411303424,
+                 "rows": [{"a": [-1.0], "b": -0.3}]},
+                {"label": 2, "rows": [{"a": [-1.0], "b": -0.6}]},
+            ],
+        }))
+        code, _, err = run_cli(
+            capsys, "cascade", "--input", str(path), "--ell", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err == ("error: scenario label 1180591620717411303424 "
+                       "exceeds 2**63 - 1\n")
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -483,6 +501,21 @@ class TestExperimentCommand:
         )
         assert code == EXIT_INPUT
         assert err.startswith("error: epsilon must lie in [0, 1]")
+
+    def test_bad_ell_exits_2_before_any_trial(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the bound T(m, ell*d + d - 1, eps) needs m > ell + 1 at d = 1
+        def no_trials(self, rng):
+            raise AssertionError("a trial ran before --ell was checked")
+
+        monkeypatch.setattr(experiments.AnalyticFamily, "generate", no_trials)
+        code, _, err = run_cli(
+            capsys, "experiment", "analytic-tightness", "--m", "20",
+            "--ell", "19", "--eps", "0.2", "--trials", "3000",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert "m must exceed r + d" in err
 
     @pytest.mark.parametrize("argv", [
         ["analytic-tightness", "--m", "20", "--ell", "1", "--eps", "0.3",

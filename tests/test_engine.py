@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from scenopt.engine import (
     is_nondegenerate,
     padding_set,
     run_cascade,
-    solve_stage,
     support_set,
     verify_compression,
 )
@@ -31,7 +32,6 @@ from scenopt.lp import (
     LpInputError,
     LpStatus,
     SimplexStallError,
-    reoptimize,
     solve,
 )
 
@@ -86,12 +86,12 @@ def floor_line_program(lines, box=20.0):
 class TestSolveStage:
     def test_all_active_takes_max(self):
         prog = analytic_program([0.2, 0.9, 0.5])
-        sol = solve_stage(prog)
+        sol = solve(prog.assemble(prog.labels)[0])
         assert sol.x[0] == pytest.approx(0.9, abs=1e-9)
 
     def test_subset_takes_subset_max(self):
         prog = analytic_program([0.2, 0.9, 0.5])
-        sol = solve_stage(prog, {1, 3})
+        sol = solve(prog.assemble({1, 3})[0])
         assert sol.x[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_subset_monotonicity(self):
@@ -104,8 +104,8 @@ class TestSolveStage:
                 rng.choice(sorted(labels), size=rng.integers(1, 12),
                            replace=False).tolist()
             )
-            full = solve_stage(prog, labels)
-            reduced = solve_stage(prog, sub)
+            full = solve(prog.assemble(labels)[0])
+            reduced = solve(prog.assemble(sub)[0])
             if not reduced.is_optimal:
                 # unbounded after dropping rows is the extreme improvement
                 continue
@@ -114,7 +114,7 @@ class TestSolveStage:
     def test_unknown_label_rejected(self):
         prog = analytic_program([0.2, 0.9])
         with pytest.raises(LpInputError):
-            solve_stage(prog, {99})
+            prog.assemble({99})
 
 
 class TestSupportSet:
@@ -129,7 +129,7 @@ class TestSupportSet:
         prog = floor_line_program(lines)
         sup = support_set(prog)
         assert sup == frozenset({1, 2})
-        sol = solve_stage(prog)
+        sol = solve(prog.assemble(prog.labels)[0])
         np.testing.assert_allclose(sol.x, [0.0, 10.0], atol=1e-7)
 
     def test_shortcut_matches_definition(self):
@@ -173,13 +173,10 @@ def tie_break_program():
 
 
 def reoptimized_without(prog, label, stop=-np.inf):
-    """lp.reoptimize from the stage vertex of prog past label's rows."""
-    lp, owners, sol = engine._solved_stage(prog, prog.labels)
-    vertex = engine._stage_vertex(lp, sol)
-    dropped = np.zeros(vertex.h.shape[0], dtype=bool)
-    dropped[:lp.n_rows] = owners == label
-    return reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis, dropped,
-                      vertex.inv, stop)
+    """lp.reoptimize from the simple stage vertex of prog past label's rows."""
+    stage = engine._solved_stage(prog, prog.labels)
+    assert stage.inv is not None  # the vertex is simple
+    return stage.cost_without(label, stop)
 
 
 class TestSupportCertificate:
@@ -290,11 +287,9 @@ class TestSupportFromTheVertex:
 
     def test_certified_labels_carry_no_objective(self):
         prog = analytic_program([0.3, 0.8, 0.1])
-        lp, owners, sol = engine._solved_stage(prog, prog.labels)
+        stage = engine._solved_stage(prog, prog.labels)
         counts = engine.SolveCounts()
-        support = engine._support_from_solution(
-            prog, prog.labels, lp, sol, owners,
-            engine._stage_vertex(lp, sol), counts)
+        support = engine._support_from_solution(prog, stage, counts)
         assert type(support) is frozenset and support == {2}
         assert counts.support_solves == 1
 
@@ -418,8 +413,8 @@ class TestInvariance:
                 Scenario(label=copy, coeffs=original.coeffs,
                          rhs=original.rhs),),
         )
-        np.testing.assert_allclose(solve_stage(duplicated).x,
-                                   solve_stage(prog).x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(solve(duplicated.assemble(duplicated.labels)[0]).x,
+                                   solve(prog.assemble(prog.labels)[0]).x, rtol=0.0, atol=1e-12)
         sup = support_set(duplicated)
         assert sup == support_set_definitional(duplicated, duplicated.labels)
         assert sup == before - {label}
@@ -639,7 +634,7 @@ class TestGreedy:
     def test_r_zero_is_identity(self):
         prog = analytic_program([0.3, 0.6, 0.2])
         trace = greedy_removal(prog, 0)
-        full = solve_stage(prog)
+        full = solve(prog.assemble(prog.labels)[0])
         assert trace.final_objective == full.objective
         assert trace.steps == ()
 
@@ -809,30 +804,25 @@ class TestReoptimize:
         # every support candidate of each stage vertex: the objective
         # reached by pivoting past the candidate's rows is the unrefined
         # re-solve's, and an unbounded edge means an unbounded re-solve.
-        # Starting from the vertex's inverse changes no bit, and a run
-        # stopped at stop = stage cost - margin ends below stop exactly
-        # when the full run does.
+        # A run stopped at stop = stage cost - margin ends below stop
+        # exactly when the full run does.
         rng = np.random.default_rng(101 + d)
         programs = [random_resource(rng, d, 2, m) for _ in range(5)]
         programs += [sparse_resource(rng, d, 2, sparse_m, density)
                      for _ in range(40)]
         verdicts = Counter()
         for prog in programs:
-            lp, owners = prog.assemble(prog.labels)
-            sol = solve(lp)
-            if not sol.is_optimal:  # a sparse stage may itself be unbounded
-                continue
-            vertex = engine._stage_vertex(lp, sol)
-            assert vertex.basis is not None
-            dropped = np.zeros(vertex.h.shape[0], dtype=bool)
-            stop = sol.objective - (2.0 * np.abs(lp.cost).sum() * X_TOL
-                                    + FEAS_TOL)
-            for lab in sorted({int(owners[i]) for i in sol.active_rows}):
-                dropped[:lp.n_rows] = owners == lab
-                args = (vertex.G, vertex.h, lp.cost, vertex.basis, dropped)
-                obj = reoptimize(*args)
-                assert reoptimize(*args, inv=vertex.inv) == obj
-                stopped = reoptimize(*args, inv=vertex.inv, stop=stop)
+            try:
+                stage = engine._solved_stage(prog, prog.labels)
+            except engine.StageSolveError:
+                continue  # a sparse stage may itself be unbounded
+            assert stage.inv is not None
+            stop = stage.sol.objective - (
+                2.0 * np.abs(prog.cost).sum() * X_TOL + FEAS_TOL)
+            rows = stage.active[stage.active < stage.lp.n_rows]
+            for lab in sorted(set(stage.owners[rows].tolist())):
+                obj = stage.cost_without(lab)
+                stopped = stage.cost_without(lab, stop)
                 assert (stopped < stop) == (obj < stop)
                 verdicts["stopped"] += stopped < stop
                 cold = solve(prog.assemble(prog.labels - {lab})[0],
@@ -862,12 +852,7 @@ class TestReoptimize:
                          rhs=[1.0, 0.0]),
             ),
         )
-        lp, owners, sol = engine._solved_stage(prog, prog.labels)
-        vertex = engine._stage_vertex(lp, sol)
-        dropped = np.zeros(vertex.h.shape[0], dtype=bool)
-        dropped[:lp.n_rows] = owners == 2
-        assert reoptimize(vertex.G, vertex.h, lp.cost, vertex.basis,
-                          dropped) is None
+        assert reoptimized_without(prog, 2) is None
 
     def test_stopped_vertex_past_a_flat_row_is_undecided(self):
         # without scenario 1 (x >= 5, scaled by 1000) the edge runs down to
@@ -884,7 +869,7 @@ class TestReoptimize:
         assert reoptimized_without(prog, 1, stop=4.0) is None
         # support detection falls back to the re-solve, whose optimum is 1
         assert support_set(prog) == frozenset({1})
-        assert solve_stage(prog, {2}).objective == pytest.approx(1.0)
+        assert solve(prog.assemble({2})[0]).objective == pytest.approx(1.0)
 
     def test_vertex_past_a_satisfied_flat_row_is_kept(self):
         # the same edge crosses a row of slope 5e-10 whose rhs is 0, so the
@@ -896,7 +881,7 @@ class TestReoptimize:
         )
         assert reoptimized_without(prog, 1) == 0.0
         assert reoptimized_without(prog, 1, stop=4.0) == 0.0
-        assert solve_stage(prog, {2}).objective == pytest.approx(0.0)
+        assert solve(prog.assemble({2})[0]).objective == pytest.approx(0.0)
 
 
 class TestSolveCounts:
@@ -947,6 +932,21 @@ class TestSerialization:
         assert len(parsed["stages"]) == 3
         assert parsed["solve_counts"]["stage"] == 3
 
+    def test_largest_int64_label_round_trips(self):
+        # the rows of label 2**63 - 1 are found without forming label + 1
+        top = 2**63 - 1
+        prog = ScenarioProgram(
+            cost=[1.0], lower=[0.0], upper=[1.0],
+            scenarios=(Scenario(label=top, coeffs=[[-1.0]], rhs=[-0.4]),
+                       Scenario(label=5, coeffs=[[-1.0], [-2.0]],
+                                rhs=[-0.1, -0.3])),
+        )
+        assert prog.scenario(top).rhs.tolist() == [-0.4]
+        clone = ScenarioProgram.from_json(prog.to_json())
+        assert [s.label for s in clone.scenarios] == [top, 5]
+        assert clone.to_dict() == prog.to_dict()
+        assert clone.scenario(5).rhs.tolist() == [-0.1, -0.3]
+
     def test_malformed_dict_rejected(self):
         with pytest.raises(LpInputError):
             ScenarioProgram.from_dict({"d": 1, "cost": [1.0]})
@@ -975,6 +975,10 @@ def program_dict(scenarios, d=1):
      "not an integer"),
     ([{"label": -3, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
      "not positive"),
+    ([{"label": 2**70, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+     "scenario label 1180591620717411303424 exceeds 2\\*\\*63 - 1"),
+    ([{"label": -2**70, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+     "scenario label -1180591620717411303424 is not positive"),
     ([{"label": 1, "rows": []}], 1, "must be non-empty"),
     ([{"label": 1, "rows": [{"a": [-1.0, 0.5], "b": -0.1},
                             {"a": [-1.0, 0.5, 2.0], "b": -0.2}]}], 2,
@@ -1094,6 +1098,8 @@ class TestRowLayout:
     ([1, 2.5], "label 2.5 is not an integer"),
     (np.array([2, 0]), "label 0 is not positive"),
     (np.array([3, 3]), "must be distinct"),
+    (np.array([2**63, 1], dtype=np.uint64),
+     "label 9223372036854775808 exceeds 2\\*\\*63 - 1"),
 ])
 def test_label_arrays_checked(labels, message):
     with pytest.raises(LpInputError, match=message):
@@ -1132,3 +1138,41 @@ def test_built_program_is_never_validated_again(monkeypatch):
     assert calls == []
     analytic_program([0.3, 0.6])
     assert len(calls) == 1
+
+
+def test_lp_solves_carry_their_role_tag():
+    """perfbench tags each LP by the engine function that calls solve, from
+    its table _ROLE_BY_CALLER, and reads refine only as a keyword: every
+    solve call must sit directly in a function that table names and pass
+    the LP alone by position."""
+    root = Path(__file__).resolve().parents[1]
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    roles = next(
+        ast.literal_eval(node.value) for node in ast.walk(tracer)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_ROLE_BY_CALLER"
+                for t in node.targets)
+    )
+    tree = ast.parse(Path(engine.__file__).read_text())
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+              ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    callers = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "solve"):
+            continue
+        call = parents[node]
+        # solve is only ever called, never passed around or rebound
+        assert isinstance(call, ast.Call) and call.func is node, node.lineno
+        assert len(call.args) == 1, f"line {call.lineno}: refine by position"
+        assert {k.arg for k in call.keywords} <= {"refine"}, call.lineno
+        scope = parents[call]
+        while not isinstance(scope, scopes):
+            scope = parents[scope]
+        assert isinstance(scope, ast.FunctionDef), call.lineno
+        assert scope.name in roles, f"line {call.lineno}: {scope.name}"
+        callers.append(scope.name)
+    assert sorted(set(callers)) == ["_solved_stage", "_support_from_solution",
+                                    "greedy_removal", "is_nondegenerate",
+                                    "run_cascade"]

@@ -9,7 +9,6 @@ from scenopt.engine import (
     greedy_removal,
     greedy_solve_count,
     run_cascade,
-    solve_stage,
 )
 from scenopt.experiments import (
     AllTrialsExcluded,
@@ -22,10 +21,10 @@ from scenopt.experiments import (
     metadata_blob,
     outer_probability_mc,
     rows_to_csv,
-    run_analytic_tightness,
     run_outer_mc,
     run_resource_compare,
 )
+from scenopt.lp import solve
 
 from oracles import assemble_blocks
 
@@ -64,7 +63,7 @@ class TestGenerators:
         src = RandomSource(seed=3)
         prog = gen_analytic(25, src.generator())
         deltas = np.array([-s.rhs[0] for s in prog.scenarios])
-        sol = solve_stage(prog)
+        sol = solve(prog.assemble(prog.labels)[0])
         assert sol.x[0] == pytest.approx(deltas.max(), abs=1e-9)
 
     def test_analytic_removed_scenarios_violated_downstream(self):
@@ -233,15 +232,18 @@ class TestCostComparison:
 
 class TestPipelines:
     def test_tightness_small_run(self):
-        res = run_analytic_tightness(
-            m=50, ell=5, epsilon=0.2, trials=400, source=RandomSource(seed=53)
+        res = run_outer_mc(
+            AnalyticFamily(m=50), 5, 0.2, 400, RandomSource(seed=53),
+            mode=RemovalMode.FULLY_SUPPORTED,
         )
-        assert res.analytic_value == pytest.approx(
+        assert res.bound_value == pytest.approx(
             bounds.analytic_violation_cdf(50, 5, 0.2)
         )
-        assert abs(res.estimate.point - res.analytic_value) <= 4 * max(
+        assert abs(res.estimate.point - res.bound_value) <= 4 * max(
             res.estimate.half_width_95, 1e-3
         )
+        assert res.tight == (abs(res.estimate.point - res.bound_value)
+                             <= 3.0 * res.estimate.half_width_95)
         assert len(res.rows) == 400
 
     def test_outer_mc_resource_valid(self):
