@@ -18,7 +18,6 @@ from scenopt.lp import (
 )
 from scenopt.engine import (
     AssumptionViolated,
-    CandidateSolveError,
     CascadeError,
     CascadeTrace,
     DegeneracyDetected,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolated",
     "BoundValue",
-    "CandidateSolveError",
     "CascadeError",
     "CascadeTrace",
     "DegeneracyDetected",

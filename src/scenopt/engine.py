@@ -82,29 +82,16 @@ class InsufficientScenarios(CascadeError):
 
 
 class StageSolveError(CascadeError):
-    """A stage LP, or a support test's re-solve of it without one label,
-    came back infeasible or unbounded.  `where` names the LP: "stage 2",
-    "greedy step 1: stage program" (step 0 is the initial solve), "stage 2:
-    the program without label 7", or "stage program" outside both schemes."""
+    """A stage LP, or a support test's or greedy candidate's re-solve of it
+    without one label, came back infeasible or unbounded.  `where` names the
+    LP: "stage 2", "greedy step 1: stage program" (step 0 is the initial
+    solve), "stage 2: the program without label 7", or "stage program"
+    outside both schemes."""
 
     def __init__(self, where: str, status: LpStatus):
         self.where = where
         self.status = status
         super().__init__(f"{where} returned status {status.value}")
-
-
-class CandidateSolveError(CascadeError):
-    """A greedy candidate LP, the program less one label, came back
-    infeasible or unbounded."""
-
-    def __init__(self, step: int, label: int, status: LpStatus):
-        self.step = step
-        self.label = label
-        self.status = status
-        super().__init__(
-            f"greedy step {step}: the program without label {label} "
-            f"returned status {status.value}"
-        )
 
 
 class RemovalMode(Enum):
@@ -135,9 +122,11 @@ def _as_labels(values) -> np.ndarray:
     labels = np.asarray(values, dtype=np.int64)
     if labels.size == 0:
         raise LpInputError("a scenario program needs at least one scenario")
-    if labels.min() < 1:
-        raise LpInputError(f"scenario label {labels.min()} is not positive")
-    if np.unique(labels).size != labels.size:
+    # sorted neighbours, not np.unique, whose first call imports numpy.ma
+    ordered = np.sort(labels)
+    if ordered[0] < 1:
+        raise LpInputError(f"scenario label {ordered[0]} is not positive")
+    if (ordered[1:] == ordered[:-1]).any():
         raise LpInputError("scenario labels must be distinct")
     return labels
 
@@ -757,7 +746,7 @@ def greedy_removal(
     it leaves undecided (an optimum that fails its feasibility check
     included, or a vertex that is not simple), or whose program it finds
     unbounded, is solved cold and unrefined, which confirms an unbounded
-    program before CandidateSolveError is raised.  Each candidate counts as
+    program before StageSolveError is raised.  Each candidate counts as
     one candidate solve.
     """
     d, m = program.d, program.m
@@ -783,10 +772,11 @@ def greedy_removal(
             if obj is None or obj == -np.inf:
                 # undecided at the vertex, or an unbounded edge to confirm
                 lp_c, _ = program.assemble(stage.labels - {lab})
-                with _naming_stalls(f"{where}: the program without label {lab}"):
+                without = f"{where}: the program without label {lab}"
+                with _naming_stalls(without):
                     sol_c = solve(lp_c, refine=False)
                 if not sol_c.is_optimal:
-                    raise CandidateSolveError(step, lab, sol_c.status)
+                    raise StageSolveError(without, sol_c.status)
                 obj = sol_c.objective
             counts.candidate_solves += 1
             if obj < best_obj:

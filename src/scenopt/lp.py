@@ -8,16 +8,24 @@ Problems are of the form
 
 with a small number of variables (d) and possibly many rows.  The solver is
 a two-phase primal simplex run on the dual program, so that the working
-basis stays d x d no matter how many rows the primal carries.  Each LP
-core is one _solve_core call, which builds that dual in standard form and
-runs both phases on it.  The basis inverse is kept in product form
-(Dantzig & Orchard-Hays, 1954): each pivot updates it with one rank-1 eta
-step instead of solving with the basis, it is inverted afresh every 32 eta
-steps, and at optimality the duals are solved exactly from the final basis
-and priced once more before they are returned; an unbounded ray seen after
-eta steps is checked on a fresh inverse.  Pricing is Dantzig's most
-negative reduced cost and switches for good to Bland's lowest-index rule,
-which cannot cycle, after a run of degenerate pivots.
+basis stays d x d no matter how many rows the primal carries.  The dual's
+standard-form matrix is built once per LinearProgram, on its first solve,
+with a column for every row, for every pin row refinement may add, for
+every finite bound and for every phase-1 artificial; mask selections of the
+LP share it.  Each LP core is one _solve_core call, which runs both phases
+on that matrix.  Cores differ only in their prices, +inf on every column a
+core may not use, and in the signs of their rows, which a core applies to
+the columns it reads and never writes back.
+
+The basis inverse is kept in product form (Dantzig & Orchard-Hays, 1954):
+each pivot updates it with one rank-1 eta step instead of solving with the
+basis, it is inverted afresh every 32 eta steps, and at optimality the
+duals are solved exactly from the final basis and priced once more before
+they are returned; an unbounded ray seen after eta steps is checked on a
+fresh inverse.  Pricing is Dantzig's most negative reduced cost and
+switches for good to Bland's lowest-index rule, which cannot cycle, after
+a run of degenerate pivots.
+
 After the cost is minimized, the minimizer is made unique by lexicographic
 refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
@@ -39,14 +47,16 @@ absolute module constants, shared by the whole package.
 
 LP data is validated once, when a LinearProgram is built; select and the
 solver use its read-only arrays without checking them again.  Every solve
-is a pure function of its arguments; instances can be shared freely.
+is a pure function of its arguments; instances, and the dual forms they
+cache, can be shared freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,13 +151,39 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.row_rhs.shape[0]
 
+    # A boolean-mask selection shares the dual form of the LP it selects
+    # from: (the LP that owns the form, the indices of its rows kept here).
+    _shares = None
+
     def select(self, rows) -> "LinearProgram":
         """The LP over the rows a boolean mask or index array picks, sharing
-        cost and bounds; rows of a valid LP are valid, so nothing is checked."""
+        cost and bounds; rows of a valid LP are valid, so nothing is checked.
+
+        A mask keeps the rows in their order, so its LP also runs on this
+        LP's dual form (see solve), where the columns of the rows left out
+        never enter; only the kept rows are copied.  An index array may
+        reorder the rows, so its LP builds a form of its own on its first
+        solve.  Either way the columns a core may use keep their relative
+        order, so the pivot rules, which break ties by column index, choose
+        as they would on a form of the selected rows alone.
+        """
         lp = object.__new__(LinearProgram)
         lp._freeze(self.cost, self.row_coeffs[rows], self.row_rhs[rows],
                    self.lower, self.upper)
+        mask = np.asarray(rows)
+        if mask.dtype == bool:
+            owner, kept = self._shares or (self, None)
+            kept = np.flatnonzero(mask) if kept is None else kept[mask]
+            object.__setattr__(lp, "_shares", (owner, kept))
         return lp
+
+    @cached_property
+    def _form(self) -> "_DualForm":
+        """The dual standard form of this LP and of its mask selections,
+        built on first use; its pin rows are refinement's: the cost, then
+        the first d - 1 axes."""
+        pins = np.vstack([self.cost, np.eye(self.d)[:-1]])
+        return _dual_form(self.row_coeffs, pins, self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -164,7 +200,7 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Simplex kernel on standard form: min q.z  s.t.  E z = h, z >= 0, h >= 0.
+# Simplex kernel on standard form: min q.z  s.t.  A z = h, z >= 0, h >= 0.
 # ---------------------------------------------------------------------------
 
 
@@ -176,54 +212,97 @@ _STALL_LIMIT = 64
 _REFACTOR_EVERY = 32
 
 
-def _entering(reduced, basis, use_bland):
-    """The entering column for these reduced costs, or None at optimality:
-    the most negative one (Dantzig), or the lowest eligible index (Bland);
-    ties go to the lowest index either way."""
+class _Core:
+    """One LP core's standard-form matrix A, read off a shared dual form E.
+
+    A is E with row i times sign[i] = +-1, chosen by the core so that its
+    h >= 0, except that the artificial columns (the last E.shape[0], the
+    unit column of each row) stay unit columns: artificial column r is
+    multiplied by sign[r] once more.  Sign flips are exact, so A is E up to
+    signs entry by entry, and E itself is only read.
+    """
+
+    def __init__(self, E, sign, h):
+        self.E, self.sign, self.h = E, sign, h
+        self.art = E.shape[1] - E.shape[0]
+
+    def columns(self, cols):
+        """The columns cols (an index array) of A."""
+        B = self.E[:, cols] * self.sign[:, None]
+        art = cols >= self.art
+        if art.any():
+            B[:, art] *= self.sign[cols[art] - self.art]
+        return B
+
+    def column(self, col):
+        a = self.E[:, col] * self.sign
+        if col >= self.art:
+            a *= self.sign[col - self.art]
+        return a
+
+    def row_times(self, y, out):
+        """y @ A, written to out."""
+        np.matmul(y * self.sign, self.E, out=out)
+        out[self.art:] *= self.sign
+        return out
+
+
+def _entering(core, pi, q, reduced, basis, use_bland):
+    """The entering column at simplex multipliers pi, or None at
+    optimality.  The reduced costs q - pi A are written to reduced; the
+    entering column has the most negative one (Dantzig), or the lowest
+    eligible index (Bland); ties go to the lowest index either way."""
+    np.subtract(q, core.row_times(pi, reduced), out=reduced)
     reduced[basis] = 0.0
     enter = int((reduced < -PIVOT_TOL).argmax() if use_bland else reduced.argmin())
     return enter if reduced[enter] < -PIVOT_TOL else None
 
 
-def _iterate(E, h, q, basis):
+def _iterate(core, q, basis):
     """Pivot in place until optimal or unbounded; returns the simplex
     multipliers pi at optimality, or None when the program is unbounded.
 
-    basis lists one column per row, forming a nonsingular basis B.  The
-    kernel keeps B^-1 and the basic values x_b = B^-1 h in product form:
-    each pivot prices with pi = q_B B^-1, takes the entering direction as
-    B^-1 E[:, enter], and applies one rank-1 eta step to both.  B^-1 is
-    inverted afresh on entry and after every _REFACTOR_EVERY eta steps.
-    When the eta-priced costs show no eligible column, pi is solved exactly
-    from B' pi = q_B and priced once more; that pi is returned when nothing
-    is eligible, otherwise pivoting goes on from a fresh inverse.  An
-    entering column with no blocking row after eta steps is likewise priced
-    again on a fresh inverse before the kernel reports unbounded.  Pricing
-    is Dantzig (most negative reduced cost, lowest index on ties) and
-    switches permanently to Bland's lowest-index rule after a degenerate
-    stall, so termination is guaranteed while typical runs stay short.
+    q prices every column of the core's matrix A; a column priced +inf never
+    enters.  basis (an index array) holds one column per row, forming a
+    nonsingular basis B.  The kernel keeps B^-1 and the basic values
+    x_b = B^-1 h in product form: each pivot prices with pi = q_B B^-1,
+    takes the entering direction as B^-1 A[:, enter], and applies one
+    rank-1 eta step to both.  B^-1 is inverted afresh on entry and after
+    every _REFACTOR_EVERY eta steps.  When the eta-priced costs show no
+    eligible column, pi is solved exactly from B' pi = q_B and priced once
+    more; that pi is returned when nothing is eligible, otherwise pivoting
+    goes on from a fresh inverse.  An entering column with no blocking row
+    after eta steps is likewise priced again on a fresh inverse before the
+    kernel reports unbounded.  Pricing is Dantzig (most negative reduced
+    cost, lowest index on ties) and switches permanently to Bland's
+    lowest-index rule after a degenerate stall, so termination is
+    guaranteed while typical runs stay short.  Reduced costs and ratios go
+    into buffers taken once per call, so no pivot allocates an array as
+    wide as A.
     """
-    n_rows = E.shape[0]
+    h = core.h
+    n_rows = h.shape[0]
+    reduced = np.empty(q.shape[0])
+    ratios = np.empty(n_rows)
     use_bland = False
     stall = 0
     inv = None
     try:
         for pivots in range(_MAX_PIVOTS):
             if inv is None:
-                inv = np.linalg.inv(E[:, basis])
+                inv = np.linalg.inv(core.columns(basis))
                 x_b = inv @ h
                 etas = 0
-            pi = q[basis] @ inv
-            enter = _entering(q - pi @ E, basis, use_bland)
+            enter = _entering(core, q[basis] @ inv, q, reduced, basis, use_bland)
             if enter is None:
-                pi = np.linalg.solve(E[:, basis].T, q[basis])
-                enter = _entering(q - pi @ E, basis, use_bland)
+                pi = np.linalg.solve(core.columns(basis).T, q[basis])
+                enter = _entering(core, pi, q, reduced, basis, use_bland)
                 if enter is None:
                     return pi
-                inv = np.linalg.inv(E[:, basis])
+                inv = np.linalg.inv(core.columns(basis))
                 x_b = inv @ h
                 etas = 0
-            direction = inv @ E[:, enter]
+            direction = inv @ core.column(enter)
             positive = direction > PIVOT_TOL
             if not positive.any():
                 if etas:
@@ -231,12 +310,12 @@ def _iterate(E, h, q, basis):
                     inv = None
                     continue
                 return None
-            ratios = np.full(n_rows, np.inf)
-            ratios[positive] = x_b[positive] / direction[positive]
+            ratios.fill(np.inf)
+            np.divide(x_b, direction, out=ratios, where=positive)
             theta = ratios.min()
-            ties = np.flatnonzero(ratios <= theta + PIVOT_TOL * (1.0 + abs(theta)))
+            ties = (ratios <= theta + PIVOT_TOL * (1.0 + abs(theta))).nonzero()[0]
             # Among blocking rows, leave on the smallest variable index (Bland).
-            leave = min(ties, key=basis.__getitem__)
+            leave = ties[basis[ties].argmin()]
             # eta step: the entering column takes row leave at value step
             step = ratios[leave]
             x_b -= step * direction
@@ -259,37 +338,41 @@ def _iterate(E, h, q, basis):
     raise SimplexStallError(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
-def _phase_one(E, h, basis, uncovered) -> bool:
-    """Cover the uncovered rows with artificials and minimize their sum;
-    on success leave a basis of E's own columns in place and return True,
-    or return False when the artificials cannot reach zero (infeasible)."""
-    n_rows, n_cols = E.shape
-    art = np.zeros((n_rows, len(uncovered)))
-    art[uncovered, np.arange(len(uncovered))] = 1.0
-    E1 = np.hstack([E, art])
-    q1 = np.zeros(n_cols + len(uncovered))
-    q1[n_cols:] = 1.0
-    for slot, r in enumerate(uncovered):
-        basis[r] = n_cols + slot
-    if _iterate(E1, h, q1, basis) is None:
+def _phase_one(core, q, basis, uncovered) -> bool:
+    """Cover the uncovered rows with their artificial columns and minimize
+    the artificials' sum over the columns q prices finitely (the ones phase
+    2 may use); on success leave a basis of those columns in place and
+    return True, or return False when the artificials cannot reach zero
+    (infeasible)."""
+    n_rows = core.h.shape[0]
+    usable = np.isfinite(q)
+    q1 = np.where(usable, 0.0, np.inf)
+    for r in uncovered:
+        q1[core.art + r] = 1.0
+        basis[r] = core.art + r
+    if _iterate(core, q1, basis) is None:
         raise SimplexStallError("the artificial sum cannot be unbounded")
-    x_b = np.linalg.solve(E1[:, basis], h)
+    x_b = np.linalg.solve(core.columns(basis), core.h)
     infeas = float(
-        sum(x_b[i] for i, b in enumerate(basis) if b >= n_cols)
+        sum(x_b[i] for i, b in enumerate(basis) if b >= core.art)
     )
-    if infeas > max(FEAS_TOL, FEAS_TOL * np.abs(h).max(initial=1.0)):
+    if infeas > max(FEAS_TOL, FEAS_TOL * np.abs(core.h).max(initial=1.0)):
         return False
 
-    # Drive leftover artificials out of the basis.  Every dual row of
-    # _solve_core owns a signed unit column, so E has full row rank.
+    # Drive leftover artificials out of the basis: the one at row_pos leaves
+    # on a usable column where row row_pos of B^-1 A is nonzero.  Every dual
+    # row of _solve_core owns a signed unit column, so the usable columns
+    # have full row rank.
+    tableau_row = np.empty(q.shape[0])
     for row_pos in range(n_rows):
-        if basis[row_pos] < n_cols:
+        if basis[row_pos] < core.art:
             continue
-        B = E1[:, basis]
-        tableau_row = np.linalg.solve(B, E)[row_pos]
+        unit = np.zeros(n_rows)
+        unit[row_pos] = 1.0
+        core.row_times(np.linalg.solve(core.columns(basis).T, unit), tableau_row)
         pivot_cols = [
             int(c)
-            for c in np.flatnonzero(np.abs(tableau_row) > 1e-8)
+            for c in np.flatnonzero(usable & (np.abs(tableau_row) > 1e-8))
             if c not in basis
         ]
         if not pivot_cols:
@@ -306,75 +389,114 @@ def _phase_one(E, h, basis, uncovered) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _solve_core(objective, coeffs, rhs, lower, upper):
-    """Minimize `objective` subject to coeffs @ x <= rhs, lower <= x <= upper
-    (no tie-break), on validated float arrays.
+class _DualForm(NamedTuple):
+    """The dual standard form of an LP's rows, shared by all its LP cores.
 
     The dual of  min c.x  s.t.  R x <= s, l <= x <= u  is
 
         min  s.y + u.v - l.w   s.t.  R'y + v - w = -c,  y, v, w >= 0
 
-    where v_j exists only for finite u_j and w_j only for finite l_j.  The
-    simplex multipliers of the dual at optimality are the primal minimizer.
+    where v_j exists only for finite u_j and w_j only for finite l_j.
     Variables unbounded on both sides are first split into nonnegative
     halves, which keeps the dual rows at full rank (every transformed
-    variable contributes a signed unit column).
-
-    Dual rows with c_j > 0 are negated so that the kernel's h = |c|.  Each
-    row starts phase 2 on its positive unit column where it has one (v_j if
-    kept, w_j if negated); only the rest get phase-1 artificials.  A stall
-    or a singular basis raises SimplexStallError naming the phase and the
-    shape of the dual matrix.
+    variable contributes a signed unit column).  E holds, in this order:
+    a column per row of R; a column per pin row P (a row a core may add,
+    such as refinement's pinned cost and axes); I_up and -I_lo over the
+    finite bounds; and the identity, one artificial column per dual row.
+    A core prices the columns it uses and sets +inf on the rest.
     """
-    d = objective.shape[0]
-    n_rows = rhs.shape[0]
+
+    E: np.ndarray
+    free: np.ndarray  # variables split into nonnegative halves
+    pins: int  # first pin column; row columns come before it
+    bounds: int  # first bound column; pin columns come before it
+    up_idx: np.ndarray  # dual row of each I_up column
+    lo_idx: np.ndarray  # dual row of each -I_lo column
+    bound_price: np.ndarray  # u over I_up, then -l over -I_lo
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def prices(self, rows, rhs) -> np.ndarray:
+        """Phase-2 prices of a core over the row columns rows (a slice or
+        an index array) with right-hand sides rhs: those, the bound prices,
+        and +inf on every other column."""
+        q = np.full(self.E.shape[1], np.inf)
+        q[rows] = rhs
+        q[self.bounds:self.bounds + self.bound_price.size] = self.bound_price
+        return q
+
+
+def _dual_form(coeffs, pins, lower, upper) -> _DualForm:
+    """The dual standard form of rows coeffs @ x <= rhs and pin rows pins
+    over lower <= x <= upper, built column block by column block."""
+    d = lower.shape[0]
     free = np.flatnonzero(~np.isfinite(lower) & ~np.isfinite(upper))
-    if free.size:
-        split = np.hstack([coeffs, -coeffs[:, free]])
-        cost = np.concatenate([objective, -objective[free]])
-        lo = np.concatenate([lower, np.zeros(free.size)])
-        lo[free] = 0.0
-        up = np.concatenate([upper, np.full(free.size, np.inf)])
-    else:
-        split, cost, lo, up = coeffs, objective, lower, upper
-    dim = cost.shape[0]
+    lo = np.concatenate([lower, np.zeros(free.size)])
+    lo[free] = 0.0
+    up = np.concatenate([upper, np.full(free.size, np.inf)])
+    dim = d + free.size
     up_idx = np.flatnonzero(np.isfinite(up))
     lo_idx = np.flatnonzero(np.isfinite(lo))
-    n_up = up_idx.size
+    # first column of the pin, bound and artificial blocks
+    pins_at = coeffs.shape[0]
+    bounds_at = pins_at + pins.shape[0]
+    art_at = bounds_at + up_idx.size + lo_idx.size
+    E = np.zeros((dim, art_at + dim))
+    for start, rows in ((0, coeffs), (pins_at, pins)):
+        block = slice(start, start + rows.shape[0])
+        E[:d, block] = rows.T
+        E[d:, block] = -rows[:, free].T
+    E[up_idx, bounds_at + np.arange(up_idx.size)] = 1.0
+    E[lo_idx, bounds_at + up_idx.size + np.arange(lo_idx.size)] = -1.0
+    E[np.arange(dim), art_at + np.arange(dim)] = 1.0
+    E.setflags(write=False)
+    return _DualForm(E, free, pins_at, bounds_at, up_idx, lo_idx,
+                     np.concatenate([up[up_idx], -lo[lo_idx]]), lower, upper)
 
-    # E = [R' | I_up | -I_lo], with the rows of negative h negated in place
-    E = np.zeros((dim, n_rows + n_up + lo_idx.size))
-    E[:, :n_rows] = split.T
-    E[up_idx, n_rows + np.arange(n_up)] = 1.0
-    E[lo_idx, n_rows + n_up + np.arange(lo_idx.size)] = -1.0
-    q = np.concatenate([rhs, up[up_idx], -lo[lo_idx]])
+
+def _solve_core(form, objective, q):
+    """Minimize `objective` subject to the rows and pins that q prices and
+    the bounds of form (no tie-break).
+
+    The simplex multipliers of the dual at optimality are the primal
+    minimizer.  Dual rows with c_j > 0 are negated so that the kernel's
+    h = |c|.  Each row starts phase 2 on its positive unit column where it
+    has one (v_j if kept, w_j if negated); only the rest get phase-1
+    artificials.  A stall or a singular basis raises SimplexStallError
+    naming the phase, the dual rows and the columns the core prices.
+    """
+    d = objective.shape[0]
+    free = form.free
+    cost = np.concatenate([objective, -objective[free]]) if free.size else objective
+    dim = cost.shape[0]
     h = -cost
     flip = h < 0
-    E[flip] *= -1.0
     h[flip] *= -1.0
+    core = _Core(form.E, np.where(flip, -1.0, 1.0), h)
 
+    up_idx, lo_idx = form.up_idx, form.lo_idx
     basis = np.full(dim, -1)
     covers = ~flip[up_idx]
-    basis[up_idx[covers]] = n_rows + np.flatnonzero(covers)
+    basis[up_idx[covers]] = form.bounds + np.flatnonzero(covers)
     covers = flip[lo_idx]
-    basis[lo_idx[covers]] = n_rows + n_up + np.flatnonzero(covers)
+    basis[lo_idx[covers]] = form.bounds + up_idx.size + np.flatnonzero(covers)
     uncovered = np.flatnonzero(basis < 0).tolist()
-    basis = basis.tolist()
 
     phase = 1
     try:
-        dual_feasible = not uncovered or _phase_one(E, h, basis, uncovered)
+        dual_feasible = not uncovered or _phase_one(core, q, basis, uncovered)
         if dual_feasible:
             phase = 2
-            duals = _iterate(E, h, q, basis)
+            duals = _iterate(core, q, basis)
     except (SimplexStallError, np.linalg.LinAlgError) as exc:
         raise SimplexStallError(
-            f"simplex phase {phase} (rows={dim}, columns={E.shape[1]}): {exc}"
+            f"simplex phase {phase} (rows={dim}, "
+            f"columns={np.isfinite(q).sum()}): {exc}"
         ) from None
     if not dual_feasible:
         # Dual infeasible: the primal is unbounded or infeasible; an elastic
-        # feasibility probe (min t with R x - t <= s, t >= 0) settles which.
-        if _is_feasible_set_nonempty(coeffs, rhs, lower, upper):
+        # feasibility probe settles which.
+        if _is_feasible_set_nonempty(form, q):
             return LpStatus.UNBOUNDED, None
         return LpStatus.INFEASIBLE, None
     if duals is None:
@@ -388,15 +510,21 @@ def _solve_core(objective, coeffs, rhs, lower, upper):
     return LpStatus.OPTIMAL, x
 
 
-def _is_feasible_set_nonempty(coeffs, rhs, lower, upper) -> bool:
-    d = lower.shape[0]
-    status, x = _solve_core(
-        np.concatenate([np.zeros(d), [1.0]]),
-        np.hstack([coeffs, -np.ones((rhs.shape[0], 1))]),
-        rhs,
-        np.concatenate([lower, [0.0]]),
-        np.concatenate([upper, [np.inf]]),
+def _is_feasible_set_nonempty(form, q) -> bool:
+    """Whether some point meets the rows and pins q prices and the bounds of
+    form: the elastic program min t with R x - t <= s, t >= 0, solved on a
+    dual form of its own.  The rows are read back from the first d rows of
+    form.E, which hold them as given, before the free split."""
+    d = form.lower.shape[0]
+    rows = np.flatnonzero(np.isfinite(q[:form.bounds]))
+    elastic = _dual_form(
+        np.hstack([form.E[:d, rows].T, -np.ones((rows.size, 1))]),
+        np.zeros((0, d + 1)),
+        np.append(form.lower, 0.0),
+        np.append(form.upper, np.inf),
     )
+    status, x = _solve_core(elastic, np.append(np.zeros(d), 1.0),
+                            elastic.prices(slice(0, rows.size), q[rows]))
     if status is not LpStatus.OPTIMAL:
         raise SimplexStallError("elastic feasibility probe failed to solve")
     return x[d] <= FEAS_TOL
@@ -489,25 +617,28 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
     """Solve lp; when refine is set, return the lexicographic-min optimum.
 
     Refinement pins the achieved cost with an extra row, then minimizes each
-    coordinate in turn over the shrinking optimal face; the pin rows are
-    stacked after lp's rows.  With refinement the returned minimizer is
+    coordinate in turn over the shrinking optimal face, pinning each
+    minimized coordinate in turn.  With refinement the returned minimizer is
     unique and permutation-invariant; without it, any cost-optimal vertex
     may be returned (useful when only the objective value matters).
+
+    Every core runs on the dual form lp shares (LinearProgram.select): the
+    cores differ only in their prices, where a pin row takes part once its
+    right-hand side is priced, and in their row signs.
     """
-    cost, coeffs, rhs = lp.cost, lp.row_coeffs, lp.row_rhs
-    status, x = _solve_core(cost, coeffs, rhs, lp.lower, lp.upper)
+    owner, rows = lp._shares or (lp, slice(0, lp.n_rows))
+    form = owner._form
+    q = form.prices(rows, lp.row_rhs)
+    cost = lp.cost
+    status, x = _solve_core(form, cost, q)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, x=None, objective=np.nan)
     if refine:
-        pin_coeffs = [cost]
-        pin_rhs = [float(cost @ x)]
+        q[form.pins] = float(cost @ x)
         for j in range(lp.d):
             axis = np.zeros(lp.d)
             axis[j] = 1.0
-            status_j, x_j = _solve_core(
-                axis, np.vstack([coeffs, pin_coeffs]),
-                np.concatenate([rhs, pin_rhs]), lp.lower, lp.upper,
-            )
+            status_j, x_j = _solve_core(form, axis, q)
             if status_j is LpStatus.UNBOUNDED:
                 # The optimal face extends to -inf in coordinate j; no
                 # lexicographic minimum exists, so uniqueness is unattainable.
@@ -515,8 +646,8 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
             if status_j is not LpStatus.OPTIMAL:
                 raise SimplexStallError("refinement face lost feasibility")
             x = x_j
-            pin_coeffs.append(axis)
-            pin_rhs.append(float(x[j]))
+            if j + 1 < lp.d:
+                q[form.pins + 1 + j] = float(x[j])
     x.setflags(write=False)
     return LpSolution(status=LpStatus.OPTIMAL, x=x, objective=float(cost @ x))
 

@@ -8,7 +8,8 @@ that `ScenarioProgram.assemble` replaced is kept as the reference for the
 stored row layout, the two-solve greedy loop as the reference for greedy
 removal, and the per-call term list, per-r rescan, per-step bisection and
 the sweep over every term from i = 0 as the references for the bound
-sizing that sums only the terms that can be nonzero.
+sizing that sums only the terms that can be nonzero.  At d=1 the analytic
+family's whole cascade has a closed form in order statistics.
 """
 
 import math
@@ -300,3 +301,35 @@ def greedy_two_solve(program, r: int):
         tight_labels, sol = stage()
         objectives.append(sol.objective)
     return removed, objectives, sol.x, counts
+
+
+def analytic_cascade(deltas, ell: int, fully_supported: bool):
+    """The removal cascade on the d=1 analytic family in closed form, with
+    numpy sorting and no LP: min x on [0, 1] with x >= deltas[i], the
+    scenario of label i + 1.
+
+    Stage k's lex-min is the largest surviving draw.  Its label is the
+    support when it exceeds the next surviving draw by more than X_TOL, and
+    the stage removes it; so in fully-supported mode stage k's point is the
+    (k+1)-th largest draw.  On a smaller gap the support is empty:
+    fully-supported mode excludes the trial (None is returned), and
+    regularized mode pads, removing the smallest surviving label.  Returns
+    (objective, removed label) per stage; the last stage only records its
+    removal.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    ascending = np.argsort(deltas, kind="stable")
+    alive = np.ones(deltas.size, dtype=bool)
+    stages = []
+    for _ in range(ell + 1):
+        survivors = ascending[alive[ascending]]
+        top, runner_up = survivors[-1], survivors[-2]
+        if deltas[top] - deltas[runner_up] > X_TOL:
+            removed = top
+        elif fully_supported:
+            return None
+        else:
+            removed = np.flatnonzero(alive)[0]
+        stages.append((float(deltas[top]), int(removed) + 1))
+        alive[removed] = False
+    return stages

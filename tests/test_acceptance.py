@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from scenopt import bounds
@@ -37,7 +38,11 @@ from scenopt.experiments import (
 )
 from scenopt.lp import solve
 
-from oracles import binom_tail_prefixes, support_set_definitional
+from oracles import (
+    analytic_cascade,
+    binom_tail_prefixes,
+    support_set_definitional,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> str:
@@ -144,6 +149,22 @@ def test_criterion_3_tightness_of_analytic_outer_probability():
         f"({100 * exclusion_rate:.2f}%)"
     )
     assert ok, line
+    # every trial against the closed-form cascade, which solves no LP: the
+    # final objective bit for bit, the exceed flag and the exclusions, each
+    # a trial where two of the ell + 2 largest draws lie within X_TOL
+    excluded = []
+    for row in result.rows:
+        deltas = np.random.default_rng((101, row["trial"])).uniform(0.0, 1.0, m)
+        stages = analytic_cascade(deltas, ell, fully_supported=True)
+        if stages is None:
+            assert row["excluded"] == 1
+            excluded.append(row["trial"])
+            continue
+        x = stages[-1][0]
+        assert row["excluded"] == 0 and row["final_objective"] == x
+        assert row["exceed"] == int(1.0 - x > eps)
+    assert excluded == [3671, 5767, 6996, 11444, 16240, 16291, 17247,
+                        18869, 19647]
 
 
 def test_criterion_4_validity_on_resource_program():

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from scenopt.lp import (
 )
 
 from oracles import (
+    analytic_cascade,
     assemble_blocks,
     greedy_two_solve,
     support_set_definitional,
@@ -585,6 +589,40 @@ class TestCascadeRegularized:
                 assert a.removed == b.removed
 
 
+class TestAnalyticClosedForm:
+    """Cascades on the d=1 analytic family against oracles.analytic_cascade,
+    which sorts the draws and solves no LP.  With near_ties about half the
+    draws move to within 2 X_TOL of another draw, so that stage gaps fall on
+    both sides of X_TOL and exclusion and padding happen."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 40), ell=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1), near_ties=st.booleans(),
+           mode=st.sampled_from(RemovalMode))
+    def test_cascade_matches_the_closed_form(self, m, ell, seed, near_ties,
+                                             mode):
+        ell = min(ell, m - 2)  # (ell + 1) * d < m
+        rng = np.random.default_rng(seed)
+        deltas = rng.uniform(0.0, 1.0, m)
+        if near_ties:
+            anchors = deltas[rng.integers(0, m, m)]
+            nudged = np.clip(anchors + rng.uniform(-2.0, 2.0, m) * X_TOL,
+                             0.0, 1.0)
+            deltas = np.where(rng.random(m) < 0.5, nudged, deltas)
+        expected = analytic_cascade(
+            deltas, ell, fully_supported=mode is RemovalMode.FULLY_SUPPORTED)
+        prog = analytic_program(deltas)
+        if expected is None:
+            with pytest.raises(AssumptionViolated):
+                run_cascade(prog, ell, mode=mode, record_degeneracy=False)
+            return
+        trace = run_cascade(prog, ell, mode=mode, record_degeneracy=False)
+        assert [(s.objective, s.minimizer[0]) for s in trace.stages] == [
+            (x, x) for x, _ in expected]
+        assert [s.removed for s in trace.stages] == [
+            frozenset({label}) for _, label in expected]
+
+
 class TestVerifyCompression:
     def test_analytic_always_reconstructs(self):
         rng = np.random.default_rng(41)
@@ -1113,6 +1151,21 @@ def test_integer_label_arrays_accepted_whole(dtype):
                                      np.array([3, 1], dtype=dtype), [1, 3],
                                      [[-1.0], [-1.0]], [-0.1, -0.2])
     assert [s.label for s in prog.scenarios] == [3, 1]
+
+
+def test_label_checks_import_no_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma, about 18 ms
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, numpy as np\n"
+             "from scenopt.engine import run_cascade\n"
+             "from scenopt.experiments import gen_resource\n"
+             "run_cascade(gen_resource(3, 2, 40, np.random.default_rng(0)), 2)\n"
+             "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_built_program_is_never_validated_again(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scenopt.lp as lp_module
+from scenopt.engine import run_cascade
 from scenopt.experiments import RandomSource, gen_resource
 from scenopt.lp import (
     ACTIVE_TOL,
@@ -12,6 +13,7 @@ from scenopt.lp import (
     LpInputError,
     LpStatus,
     SimplexStallError,
+    _Core,
     _phase_one,
     check_feasible,
     solve,
@@ -114,30 +116,100 @@ class TestSolveBasics:
         assert solve(lp, refine=refine).status is status
 
 
+def validated_copy(lp, rows):
+    return LinearProgram(cost=lp.cost, row_coeffs=lp.row_coeffs[rows],
+                         row_rhs=lp.row_rhs[rows], lower=lp.lower,
+                         upper=lp.upper)
+
+
+def assert_same_solves(sub, ref):
+    """Refined and unrefined solves of sub and ref agree bit for bit."""
+    for refine in (True, False):
+        a, b = solve(sub, refine=refine), solve(ref, refine=refine)
+        assert a.status is b.status
+        if a.is_optimal:
+            assert np.array_equal(a.x, b.x)
+            assert tight_rows(sub, a.x) == tight_rows(ref, b.x)
+
+
 class TestSelect:
+    """A mask selection runs on its parent's dual form, with the parent's
+    other rows priced out; a validated copy builds a form of its own from
+    the selected rows alone.  Both must reach the same bits."""
+
     def test_select_matches_a_validated_copy(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             lp = random_lp(rng)
             rows = rng.random(lp.n_rows) < 0.5
             sub = lp.select(rows)
-            ref = LinearProgram(cost=lp.cost, row_coeffs=lp.row_coeffs[rows],
-                                row_rhs=lp.row_rhs[rows], lower=lp.lower,
-                                upper=lp.upper)
+            ref = validated_copy(lp, rows)
             assert sub.n_rows == ref.n_rows and sub.d == ref.d
             assert not sub.row_coeffs.flags.writeable
-            a, b = solve(sub), solve(ref)
-            assert a.status is b.status
-            if a.is_optimal:
-                assert np.array_equal(a.x, b.x)
-                assert tight_rows(sub, a.x) == tight_rows(ref, b.x)
+            assert_same_solves(sub, ref)
+            # a selection of a selection still shares lp's form
+            again = rng.random(sub.n_rows) < 0.7
+            assert_same_solves(sub.select(again), validated_copy(sub, again))
+
+    def test_cascade_stages_match_validated_copies(self):
+        # each stage LP of a d=10 cascade is a mask of the program's LP
+        prog = gen_resource(10, 2, 300, np.random.default_rng(8))
+        trace = run_cascade(prog, 3)
+        labels = set(prog.labels)
+        for stage in trace.stages:
+            lp, _ = prog.assemble(labels)
+            assert_same_solves(lp, LinearProgram(
+                cost=lp.cost, row_coeffs=lp.row_coeffs, row_rhs=lp.row_rhs,
+                lower=lp.lower, upper=lp.upper))
+            labels -= stage.removed
+
+    def test_free_variable(self):
+        # the third variable is free, so the shared form splits it in two
+        rng = np.random.default_rng(4)
+        solved = 0
+        for _ in range(20):
+            lp = LinearProgram(cost=rng.normal(size=3),
+                               row_coeffs=rng.normal(size=(30, 3)),
+                               row_rhs=rng.uniform(0.5, 2.0, 30),
+                               lower=[-1.0, -2.0, -np.inf],
+                               upper=[1.0, 2.0, np.inf])
+            rows = rng.random(30) < 0.6
+            assert_same_solves(lp.select(rows), validated_copy(lp, rows))
+            solved += solve(lp.select(rows)).is_optimal
+        assert solved > 10
+
+    def test_interleaved_siblings_leave_the_shared_form_unwritten(self):
+        # The cost core negates dual rows 0 and 2, where the cost is
+        # positive, and refinement core j negates row j.  Siblings of one
+        # parent solved in turn would see each other's signs if a core
+        # wrote to the form they share.
+        rng = np.random.default_rng(6)
+        parent = LinearProgram(cost=[1.0, -1.0, 0.5, -0.5],
+                               row_coeffs=rng.normal(size=(60, 4)),
+                               row_rhs=rng.uniform(0.5, 2.0, 60),
+                               lower=[-2.0, -np.inf, -1.0, -3.0],
+                               upper=[2.0, np.inf, 1.0, np.inf])
+        masks = [rng.random(60) < share for share in (0.3, 0.6, 0.9)]
+        subs = [parent.select(mask) for mask in masks]
+        refs = [validated_copy(parent, mask) for mask in masks]
+        expected = [[solve(ref, refine=refine) for ref in refs]
+                    for refine in (True, False)]
+        assert all(sol.is_optimal for sols in expected for sol in sols)
+        for _ in range(2):
+            for i in (2, 0, 1):
+                for refine, sols in zip((True, False), expected):
+                    assert np.array_equal(solve(subs[i], refine=refine).x,
+                                          sols[i].x)
 
 
 def test_dependent_equality_rows_raise_a_stall():
-    # the second row of E is zero, so its phase-1 artificial stays basic
-    E = np.array([[1.0, 1.0], [0.0, 0.0]])
+    # the second row of E's two usable columns is zero, so its phase-1
+    # artificial (the last two columns are the artificials) stays basic
+    E = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    core = _Core(E, np.ones(2), np.array([1.0, 0.0]))
+    q = np.array([0.0, 0.0, np.inf, np.inf])  # phase 2 prices no artificial
     with pytest.raises(SimplexStallError, match="linearly dependent"):
-        _phase_one(E, np.array([1.0, 0.0]), [-1, -1], [0, 1])
+        _phase_one(core, q, np.full(2, -1), [0, 1])
 
 
 def test_stall_errors_name_the_phase_shape_and_pivots(monkeypatch):
