@@ -86,12 +86,14 @@ class StageSolveError(CascadeError):
     without one label, came back infeasible or unbounded.  `where` names the
     LP: "stage 2", "greedy step 1: stage program" (step 0 is the initial
     solve), "stage 2: the program without label 7", or "stage program"
-    outside both schemes."""
+    outside both schemes; the message also gives its row count."""
 
-    def __init__(self, where: str, status: LpStatus):
+    def __init__(self, where: str, status: LpStatus, n_rows: int):
         self.where = where
         self.status = status
-        super().__init__(f"{where} returned status {status.value}")
+        self.n_rows = n_rows
+        super().__init__(
+            f"{where} returned status {status.value} ({n_rows} rows)")
 
 
 class RemovalMode(Enum):
@@ -494,7 +496,7 @@ def _solved_stage(program, labels, where="stage program") -> _Stage:
     with _naming_stalls(where):
         sol = solve(lp)
     if not sol.is_optimal:
-        raise StageSolveError(where, sol.status)
+        raise StageSolveError(where, sol.status, lp.n_rows)
     x = sol.x
     up, lo = np.isfinite(lp.upper), np.isfinite(lp.lower)
     eye = np.eye(lp.d)
@@ -557,7 +559,7 @@ def _support_from_solution(program, stage, counts, where=None):
                 support.add(lab)
                 continue
             if not coarse.is_optimal:
-                raise StageSolveError(without, coarse.status)
+                raise StageSolveError(without, coarse.status, lp_red.n_rows)
             obj = coarse.objective
         if sol.objective - obj <= margin:
             # refining an optimal LP either succeeds or finds no lexicographic
@@ -776,7 +778,7 @@ def greedy_removal(
                 with _naming_stalls(without):
                     sol_c = solve(lp_c, refine=False)
                 if not sol_c.is_optimal:
-                    raise StageSolveError(without, sol_c.status)
+                    raise StageSolveError(without, sol_c.status, lp_c.n_rows)
                 obj = sol_c.objective
             counts.candidate_solves += 1
             if obj < best_obj:

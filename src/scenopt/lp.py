@@ -29,7 +29,10 @@ a run of degenerate pivots.
 After the cost is minimized, the minimizer is made unique by lexicographic
 refinement: minimize x1 over the optimal face, then x2, and so on.  The
 refined point depends only on the feasible set and the cost, so it is
-invariant under row permutations.
+invariant under row permutations.  The refine loop's d extra cores run only
+when the cost core's final basis does not already prove its vertex the
+componentwise minimum of the feasible set, hence the lex-min: over a finite
+box, with the inverse of the basis constraints' normals <= 0 entrywise.
 
 solve returns the minimizer and its cost; which constraints are active
 there is for the caller to read against ACTIVE_TOL.
@@ -456,7 +459,9 @@ def _dual_form(coeffs, pins, lower, upper) -> _DualForm:
 
 def _solve_core(form, objective, q):
     """Minimize `objective` subject to the rows and pins that q prices and
-    the bounds of form (no tie-break).
+    the bounds of form (no tie-break): (status, x, basis), where basis is
+    the final basis as column indices of form.E, or None with x when not
+    optimal.
 
     The simplex multipliers of the dual at optimality are the primal
     minimizer.  Dual rows with c_j > 0 are negated so that the kernel's
@@ -497,17 +502,17 @@ def _solve_core(form, objective, q):
         # Dual infeasible: the primal is unbounded or infeasible; an elastic
         # feasibility probe settles which.
         if _is_feasible_set_nonempty(form, q):
-            return LpStatus.UNBOUNDED, None
-        return LpStatus.INFEASIBLE, None
+            return LpStatus.UNBOUNDED, None, None
+        return LpStatus.INFEASIBLE, None, None
     if duals is None:
         # Dual unbounded below means the primal feasible set is empty.
-        return LpStatus.INFEASIBLE, None
+        return LpStatus.INFEASIBLE, None, None
     # Duals are read against the unnegated rows.
     duals = np.where(flip, -duals, duals)
     x = duals[:d]
     if free.size:
         x[free] -= duals[d:]
-    return LpStatus.OPTIMAL, x
+    return LpStatus.OPTIMAL, x, basis
 
 
 def _is_feasible_set_nonempty(form, q) -> bool:
@@ -523,8 +528,8 @@ def _is_feasible_set_nonempty(form, q) -> bool:
         np.append(form.lower, 0.0),
         np.append(form.upper, np.inf),
     )
-    status, x = _solve_core(elastic, np.append(np.zeros(d), 1.0),
-                            elastic.prices(slice(0, rows.size), q[rows]))
+    status, x, _ = _solve_core(elastic, np.append(np.zeros(d), 1.0),
+                               elastic.prices(slice(0, rows.size), q[rows]))
     if status is not LpStatus.OPTIMAL:
         raise SimplexStallError("elastic feasibility probe failed to solve")
     return x[d] <= FEAS_TOL
@@ -540,6 +545,45 @@ def checked_inverse(M) -> Optional[np.ndarray]:
     if np.abs(inv @ M - np.eye(M.shape[0])).max() > PIVOT_TOL:
         return None
     return inv
+
+
+def _componentwise_min(form, basis) -> bool:
+    """Whether the vertex x0 of a cost core whose final basis is basis
+    minimizes every coordinate at once over the feasible set: then x0 is
+    the lex-min of any subset that holds it, its optimal face included.
+
+    A cost core prices neither pin nor artificial columns, so its basis
+    holds row and bound columns, and a finite box splits no free variable.
+    So the columns of N = form.E[:, basis] are the normals a_i of n = d
+    constraints a_i.x <= q_i tight at x0: the LP rows as given, x_j <= u_j
+    as +e_j and -x_j <= -l_j as -e_j.  Any feasible x has slacks
+    s = N'(x0 - x) >= 0, so x - x0 = -N^-T s, that is
+    x_j - x0_j = -sum_i (N^-1)_ij s_i.  When N^-1 <= 0 entrywise, x >= x0:
+    each -N^-1 e_j >= 0 is an optimal dual for min x_j on this basis
+    (Dantzig, Orden & Wolfe, 1955).
+
+    The sign test reads inv = checked_inverse(N), whose residual
+    R = inv N - I is at most PIVOT_TOL per entry, so N^-1 = (I + R)^-1 inv
+    lies within eps_j = 2 n PIVOT_TOL max_i |inv_ij| of inv in column j
+    (for n PIVOT_TOL <= 1/2).  A sign that rounding got wrong thus leaves
+    (N^-1)_ij <= eps_j, which lets a feasible x fall below x0_j by at most
+    eps_j sum_i s_i, and over the box s_i <= |a_i|.(u - l).  The test
+    passes only when that shift is at most X_TOL, the distance under which
+    two minimizers are equal, for every j, so only on a finite box.
+    Coordinates after the first that falls can move further only at such a
+    rounding-level tie, which the refine loop, pinning each coordinate at
+    its rounded minimum, settles no better.
+    """
+    width = form.upper - form.lower
+    if not np.isfinite(width).all():
+        return False
+    N = form.E[:, basis]
+    inv = checked_inverse(N)
+    if inv is None or inv.max() > 0.0:
+        return False
+    # the largest eps_j, times the bound on sum_i s_i over the box
+    eps = 2.0 * basis.size * PIVOT_TOL * -inv.min()
+    return bool(eps * (width @ np.abs(N)).sum() <= X_TOL)
 
 
 def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
@@ -616,11 +660,15 @@ def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
 def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
     """Solve lp; when refine is set, return the lexicographic-min optimum.
 
-    Refinement pins the achieved cost with an extra row, then minimizes each
-    coordinate in turn over the shrinking optimal face, pinning each
-    minimized coordinate in turn.  With refinement the returned minimizer is
-    unique and permutation-invariant; without it, any cost-optimal vertex
-    may be returned (useful when only the objective value matters).
+    With refinement the returned minimizer is unique and
+    permutation-invariant; without it, any cost-optimal vertex may be
+    returned (useful when only the objective value matters).  When the cost
+    core's final basis certifies that its vertex is the componentwise
+    minimum of the feasible set (_componentwise_min), that vertex is the
+    lex-min and is returned as it is.  Otherwise the refine loop pins the
+    achieved cost with an extra row, then minimizes each coordinate in turn
+    over the shrinking optimal face, pinning each minimized coordinate in
+    turn: d more LP cores.
 
     Every core runs on the dual form lp shares (LinearProgram.select): the
     cores differ only in their prices, where a pin row takes part once its
@@ -630,15 +678,15 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
     form = owner._form
     q = form.prices(rows, lp.row_rhs)
     cost = lp.cost
-    status, x = _solve_core(form, cost, q)
+    status, x, basis = _solve_core(form, cost, q)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, x=None, objective=np.nan)
-    if refine:
+    if refine and not _componentwise_min(form, basis):
         q[form.pins] = float(cost @ x)
         for j in range(lp.d):
             axis = np.zeros(lp.d)
             axis[j] = 1.0
-            status_j, x_j = _solve_core(form, axis, q)
+            status_j, x_j, _ = _solve_core(form, axis, q)
             if status_j is LpStatus.UNBOUNDED:
                 # The optimal face extends to -inf in coordinate j; no
                 # lexicographic minimum exists, so uniqueness is unattainable.

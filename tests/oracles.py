@@ -8,8 +8,8 @@ that `ScenarioProgram.assemble` replaced is kept as the reference for the
 stored row layout, the two-solve greedy loop as the reference for greedy
 removal, and the per-call term list, per-r rescan, per-step bisection and
 the sweep over every term from i = 0 as the references for the bound
-sizing that sums only the terms that can be nonzero.  At d=1 the analytic
-family's whole cascade has a closed form in order statistics.
+sizing that sums only the terms that can be nonzero.  At d=1 the cascades
+of both families and greedy removal have closed forms in order statistics.
 """
 
 import math
@@ -317,19 +317,92 @@ def analytic_cascade(deltas, ell: int, fully_supported: bool):
     (objective, removed label) per stage; the last stage only records its
     removal.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    ascending = np.argsort(deltas, kind="stable")
-    alive = np.ones(deltas.size, dtype=bool)
-    stages = []
-    for _ in range(ell + 1):
+    rule = "fully-supported" if fully_supported else "regularized"
+    return _d1_run(deltas, float, 1.0, ell + 1, rule)
+
+
+def resource_cascade(coeffs, ell: int, fully_supported: bool):
+    """The removal cascade on the d=1 resource family in closed form: max x
+    with x >= 0 and coeffs[i, k] * x <= 1 for every row k of scenario i
+    (label i + 1), as analytic_cascade gives it for the analytic family.
+
+    A scenario binds with its largest coefficient v, and stage k's lex-min
+    is x = 1/max over the survivors of v; with no positive v left the stage
+    is unbounded.  The support rule is analytic_cascade's, on the gap in x
+    that removing the binding scenario opens (unbounded counts as a gap).
+    Returns (objective, removed label) per stage, objective = -x, or None
+    on exclusion; a run that meets an unbounded stage ends with
+    (-inf, None).
+    """
+    rule = "fully-supported" if fully_supported else "regularized"
+    return _d1_run(np.asarray(coeffs, dtype=float).max(axis=1),
+                   _resource_point, -1.0, ell + 1, rule)
+
+
+def d1_greedy(keys, family: str, r: int):
+    """Greedy removal of r scenarios at d=1 in closed form.  keys are the
+    analytic draws (family "analytic") or the resource coefficients, one
+    row per scenario (family "resource"), labels 1, 2, ... in order.
+
+    Each step's candidates are the support (the binding scenario, on a gap
+    above X_TOL) or else every survivor, and the cheapest program without
+    one wins, ties to the smallest label.  So greedy removes what the
+    fully-supported cascade removes while the gaps exceed X_TOL; on a
+    smaller gap it still removes the binding scenario when that lowers the
+    cost at all, and the smallest label only on an exact tie.  Returns
+    (objective after the step, removed label) per step; a run that meets an
+    unbounded candidate or stage ends with (-inf, None).
+    """
+    if family == "analytic":
+        return _d1_run(keys, float, 1.0, r, "greedy")
+    return _d1_run(np.asarray(keys, dtype=float).max(axis=1),
+                   _resource_point, -1.0, r, "greedy")
+
+
+def _resource_point(v):
+    return 1.0 / v if v > 0.0 else np.inf
+
+
+def _d1_run(keys, point, cost, steps: int, rule: str):
+    """A d=1 removal run in closed form, by sorting: scenario i (label
+    i + 1) binds with strength keys[i], each stage's point is point(k) for
+    the largest surviving key k (inf: unbounded) and its objective is
+    cost * point.  rule is "fully-supported" or "regularized" (a cascade
+    stage records its own objective) or "greedy" (a step records the
+    objective of the stage its removal leads to)."""
+    keys = np.asarray(keys, dtype=float)
+    ascending = np.argsort(keys, kind="stable")
+    alive = np.ones(keys.size, dtype=bool)
+    unbounded = (-np.inf, None)
+
+    def binding():
         survivors = ascending[alive[ascending]]
-        top, runner_up = survivors[-1], survivors[-2]
-        if deltas[top] - deltas[runner_up] > X_TOL:
+        top = survivors[-1]
+        return top, point(keys[top]), point(keys[survivors[-2]])
+
+    out = []
+    for _ in range(steps):
+        top, x, x_without = binding()
+        if x == np.inf:
+            return out + [unbounded]
+        support = abs(x_without - x) > X_TOL
+        if rule == "greedy":
+            if support and x_without == np.inf:
+                return out + [unbounded]
+            if support or cost * x_without < cost * x:
+                removed = top
+            else:
+                removed = np.flatnonzero(alive)[0]
+        elif support:
             removed = top
-        elif fully_supported:
+        elif rule == "fully-supported":
             return None
         else:
             removed = np.flatnonzero(alive)[0]
-        stages.append((float(deltas[top]), int(removed) + 1))
         alive[removed] = False
-    return stages
+        if rule == "greedy":
+            x = binding()[1]
+            if x == np.inf:
+                return out + [unbounded]
+        out.append((float(cost * x), int(removed) + 1))
+    return out

@@ -252,7 +252,7 @@ class TestCascadeCommand:
             "--out", str(tmp_path),
         )
         assert code == EXIT_SOLVER
-        assert err.startswith("error: stage 0 returned status infeasible")
+        assert err == "error: stage 0 returned status infeasible (3 rows)\n"
 
     def test_simplex_stall_exits_4(self, capsys, tmp_path, monkeypatch):
         def stall(*args, **kwargs):
@@ -368,7 +368,7 @@ class TestGreedyCommand:
         )
         assert code == EXIT_SOLVER
         assert err == ("error: greedy step 1: the program without label 1 "
-                       "returned status unbounded\n")
+                       "returned status unbounded (3 rows)\n")
 
     def test_unbounded_stage_names_greedy_step_and_exits_4(
             self, capsys, tmp_path):
@@ -391,7 +391,7 @@ class TestGreedyCommand:
         )
         assert code == EXIT_SOLVER
         assert err == ("error: greedy step 1: stage program returned status "
-                       "unbounded\n")
+                       "unbounded (3 rows)\n")
 
 
     def test_stall_names_its_lp_and_exits_4(self, capsys, tmp_path,

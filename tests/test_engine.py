@@ -27,6 +27,7 @@ from scenopt.engine import (
     support_set,
     verify_compression,
 )
+from scenopt.experiments import ResourceFamily
 import scenopt.lp as lp_module
 from scenopt.lp import (
     FEAS_TOL,
@@ -41,7 +42,9 @@ from scenopt.lp import (
 from oracles import (
     analytic_cascade,
     assemble_blocks,
+    d1_greedy,
     greedy_two_solve,
+    resource_cascade,
     support_set_definitional,
 )
 
@@ -589,11 +592,22 @@ class TestCascadeRegularized:
                 assert a.removed == b.removed
 
 
+def analytic_d1_draws(m, seed, near_ties):
+    """m analytic draws; with near_ties about half move to within 2 X_TOL
+    of another draw, a third of those onto it exactly."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(0.0, 1.0, m)
+    if near_ties:
+        shift = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(-2.0, 2.0, m))
+        nudged = np.clip(deltas[rng.integers(0, m, m)] + shift * X_TOL, 0.0, 1.0)
+        deltas = np.where(rng.random(m) < 0.5, nudged, deltas)
+    return deltas
+
+
 class TestAnalyticClosedForm:
     """Cascades on the d=1 analytic family against oracles.analytic_cascade,
-    which sorts the draws and solves no LP.  With near_ties about half the
-    draws move to within 2 X_TOL of another draw, so that stage gaps fall on
-    both sides of X_TOL and exclusion and padding happen."""
+    which sorts the draws and solves no LP.  With near_ties stage gaps fall
+    on both sides of X_TOL, so that exclusion and padding happen."""
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), ell=st.integers(0, 6),
@@ -602,13 +616,7 @@ class TestAnalyticClosedForm:
     def test_cascade_matches_the_closed_form(self, m, ell, seed, near_ties,
                                              mode):
         ell = min(ell, m - 2)  # (ell + 1) * d < m
-        rng = np.random.default_rng(seed)
-        deltas = rng.uniform(0.0, 1.0, m)
-        if near_ties:
-            anchors = deltas[rng.integers(0, m, m)]
-            nudged = np.clip(anchors + rng.uniform(-2.0, 2.0, m) * X_TOL,
-                             0.0, 1.0)
-            deltas = np.where(rng.random(m) < 0.5, nudged, deltas)
+        deltas = analytic_d1_draws(m, seed, near_ties)
         expected = analytic_cascade(
             deltas, ell, fully_supported=mode is RemovalMode.FULLY_SUPPORTED)
         prog = analytic_program(deltas)
@@ -621,6 +629,106 @@ class TestAnalyticClosedForm:
             (x, x) for x, _ in expected]
         assert [s.removed for s in trace.stages] == [
             frozenset({label}) for _, label in expected]
+
+
+def resource_d1_draws(m, n, seed, near_ties):
+    """The (m, n) row coefficients of a d=1 resource program; with
+    near_ties about half the scenarios get their largest coefficient moved
+    so that the point 1/max it allows lies within 2 X_TOL of another
+    scenario's, a third of those onto it exactly."""
+    rng = np.random.default_rng(seed)
+    coeffs = ResourceFamily(d=1, n=n, m=m).sample_blocks(m, rng)[0][:, :, 0]
+    if near_ties:
+        anchor = coeffs.max(axis=1)[rng.integers(0, m, m)]
+        shift = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(-2.0, 2.0, m))
+        moved = np.flatnonzero((rng.random(m) < 0.5) & (anchor > 0.0))
+        point = 1.0 / anchor[moved] + shift[moved] * X_TOL
+        coeffs[moved, coeffs[moved].argmax(axis=1)] = 1.0 / point
+    return coeffs
+
+
+def resource_d1_program(coeffs):
+    """max x, x >= 0, with coeffs[i, k] x <= 1 for label i + 1."""
+    m, n = coeffs.shape
+    labels = np.arange(1, m + 1)
+    return ScenarioProgram.from_rows([-1.0], [0.0], [np.inf], labels,
+                                     np.repeat(labels, n),
+                                     coeffs.reshape(m * n, 1), np.ones(m * n))
+
+
+def assert_closed_form(run, expected, records):
+    """run() against a d=1 oracle's (objective, removed label) list, read
+    off its trace by records: None expects AssumptionViolated, and a list
+    ending unbounded, (-inf, None), expects StageSolveError."""
+    if expected is None:
+        with pytest.raises(AssumptionViolated):
+            run()
+    elif expected and expected[-1][1] is None:
+        with pytest.raises(engine.StageSolveError):
+            run()
+    else:
+        assert records(run()) == expected
+
+
+class TestResourceClosedForm:
+    """Cascades on the d=1 resource family against oracles.resource_cascade,
+    which sorts each scenario's largest coefficient and solves no LP.  The
+    resource LP maximizes over a box unbounded above, so the lex-min
+    certificate never passes and every stage runs the refine loop, where
+    every analytic stage skips it: the two families judge both paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 40), n=st.integers(1, 3), ell=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1), near_ties=st.booleans(),
+           mode=st.sampled_from(RemovalMode))
+    def test_cascade_matches_the_closed_form(self, m, n, ell, seed,
+                                             near_ties, mode):
+        ell = min(ell, m - 2)  # (ell + 1) * d < m
+        coeffs = resource_d1_draws(m, n, seed, near_ties)
+        expected = resource_cascade(
+            coeffs, ell, fully_supported=mode is RemovalMode.FULLY_SUPPORTED)
+        prog = resource_d1_program(coeffs)
+        assert_closed_form(
+            lambda: run_cascade(prog, ell, mode=mode, record_degeneracy=False),
+            expected,
+            lambda trace: [(s.objective, *s.removed) for s in trace.stages])
+
+    def test_no_positive_coefficient_left_is_unbounded(self):
+        # stage 1 keeps labels 2 and 3, whose rows bound nothing
+        coeffs = np.array([[0.3], [-0.2], [-0.1]])
+        prog = resource_d1_program(coeffs)
+        expected = resource_cascade(coeffs, 1, fully_supported=True)
+        assert expected == [(-1.0 / 0.3, 1), (-np.inf, None)]
+        assert_closed_form(lambda: run_cascade(prog, 1), expected, None)
+        expected = d1_greedy(coeffs, "resource", 1)
+        assert expected == [(-np.inf, None)]
+        assert_closed_form(lambda: greedy_removal(prog, 1), expected, None)
+
+
+class TestGreedyClosedForm:
+    """Greedy removal on both d=1 families against oracles.d1_greedy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["analytic", "resource"]),
+           m=st.integers(3, 40), r=st.integers(0, 8),
+           seed=st.integers(0, 2**32 - 1), near_ties=st.booleans())
+    def test_greedy_matches_the_closed_form(self, family, m, r, seed,
+                                            near_ties):
+        r = min(r, m - 2)  # r < m - d
+        if family == "analytic":
+            keys = analytic_d1_draws(m, seed, near_ties)
+            prog, cascade = analytic_program(keys), analytic_cascade
+        else:
+            keys = resource_d1_draws(m, 2, seed, near_ties)
+            prog, cascade = resource_d1_program(keys), resource_cascade
+        expected = d1_greedy(keys, family, r)
+        assert_closed_form(
+            lambda: greedy_removal(prog, r), expected,
+            lambda trace: [(s.objective, s.removed_label) for s in trace.steps])
+        # while every gap exceeds X_TOL greedy removes the cascade's labels
+        batches = cascade(keys, r - 1, fully_supported=True) if r else []
+        if batches is not None and None not in [lab for _, lab in expected]:
+            assert [lab for _, lab in expected] == [lab for _, lab in batches]
 
 
 class TestVerifyCompression:
@@ -732,7 +840,7 @@ class TestGreedy:
         with pytest.raises(engine.StageSolveError) as err:
             run(prog)
         assert str(err.value) == (f"{where}: the program without label 2 "
-                                  "returned status infeasible")
+                                  "returned status infeasible (4 rows)")
 
     @pytest.mark.parametrize("where, run, refined, nth", [
         ("stage program", lambda: support_set(DISTINCT), True, 1),

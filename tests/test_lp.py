@@ -1,7 +1,10 @@
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenopt.lp as lp_module
 from scenopt.engine import run_cascade
@@ -9,6 +12,7 @@ from scenopt.experiments import RandomSource, gen_resource
 from scenopt.lp import (
     ACTIVE_TOL,
     FEAS_TOL,
+    X_TOL,
     LinearProgram,
     LpInputError,
     LpStatus,
@@ -263,18 +267,26 @@ def resource_stage():
 
 
 class TestFactorizations:
-    @pytest.mark.parametrize("refine, cores", [(False, 1), (True, 2)])
-    def test_each_lp_core_factorizes_once(self, monkeypatch, refine, cores):
-        # min x on [0, 1] with x >= 0.2, 0.9, 0.5: each LP core is one
-        # phase-2 pivot on the inverse taken at its start, then one exact
-        # solve for pi at optimality, which is also the dual vector the core
-        # reads its minimizer from
-        lp = box_lp([1.0], [[-1.0], [-1.0], [-1.0]], [-0.2, -0.9, -0.5],
-                    [0.0], [1.0])
+    @pytest.mark.parametrize("sense, refine, cores, certificates", [
+        pytest.param(1.0, False, 1, 0, id="False-1"),
+        pytest.param(1.0, True, 1, 1, id="True-1-certified"),
+        pytest.param(-1.0, True, 2, 1, id="True-2-refine-loop")])
+    def test_each_lp_core_factorizes_once(self, monkeypatch, sense, refine,
+                                          cores, certificates):
+        # min x on [0, 1] with x >= 0.2, 0.9, 0.5 (sense 1), or max x with
+        # x <= 0.2, 0.9, 0.5 (sense -1): each LP core is one phase-2 pivot
+        # on the inverse taken at its start, then one exact solve for pi at
+        # optimality, which is also the dual vector the core reads its
+        # minimizer from.  A refined solve inverts the cost core's basis
+        # once more for the lex-min certificate; the row x >= 0.9 passes
+        # it, so no refinement core runs, and x <= 0.2 fails it, so d = 1
+        # refinement core follows.
+        lp = box_lp([sense], -sense * np.ones((3, 1)),
+                    -sense * np.array([0.2, 0.9, 0.5]), [0.0], [1.0])
         calls = spy_linalg(monkeypatch)
         sol = solve(lp, refine=refine)
-        assert sol.x[0] == pytest.approx(0.9, abs=1e-12)
-        assert calls == {"inv": cores, "solve": cores}
+        assert sol.x[0] == pytest.approx(0.9 if sense > 0 else 0.2, abs=1e-12)
+        assert calls == {"inv": cores + certificates, "solve": cores}
 
     def test_long_pivot_paths_solve_no_system_per_pivot(self, monkeypatch):
         lp = resource_stage()
@@ -286,6 +298,92 @@ class TestFactorizations:
         assert max(pivots) > lp_module._REFACTOR_EVERY
         assert calls["solve"] * 10 < sum(pivots)
         assert calls["inv"] * 5 < sum(pivots)
+
+
+def lower_bounding_lp(rng, d):
+    """min c.x, c > 0, over rows x_j >= b + beta.x that each bound one
+    coordinate from below (beta >= 0, sum beta <= 1/2, b <= 1/2), scaled
+    by positive factors, inside the box [-1, 0]^d .. [1.5, 2]^d.
+    Componentwise minima of feasible points are feasible, so the optimum is
+    the componentwise minimum, at most 1 in every coordinate; its d tight
+    normals N have N^-1 <= 0, and the box is narrow and the rows well
+    enough scaled for _componentwise_min's rounding bound to pass."""
+    k = int(rng.integers(0, 3 * d + 1))
+    own = rng.integers(0, d, k)
+    beta = rng.uniform(0.0, 0.5 / d, (k, d))
+    beta[np.arange(k), own] = 0.0
+    scale = rng.uniform(0.5, 1.5, k)
+    rows = (beta - np.eye(d)[own]) * scale[:, None]
+    rhs = -rng.uniform(-1.0, 0.5, k) * scale
+    return LinearProgram(cost=rng.uniform(0.1, 2.0, d), row_coeffs=rows,
+                         row_rhs=rhs, lower=rng.uniform(-1.0, 0.0, d),
+                         upper=rng.uniform(1.5, 2.0, d))
+
+
+@contextmanager
+def certificates(result=None):
+    """Record _componentwise_min's verdicts; with result set, every verdict
+    is replaced by it (False forces the refine loop)."""
+    verdicts = []
+    real = lp_module._componentwise_min
+
+    def spy(form, basis):
+        verdicts.append(real(form, basis) if result is None else result)
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_componentwise_min", spy)
+        yield verdicts
+
+
+class TestLexCertificate:
+    """solve returns the cost core's vertex, with no refinement core, when
+    its basis proves it the componentwise minimum of the feasible set."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_certified_point_is_the_refined_lex_min(self, d, seed):
+        rng = np.random.default_rng(seed)
+        lp = lower_bounding_lp(rng, d)
+        with certificates() as verdicts:
+            sol = solve(lp)
+        assert verdicts == [True]
+        status, objective, lex = enumerate_lp(lp)
+        assert status == "optimal"
+        assert sol.objective == pytest.approx(objective, abs=1e-9)
+        assert np.abs(sol.x - lex).max() <= X_TOL
+        with certificates(False):
+            forced = solve(lp)
+        assert np.abs(sol.x - forced.x).max() <= X_TOL
+        perm = rng.permutation(lp.n_rows)
+        shuffled = solve(LinearProgram(
+            cost=lp.cost, row_coeffs=lp.row_coeffs[perm],
+            row_rhs=lp.row_rhs[perm], lower=lp.lower, upper=lp.upper))
+        assert np.abs(sol.x - shuffled.x).max() <= X_TOL
+
+    def test_a_cost_tie_runs_the_refine_loop(self):
+        # min x1 over [0, 1]^2: the cost core stops at (0, 1) on the bound
+        # columns x1 >= 0 and x2 <= 1, whose inverse has a positive entry
+        lp = box_lp([1.0, 0.0], np.zeros((0, 2)), [], [0.0, 0.0], [1.0, 1.0])
+        form = lp._form
+        status, x, basis = lp_module._solve_core(
+            form, lp.cost, form.prices(slice(0, 0), lp.row_rhs))
+        assert status is LpStatus.OPTIMAL and x.tolist() == [0.0, 1.0]
+        assert basis.tolist() == [form.bounds + 2, form.bounds + 1]
+        with certificates() as verdicts:
+            sol = solve(lp)
+        assert verdicts == [False]
+        assert sol.x.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("upper", [np.inf, 1e4])
+    def test_an_unbounded_or_wide_box_is_not_certified(self, upper):
+        # min x, x >= 0.5 passes the sign test, but a rounding-level wrong
+        # sign could let x fall by 2 PIVOT_TOL times the box width, so
+        # here the certificate takes widths up to X_TOL / (2 PIVOT_TOL)
+        with certificates() as verdicts:
+            assert solve(box_lp([1.0], [[-1.0]], [-0.5], [0.0],
+                                [upper])).x[0] == 0.5
+        assert verdicts == [False]
 
 
 def random_corpus_lp(rng):
@@ -499,6 +597,63 @@ def klee_minty(d):
     )
 
 
+def forty_rows_through_one_vertex(d):
+    """40 nonnegative normals through an interior point v of [0, 1]^d, 10
+    rows slack there, and a cost inside the normal cone of the first d
+    tight rows, so v is the unique minimizer; returns (lp, v)."""
+    rng = np.random.default_rng(d)
+    v = rng.uniform(0.2, 0.8, d)
+    tight = rng.uniform(0.1, 1.0, (40, d))
+    loose = rng.normal(size=(10, d))
+    rows = np.vstack([tight, loose])
+    rhs = np.concatenate([tight @ v, loose @ v + rng.uniform(0.1, 1.0, 10)])
+    perm = rng.permutation(50)
+    lp = box_lp(-(rng.uniform(0.5, 1.0, d) @ tight[:d]), rows[perm],
+                rhs[perm], np.zeros(d), np.ones(d))
+    return lp, v
+
+
+def twenty_equal_analytic_maxima():
+    """The analytic family's rows x >= delta_i, the largest delta 20
+    times; returns (lp, deltas)."""
+    rng = np.random.default_rng(20)
+    deltas = rng.permutation(
+        np.concatenate([rng.uniform(0.0, 0.6, 10), np.full(20, 0.75)]))
+    return box_lp([1.0], -np.ones((30, 1)), -deltas, [0.0], [1.0]), deltas
+
+
+def thirty_near_parallel_rows(d):
+    """a.x <= 1 perturbed by 1e-9 and maximized along a: the optimal face
+    is nearly flat, so points 0.05 apart differ in cost by about 1e-9."""
+    rng = np.random.default_rng(30 + d)
+    a = rng.normal(size=d)
+    rows = a + 1e-9 * rng.normal(size=(30, d))
+    rhs = 1.0 + 1e-9 * rng.normal(size=30)
+    return box_lp(-a, rows, rhs, np.full(d, -5.0), np.full(d, 5.0))
+
+
+def scaled_resource_rows(scale):
+    """A d=3 resource stage with every row scaled by scale, which keeps
+    the feasible set and the optimum."""
+    program = gen_resource(3, 2, 20, RandomSource(seed=40).generator())
+    base, _ = program.assemble(program.labels)
+    return LinearProgram(cost=base.cost, row_coeffs=base.row_coeffs * scale,
+                         row_rhs=base.row_rhs * scale, lower=base.lower,
+                         upper=base.upper)
+
+
+PATHOLOGICAL_CORPUS = {
+    **{f"klee_minty-{d}": lambda d=d: klee_minty(d) for d in range(2, 9)},
+    **{f"forty_rows-{d}": lambda d=d: forty_rows_through_one_vertex(d)[0]
+       for d in (2, 3, 5)},
+    "twenty_maxima": lambda: twenty_equal_analytic_maxima()[0],
+    **{f"near_parallel-{d}": lambda d=d: thirty_near_parallel_rows(d)
+       for d in (2, 3)},
+    **{f"scaled_resource-{scale:g}": lambda scale=scale: scaled_resource_rows(
+        scale) for scale in (1e-6, 1e6)},
+}
+
+
 class TestPathologicalCorpus:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_klee_minty_cube(self, d):
@@ -511,18 +666,7 @@ class TestPathologicalCorpus:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_forty_rows_through_one_vertex(self, d):
-        # 40 nonnegative normals through an interior point v of [0, 1]^d,
-        # 10 rows slack there, and a cost inside the normal cone of the
-        # first d tight rows, so v is the unique minimizer
-        rng = np.random.default_rng(d)
-        v = rng.uniform(0.2, 0.8, d)
-        tight = rng.uniform(0.1, 1.0, (40, d))
-        loose = rng.normal(size=(10, d))
-        rows = np.vstack([tight, loose])
-        rhs = np.concatenate([tight @ v, loose @ v + rng.uniform(0.1, 1.0, 10)])
-        perm = rng.permutation(50)
-        lp = box_lp(-(rng.uniform(0.5, 1.0, d) @ tight[:d]), rows[perm],
-                    rhs[perm], np.zeros(d), np.ones(d))
+        lp, v = forty_rows_through_one_vertex(d)
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, v, rtol=0.0, atol=1e-12)
@@ -532,11 +676,7 @@ class TestPathologicalCorpus:
             assert_matches_enumeration(lp, sol)
 
     def test_twenty_equal_analytic_maxima(self):
-        # the analytic family's rows x >= delta_i, the largest delta 20 times
-        rng = np.random.default_rng(20)
-        deltas = rng.permutation(
-            np.concatenate([rng.uniform(0.0, 0.6, 10), np.full(20, 0.75)]))
-        lp = box_lp([1.0], -np.ones((30, 1)), -deltas, [0.0], [1.0])
+        lp, deltas = twenty_equal_analytic_maxima()
         sol = solve(lp)
         assert sol.x[0] == 0.75 and sol.objective == 0.75
         assert tight_rows(lp, sol.x) == frozenset(
@@ -545,26 +685,29 @@ class TestPathologicalCorpus:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_thirty_near_parallel_rows(self, d):
-        # a.x <= 1 perturbed by 1e-9 and maximized along a: the optimal face
-        # is nearly flat, so points 0.05 apart differ in cost by about 1e-9
-        # and the lex point is not compared
-        rng = np.random.default_rng(30 + d)
-        a = rng.normal(size=d)
-        rows = a + 1e-9 * rng.normal(size=(30, d))
-        rhs = 1.0 + 1e-9 * rng.normal(size=30)
-        lp = box_lp(-a, rows, rhs, np.full(d, -5.0), np.full(d, 5.0))
+        # the lex point is not compared: the face is nearly flat
+        lp = thirty_near_parallel_rows(d)
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert_matches_enumeration(lp, sol, compare_x=False)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_scaled_resource_rows(self, scale):
-        # scaling whole rows keeps the feasible set and the optimum
-        program = gen_resource(3, 2, 20, RandomSource(seed=40).generator())
-        base, _ = program.assemble(program.labels)
-        lp = LinearProgram(cost=base.cost, row_coeffs=base.row_coeffs * scale,
-                           row_rhs=base.row_rhs * scale, lower=base.lower,
-                           upper=base.upper)
+        lp = scaled_resource_rows(scale)
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert_matches_enumeration(lp, sol)
+
+    @pytest.mark.parametrize("case", PATHOLOGICAL_CORPUS)
+    def test_matches_the_forced_refine_loop(self, case):
+        # where the lex-min certificate skips refinement (the analytic
+        # maxima), the refine loop reaches the same point; elsewhere both
+        # run the loop
+        lp = PATHOLOGICAL_CORPUS[case]()
+        with certificates() as verdicts:
+            sol = solve(lp)
+        with certificates(False):
+            forced = solve(lp)
+        assert verdicts == [case == "twenty_maxima"]
+        assert sol.status is forced.status is LpStatus.OPTIMAL
+        assert np.abs(sol.x - forced.x).max() <= X_TOL
