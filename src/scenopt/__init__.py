@@ -24,7 +24,6 @@ from scenopt.engine import (
     GreedyTrace,
     InsufficientScenarios,
     RemovalMode,
-    Scenario,
     ScenarioProgram,
     StageRecord,
     StageSolveError,
@@ -63,7 +62,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "RemovalMode",
-    "Scenario",
     "ScenarioProgram",
     "StageRecord",
     "StageSolveError",

@@ -105,6 +105,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _number(value) -> float:
+    """A JSON number (int or float, not bool or str) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LpInputError(f"{value!r} is not a number")
+    return float(value)
+
+
 _MAX_LABEL = 2**63 - 1  # labels are stored as int64
 
 
@@ -133,77 +140,23 @@ def _as_labels(values) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One sampled uncertainty realization: a label plus its affine rows."""
-
-    label: int
-    coeffs: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        if not _is_int(self.label):
-            raise LpInputError(f"scenario label {self.label!r} is not an integer")
-        coeffs = np.array(self.coeffs, dtype=float, ndmin=2)
-        rhs = np.array(self.rhs, dtype=float, ndmin=1)
-        if coeffs.shape[0] == 0:
-            raise LpInputError(f"scenario {self.label}: block must be non-empty")
-        if rhs.shape[0] != coeffs.shape[0]:
-            raise LpInputError(f"scenario {self.label}: rhs length mismatch")
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(rhs))):
-            raise LpInputError(f"scenario {self.label}: non-finite entries")
-        coeffs.setflags(write=False)
-        rhs.setflags(write=False)
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.shape[0]
-
-
 class ScenarioProgram:
     """Linear cost over a box, with labeled scenario constraint blocks.
 
-    The rows of all scenarios are stored once, stacked in ascending label
-    order, each scenario's rows in their given order: `coeffs` (R, d), `rhs`
-    (R,) and `owners` (R,), the label of each row's scenario.  The stack is
-    one LinearProgram, built (and so validated) once when the program is;
+    The one constructor takes the program's rows `coeffs` (R, d) @ x <= `rhs`
+    (R,), in any order, row i owned by scenario `owners[i]`, and `labels`,
+    the scenarios in their given order, which is kept for serialization.
+    The rows are the program's one layout: stored once, stacked in
+    ascending label order, each scenario's rows in their given order, with
+    `owners` (R,) the label of each row's scenario.  The stack is one
+    LinearProgram, built (and so validated) once when the program is;
     `cost`, `lower`, `upper`, `coeffs` and `rhs` are its read-only arrays,
     and the LP over any subset of scenarios is a row selection of it that
-    is not validated again.  The labels' given order is kept for
-    serialization.
+    is not validated again.
     """
 
-    def __init__(self, cost, lower, upper, scenarios: Iterable[Scenario]):
-        scenarios = tuple(scenarios)
-        labels = _as_labels([s.label for s in scenarios])
-        d = len(np.atleast_1d(cost))
-        for s in scenarios:
-            if s.coeffs.shape[1] != d:
-                raise LpInputError(
-                    f"scenario {s.label}: rows have width {s.coeffs.shape[1]}, "
-                    f"expected {d}"
-                )
-        self._store(
-            cost, lower, upper, labels,
-            owners=np.repeat(labels, [s.n_rows for s in scenarios]),
-            coeffs=np.concatenate([s.coeffs for s in scenarios]),
-            rhs=np.concatenate([s.rhs for s in scenarios]),
-        )
-
-    @classmethod
-    def from_rows(cls, cost, lower, upper, labels, owners, coeffs, rhs
-                  ) -> "ScenarioProgram":
-        """Program from rows coeffs (R, d) @ x <= rhs (R,), in any order, row i
-        owned by scenario owners[i]; labels gives the scenarios' order."""
-        program = cls.__new__(cls)
-        program._store(cost, lower, upper, _as_labels(labels), owners,
-                       coeffs, rhs)
-        return program
-
-    def _store(self, cost, lower, upper, labels, owners, coeffs, rhs):
+    def __init__(self, cost, lower, upper, labels, owners, coeffs, rhs):
+        labels = _as_labels(labels)
         lp = LinearProgram(cost=cost, row_coeffs=coeffs, row_rhs=rhs,
                            lower=lower, upper=upper)
         owners = np.asarray(owners)
@@ -238,19 +191,6 @@ class ScenarioProgram:
     def m(self) -> int:
         return self._sorted.size
 
-    @property
-    def scenarios(self) -> tuple[Scenario, ...]:
-        """The scenarios in their given order, derived from the stored rows."""
-        return tuple(self.scenario(lab) for lab in self._given.tolist())
-
-    def scenario(self, label: int) -> Scenario:
-        if label not in self.labels:
-            raise KeyError(label)
-        rows = slice(np.searchsorted(self.owners, label, side="left"),
-                     np.searchsorted(self.owners, label, side="right"))
-        return Scenario(label=int(label), coeffs=self.coeffs[rows],
-                        rhs=self.rhs[rows])
-
     def _row_mask(self, wanted: set) -> np.ndarray:
         """Mask of the rows owned by wanted; unknown labels are an error."""
         missing = sorted(wanted - self.labels)
@@ -274,7 +214,7 @@ class ScenarioProgram:
         """Program over a subset of scenarios, labels and their order preserved."""
         keep = set(labels)
         rows = self._row_mask(keep)
-        return ScenarioProgram.from_rows(
+        return ScenarioProgram(
             self.cost, self.lower, self.upper,
             labels=[lab for lab in self._given.tolist() if lab in keep],
             owners=self.owners[rows],
@@ -290,19 +230,21 @@ class ScenarioProgram:
         def _b(v: float) -> Optional[float]:
             return None if not np.isfinite(v) else float(v)
 
+        # each scenario's block is a slice of the label-sorted rows
+        coeffs, rhs = self.coeffs.tolist(), self.rhs.tolist()
+        starts = np.searchsorted(self.owners, self._given).tolist()
+        ends = np.searchsorted(self.owners, self._given, side="right").tolist()
         return {
             "d": self.d,
             "cost": self.cost.tolist(),
             "bounds": [[_b(lo), _b(hi)] for lo, hi in zip(self.lower, self.upper)],
             "scenarios": [
                 {
-                    "label": s.label,
-                    "rows": [
-                        {"a": a.tolist(), "b": float(b)}
-                        for a, b in zip(s.coeffs, s.rhs)
-                    ],
+                    "label": label,
+                    "rows": [{"a": a, "b": b}
+                             for a, b in zip(coeffs[i:j], rhs[i:j])],
                 }
-                for s in self.scenarios
+                for label, i, j in zip(self._given.tolist(), starts, ends)
             ],
         }
 
@@ -310,21 +252,22 @@ class ScenarioProgram:
     def from_dict(cls, data: dict) -> "ScenarioProgram":
         try:
             d = data["d"]
-            cost = np.asarray(data["cost"], dtype=float)
+            cost = np.array([_number(v) for v in data["cost"]])
             bounds = data["bounds"]
             lower = np.array(
-                [-np.inf if b[0] is None else float(b[0]) for b in bounds]
+                [-np.inf if b[0] is None else _number(b[0]) for b in bounds]
             )
             upper = np.array(
-                [np.inf if b[1] is None else float(b[1]) for b in bounds]
+                [np.inf if b[1] is None else _number(b[1]) for b in bounds]
             )
             scenarios = data["scenarios"]
             labels = [s["label"] for s in scenarios]
             owners = [s["label"] for s in scenarios for _ in s["rows"]]
-            coeffs = [[float(v) for v in row["a"]]
+            coeffs = [[_number(v) for v in row["a"]]
                       for s in scenarios for row in s["rows"]]
-            rhs = [float(row["b"]) for s in scenarios for row in s["rows"]]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            rhs = [_number(row["b"]) for s in scenarios for row in s["rows"]]
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
             raise LpInputError(f"malformed scenario program: {exc}") from exc
         if not _is_int(d):
             raise LpInputError(f"d {d!r} is not an integer")
@@ -335,7 +278,7 @@ class ScenarioProgram:
                 raise LpInputError(
                     f"scenario {label}: a row has {len(a)} coefficients, expected {d}"
                 )
-        return cls.from_rows(cost, lower, upper, labels, owners, coeffs, rhs)
+        return cls(cost, lower, upper, labels, owners, coeffs, rhs)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)

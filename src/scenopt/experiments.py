@@ -116,9 +116,8 @@ def _program_from_blocks(cost, lower, upper, coeffs, rhs) -> ScenarioProgram:
     """Program over blocks coeffs (m, n, d) and rhs (m, n), labels 1..m."""
     m, n, d = coeffs.shape
     labels = np.arange(1, m + 1)
-    return ScenarioProgram.from_rows(cost, lower, upper, labels,
-                                     np.repeat(labels, n),
-                                     coeffs.reshape(m * n, d), rhs.reshape(m * n))
+    return ScenarioProgram(cost, lower, upper, labels, np.repeat(labels, n),
+                           coeffs.reshape(m * n, d), rhs.reshape(m * n))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Everything here recomputes expected values from first principles, without
 touching the code paths under test: exact rational arithmetic for the tail
 bounds, exhaustive vertex enumeration for small LPs, and the definitional
-remove-one-scenario loop for support sets.  The block-by-block stacking
-that `ScenarioProgram.assemble` replaced is kept as the reference for the
-stored row layout, the two-solve greedy loop as the reference for greedy
+remove-one-scenario loop for support sets.  Block-by-block stacking of
+plain (label, coeffs, rhs) blocks is kept as the reference for the stored
+row layout, the two-solve greedy loop as the reference for greedy
 removal, and the per-call term list, per-r rescan, per-step bisection and
 the sweep over every term from i = 0 as the references for the bound
 sizing that sums only the terms that can be nonzero.  At d=1 the cascades
@@ -247,19 +247,20 @@ def support_set_definitional(program, labels, tol_x: float = 1e-6):
     return frozenset(support)
 
 
-def assemble_blocks(scenarios, labels, d: int):
+def assemble_blocks(blocks, labels, d: int):
     """Stack the blocks of the given labels in ascending label order.
 
-    Returns (row_coeffs, row_rhs, owners) built from Scenario objects one
-    block at a time, the construction that predates the stored row layout.
+    blocks holds one (label, coeffs, rhs) per scenario, coeffs (h, d) and
+    rhs (h,).  Returns (row_coeffs, row_rhs, owners), stacked one block at a
+    time, independently of the program's stored row layout.
     """
-    by_label = {s.label: s for s in scenarios}
-    blocks = [by_label[lab] for lab in sorted(labels)]
-    if not blocks:
+    by_label = {lab: (coeffs, rhs) for lab, coeffs, rhs in blocks}
+    chosen = [(lab, *by_label[lab]) for lab in sorted(labels)]
+    if not chosen:
         return np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=int)
-    coeffs = np.vstack([b.coeffs for b in blocks])
-    rhs = np.concatenate([b.rhs for b in blocks])
-    owners = np.concatenate([np.full(b.n_rows, b.label, dtype=int) for b in blocks])
+    coeffs = np.vstack([c for _, c, _ in chosen])
+    rhs = np.concatenate([r for _, _, r in chosen])
+    owners = np.concatenate([np.full(len(r), lab, dtype=int) for lab, _, r in chosen])
     return coeffs, rhs, owners
 
 

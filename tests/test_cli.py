@@ -20,7 +20,6 @@ from scenopt.cli import (
     build_parser,
     main,
 )
-from scenopt.engine import Scenario, ScenarioProgram
 from scenopt.lp import (
     ACTIVE_TOL,
     FEAS_TOL,
@@ -28,6 +27,8 @@ from scenopt.lp import (
     X_TOL,
     SimplexStallError,
 )
+
+from programs import program
 
 
 def run_cli(capsys, *argv):
@@ -176,13 +177,9 @@ class TestCascadeCommand:
         assert (tmp_path / "cascade_stages.csv").exists()
 
     def test_program_file_input(self, capsys, tmp_path):
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[1.0],
-            scenarios=tuple(
-                Scenario(label=i + 1, coeffs=[[-1.0]], rhs=[-v])
-                for i, v in enumerate([0.2, 0.8, 0.5, 0.1])
-            ),
-        )
+        prog = program([1.0], [0.0], [1.0], [
+            (i + 1, [-1.0], -v) for i, v in enumerate([0.2, 0.8, 0.5, 0.1])
+        ])
         path = tmp_path / "prog.json"
         path.write_text(prog.to_json())
         code, out, _ = run_cli(
@@ -210,6 +207,20 @@ class TestCascadeCommand:
         assert err == ("error: scenario label 1180591620717411303424 "
                        "exceeds 2**63 - 1\n")
 
+    def test_number_written_as_a_string_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps({
+            "d": 1, "cost": [1.0], "bounds": [[0.0, 1.0]],
+            "scenarios": [{"label": 1, "rows": [{"a": [-1.0], "b": "-0.5"}]}],
+        }))
+        code, _, err = run_cli(
+            capsys, "cascade", "--input", str(path), "--ell", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err == ("error: malformed scenario program: "
+                       "'-0.5' is not a number\n")
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -221,13 +232,9 @@ class TestCascadeCommand:
 
     def test_assumption_violation_exits_3(self, capsys, tmp_path):
         # duplicated maxima empty the support set in fully-supported mode
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[1.0],
-            scenarios=tuple(
-                Scenario(label=i + 1, coeffs=[[-1.0]], rhs=[-v])
-                for i, v in enumerate([0.9, 0.9, 0.3, 0.2, 0.1])
-            ),
-        )
+        prog = program([1.0], [0.0], [1.0], [
+            (i + 1, [-1.0], -v) for i, v in enumerate([0.9, 0.9, 0.3, 0.2, 0.1])
+        ])
         path = tmp_path / "dup.json"
         path.write_text(prog.to_json())
         code, _, err = run_cli(
@@ -240,11 +247,8 @@ class TestCascadeCommand:
     def test_infeasible_stage_exits_4(self, capsys, tmp_path):
         # x >= 0.5 and x <= 0.2 cannot both hold on [0, 1]
         rows = [([-1.0], -0.5), ([1.0], 0.2), ([-1.0], -0.1)]
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[1.0],
-            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
-                            for i, (a, b) in enumerate(rows)),
-        )
+        prog = program([1.0], [0.0], [1.0],
+                       [(i + 1, a, b) for i, (a, b) in enumerate(rows)])
         path = tmp_path / "infeasible.json"
         path.write_text(prog.to_json())
         code, _, err = run_cli(
@@ -355,11 +359,8 @@ class TestGreedyCommand:
         # candidate LP of step 1 is unbounded
         rows = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([0.0, 1.0], 2.0),
                 ([0.0, 1.0], 3.0)]
-        prog = ScenarioProgram(
-            cost=[-1.0, -1.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],
-            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
-                            for i, (a, b) in enumerate(rows)),
-        )
+        prog = program([-1.0, -1.0], [0.0, 0.0], [np.inf, np.inf],
+                       [(i + 1, a, b) for i, (a, b) in enumerate(rows)])
         path = tmp_path / "unbounded_candidate.json"
         path.write_text(prog.to_json())
         code, _, err = run_cli(
@@ -378,11 +379,8 @@ class TestGreedyCommand:
         scenarios = [([[1.0, 0.0]], [1.5]),
                      ([[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
                      ([[1.0, 0.0]], [3.0]), ([[1.0, 0.0]], [4.0])]
-        prog = ScenarioProgram(
-            cost=[-1.0, 0.0], lower=[0.0, -np.inf], upper=[np.inf, np.inf],
-            scenarios=tuple(Scenario(label=i + 1, coeffs=a, rhs=b)
-                            for i, (a, b) in enumerate(scenarios)),
-        )
+        prog = program([-1.0, 0.0], [0.0, -np.inf], [np.inf, np.inf],
+                       [(i + 1, a, b) for i, (a, b) in enumerate(scenarios)])
         path = tmp_path / "unbounded_stage.json"
         path.write_text(prog.to_json())
         code, _, err = run_cli(

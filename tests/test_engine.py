@@ -18,7 +18,6 @@ from scenopt.engine import (
     DegeneracyDetected,
     InsufficientScenarios,
     RemovalMode,
-    Scenario,
     ScenarioProgram,
     greedy_removal,
     is_nondegenerate,
@@ -47,15 +46,12 @@ from oracles import (
     resource_cascade,
     support_set_definitional,
 )
+from programs import blocks, program
 
 
 def analytic_program(deltas, lower=0.0, upper=1.0):
-    scenarios = tuple(
-        Scenario(label=i + 1, coeffs=[[-1.0]], rhs=[-float(v)])
-        for i, v in enumerate(deltas)
-    )
-    return ScenarioProgram(cost=[1.0], lower=[lower], upper=[upper],
-                           scenarios=scenarios)
+    return program([1.0], [lower], [upper],
+                   [(i + 1, [-1.0], -float(v)) for i, v in enumerate(deltas)])
 
 
 def random_analytic(rng, m):
@@ -63,16 +59,11 @@ def random_analytic(rng, m):
 
 
 def random_resource(rng, d, n, m):
-    scenarios = tuple(
-        Scenario(
-            label=i + 1,
-            coeffs=0.04 * rng.laplace(1.0, np.sqrt(1.5), size=(n, d)),
-            rhs=np.ones(n),
-        )
-        for i in range(m)
+    return program(
+        -np.ones(d), np.zeros(d), np.full(d, np.inf),
+        [(i + 1, 0.04 * rng.laplace(1.0, np.sqrt(1.5), size=(n, d)), np.ones(n))
+         for i in range(m)],
     )
-    return ScenarioProgram(cost=-np.ones(d), lower=np.zeros(d),
-                           upper=np.full(d, np.inf), scenarios=scenarios)
 
 
 def floor_line_program(lines, box=20.0):
@@ -80,14 +71,8 @@ def floor_line_program(lines, box=20.0):
 
     lines maps label -> (a, c); the row encoding is a*x1 - x2 <= -c.
     """
-    scenarios = tuple(
-        Scenario(label=lab, coeffs=[[a, -1.0]], rhs=[-c])
-        for lab, (a, c) in sorted(lines.items())
-    )
-    return ScenarioProgram(
-        cost=[0.0, 1.0], lower=[-box, -box], upper=[box, box],
-        scenarios=scenarios,
-    )
+    return program([0.0, 1.0], [-box, -box], [box, box],
+                   [(lab, [a, -1.0], -c) for lab, (a, c) in sorted(lines.items())])
 
 
 class TestSolveStage:
@@ -169,14 +154,11 @@ def count_refined_solves(monkeypatch):
 def tie_break_program():
     # minimize x1 over [0,1]^2: scenario 1 (x2 >= 0.5) binds only x2,
     # scenario 2 (x1 >= 0.3) binds the cost, scenario 3 is slack
-    return ScenarioProgram(
-        cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
-        scenarios=(
-            Scenario(label=1, coeffs=[[0.0, -1.0]], rhs=[-0.5]),
-            Scenario(label=2, coeffs=[[-1.0, 0.0]], rhs=[-0.3]),
-            Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-0.2]),
-        ),
-    )
+    return program([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [
+        (1, [0.0, -1.0], -0.5),
+        (2, [-1.0, 0.0], -0.3),
+        (3, [0.0, -1.0], -0.2),
+    ])
 
 
 def reoptimized_without(prog, label, stop=-np.inf):
@@ -275,14 +257,10 @@ class TestSupportFromTheVertex:
         for module in (lp_module, engine):
             monkeypatch.setattr(module, "ACTIVE_TOL", 1e-8)
             monkeypatch.setattr(module, "FEAS_TOL", 1e-6)
-        prog = ScenarioProgram(
-            cost=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0],
-            scenarios=(
-                Scenario(label=1, coeffs=[[-1.0, 0.0]], rhs=[-0.5]),
-                Scenario(label=2, coeffs=[[-0.1, -1.0]],
-                         rhs=[-0.1 * (0.5 - 2e-6)]),
-            ),
-        )
+        prog = program([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [
+            (1, [-1.0, 0.0], -0.5),
+            (2, [-0.1, -1.0], -0.1 * (0.5 - 2e-6)),
+        ])
         first = reoptimized_without(prog, 1, stop=0.5 - 1e-6)
         assert first == pytest.approx(0.5 - 2e-6, abs=1e-12)
         assert reoptimized_without(prog, 1, stop=0.5 - 3e-6) == (
@@ -358,10 +336,9 @@ class TestInvariance:
     @given(prog=small_resource, seed=st.integers(0, 2**32 - 1))
     def test_scenario_order(self, prog, seed):
         order = np.random.default_rng(seed).permutation(prog.m)
-        shuffled = ScenarioProgram(
-            cost=prog.cost, lower=prog.lower, upper=prog.upper,
-            scenarios=tuple(prog.scenarios[i] for i in order),
-        )
+        parts = blocks(prog)
+        shuffled = program(prog.cost, prog.lower, prog.upper,
+                           [parts[i] for i in order])
         sup = support_set(prog)
         assert support_set(shuffled) == sup
         assert sup == support_set_definitional(shuffled, shuffled.labels)
@@ -372,14 +349,10 @@ class TestInvariance:
            factor=st.floats(0.01, 100.0))
     def test_scaling_one_scenario(self, prog, pick, factor):
         label = sorted(prog.labels)[pick % prog.m]
-        scaled = ScenarioProgram(
-            cost=prog.cost, lower=prog.lower, upper=prog.upper,
-            scenarios=tuple(
-                Scenario(label=s.label, coeffs=factor * s.coeffs,
-                         rhs=factor * s.rhs) if s.label == label else s
-                for s in prog.scenarios
-            ),
-        )
+        scaled = program(prog.cost, prog.lower, prog.upper, [
+            (lab, factor * a, factor * b) if lab == label else (lab, a, b)
+            for lab, a, b in blocks(prog)
+        ])
         sup = support_set(prog)
         assert support_set(scaled) == sup
         assert sup == support_set_definitional(scaled, scaled.labels)
@@ -391,13 +364,9 @@ class TestInvariance:
     def test_order_preserving_relabelling(self, prog, gaps):
         new_label = dict(zip(sorted(prog.labels),
                              np.cumsum(gaps).tolist()))
-        relabelled = ScenarioProgram(
-            cost=prog.cost, lower=prog.lower, upper=prog.upper,
-            scenarios=tuple(
-                Scenario(label=new_label[s.label], coeffs=s.coeffs, rhs=s.rhs)
-                for s in prog.scenarios
-            ),
-        )
+        relabelled = program(prog.cost, prog.lower, prog.upper, [
+            (new_label[lab], a, b) for lab, a, b in blocks(prog)
+        ])
         sup = support_set(relabelled)
         assert sup == frozenset(new_label[lab] for lab in support_set(prog))
         assert sup == support_set_definitional(relabelled, relabelled.labels)
@@ -413,13 +382,10 @@ class TestInvariance:
         candidates = sorted(before or prog.labels)
         label = candidates[pick % len(candidates)]
         copy = max(prog.labels) + 1
-        original = prog.scenario(label)
-        duplicated = ScenarioProgram(
-            cost=prog.cost, lower=prog.lower, upper=prog.upper,
-            scenarios=prog.scenarios + (
-                Scenario(label=copy, coeffs=original.coeffs,
-                         rhs=original.rhs),),
-        )
+        rows = prog.owners == label
+        duplicated = program(prog.cost, prog.lower, prog.upper, blocks(prog) + [
+            (copy, prog.coeffs[rows], prog.rhs[rows])
+        ])
         np.testing.assert_allclose(solve(duplicated.assemble(duplicated.labels)[0]).x,
                                    solve(prog.assemble(prog.labels)[0]).x, rtol=0.0, atol=1e-12)
         sup = support_set(duplicated)
@@ -489,8 +455,8 @@ class TestCascadeFullySupported:
         removed_all = set().union(*(s.removed for s in trace.stages[:-1]))
         x = trace.final_x
         satisfied = [
-            lab for lab in removed_all
-            if np.all(prog.scenario(lab).coeffs @ x <= prog.scenario(lab).rhs + 1e-9)
+            lab for lab, a, b in blocks(prog)
+            if lab in removed_all and np.all(a @ x <= b + 1e-9)
         ]
         assert 4 in satisfied
 
@@ -580,12 +546,9 @@ class TestCascadeRegularized:
         ]
         for prog, mode in cases:
             trace = run_cascade(prog, 2, mode=mode)
-            shuffled = ScenarioProgram(
-                cost=prog.cost, lower=prog.lower, upper=prog.upper,
-                scenarios=tuple(
-                    prog.scenarios[i] for i in rng.permutation(prog.m)
-                ),
-            )
+            parts = blocks(prog)
+            shuffled = program(prog.cost, prog.lower, prog.upper,
+                               [parts[i] for i in rng.permutation(prog.m)])
             trace2 = run_cascade(shuffled, 2, mode=mode)
             for a, b in zip(trace.stages, trace2.stages):
                 np.testing.assert_allclose(a.minimizer, b.minimizer, atol=1e-7)
@@ -651,9 +614,8 @@ def resource_d1_program(coeffs):
     """max x, x >= 0, with coeffs[i, k] x <= 1 for label i + 1."""
     m, n = coeffs.shape
     labels = np.arange(1, m + 1)
-    return ScenarioProgram.from_rows([-1.0], [0.0], [np.inf], labels,
-                                     np.repeat(labels, n),
-                                     coeffs.reshape(m * n, 1), np.ones(m * n))
+    return ScenarioProgram([-1.0], [0.0], [np.inf], labels, np.repeat(labels, n),
+                           coeffs.reshape(m * n, 1), np.ones(m * n))
 
 
 def assert_closed_form(run, expected, records):
@@ -810,11 +772,8 @@ class TestGreedy:
         # step 2 removing 3 (x1 <= 2) reaches -10 through x1 + x2 <= 10.
         rows = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 0.0], 2.0),
                 ([0.0, 1.0], 2.0), ([1.0, 1.0], 10.0)]
-        prog = ScenarioProgram(
-            cost=[-1.0, -1.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],
-            scenarios=tuple(Scenario(label=i + 1, coeffs=[a], rhs=[b])
-                            for i, (a, b) in enumerate(rows)),
-        )
+        prog = program([-1.0, -1.0], [0.0, 0.0], [np.inf, np.inf],
+                       [(i + 1, a, b) for i, (a, b) in enumerate(rows)])
         trace = greedy_removal(prog, 2)
         assert [s.removed_label for s in trace.steps] == [1, 3]
         assert [s.objective for s in trace.steps] == [-3.0, -10.0]
@@ -910,15 +869,12 @@ class TestGreedyMatchesTwoSolveLoop:
         # reaches at x1 = 0 costs 3.0 but violates that row by 5e-7, so the
         # cold solve prices the candidate at its true 3.1 and scenario 3's
         # 3.05 wins
-        prog = ScenarioProgram(
-            cost=[0.1, 1.0], lower=[0.0, 0.0], upper=[10.0, 10.0],
-            scenarios=(
-                Scenario(label=1, coeffs=[[-1000.0, 0.0]], rhs=[-5000.0]),
-                Scenario(label=2, coeffs=[[-5e-7, 0.0]], rhs=[-5e-7]),
-                Scenario(label=3, coeffs=[[0.0, -1.0]], rhs=[-3.0]),
-                Scenario(label=4, coeffs=[[0.0, -1.0]], rhs=[-2.55]),
-            ),
-        )
+        prog = program([0.1, 1.0], [0.0, 0.0], [10.0, 10.0], [
+            (1, [-1000.0, 0.0], -5000.0),
+            (2, [-5e-7, 0.0], -5e-7),
+            (3, [0.0, -1.0], -3.0),
+            (4, [0.0, -1.0], -2.55),
+        ])
         assert reoptimized_without(prog, 1) is None
         trace = greedy_removal(prog, 1)
         assert [s.removed_label for s in trace.steps] == [3]
@@ -929,17 +885,12 @@ class TestGreedyMatchesTwoSolveLoop:
 def sparse_resource(rng, d, n, m, density):
     """A resource program whose coefficients are zero outside a random
     pattern, so that dropping one scenario can leave a direction unbounded."""
-    scenarios = tuple(
-        Scenario(
-            label=i + 1,
-            coeffs=0.04 * rng.laplace(1.0, np.sqrt(1.5), size=(n, d))
-            * (rng.random((n, d)) < density),
-            rhs=np.ones(n),
-        )
-        for i in range(m)
+    return program(
+        -np.ones(d), np.zeros(d), np.full(d, np.inf),
+        [(i + 1, 0.04 * rng.laplace(1.0, np.sqrt(1.5), size=(n, d))
+          * (rng.random((n, d)) < density), np.ones(n))
+         for i in range(m)],
     )
-    return ScenarioProgram(cost=-np.ones(d), lower=np.zeros(d),
-                           upper=np.full(d, np.inf), scenarios=scenarios)
 
 
 class TestReoptimize:
@@ -990,14 +941,10 @@ class TestReoptimize:
     def test_undecided_when_a_dropped_row_leaves_a_cost_neutral_line(self):
         # x2 is free and costs nothing: once x1 <= 1 has left the basis,
         # -x2 <= 0 cannot leave toward any row, so the cold solve decides
-        prog = ScenarioProgram(
-            cost=[-1.0, 0.0], lower=[0.0, -np.inf], upper=[np.inf, np.inf],
-            scenarios=(
-                Scenario(label=1, coeffs=[[1.0, 0.0]], rhs=[1.5]),
-                Scenario(label=2, coeffs=[[1.0, 0.0], [0.0, -1.0]],
-                         rhs=[1.0, 0.0]),
-            ),
-        )
+        prog = program([-1.0, 0.0], [0.0, -np.inf], [np.inf, np.inf], [
+            (1, [1.0, 0.0], 1.5),
+            (2, [[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+        ])
         assert reoptimized_without(prog, 2) is None
 
     def test_stopped_vertex_past_a_flat_row_is_undecided(self):
@@ -1006,11 +953,8 @@ class TestReoptimize:
         # along it, below PIVOT_TOL, so the ratio test lets the edge cross
         # it; both the full and the stopped run find the row violated at
         # x = 0 by 5e-7 > FEAS_TOL and return None
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[10.0],
-            scenarios=(Scenario(label=1, coeffs=[[-1000.0]], rhs=[-5000.0]),
-                       Scenario(label=2, coeffs=[[-5e-7]], rhs=[-5e-7])),
-        )
+        prog = program([1.0], [0.0], [10.0],
+                       [(1, [-1000.0], -5000.0), (2, [-5e-7], -5e-7)])
         assert reoptimized_without(prog, 1) is None
         assert reoptimized_without(prog, 1, stop=4.0) is None
         # support detection falls back to the re-solve, whose optimum is 1
@@ -1020,11 +964,8 @@ class TestReoptimize:
     def test_vertex_past_a_satisfied_flat_row_is_kept(self):
         # the same edge crosses a row of slope 5e-10 whose rhs is 0, so the
         # vertex at x = 0 satisfies it and the check keeps its cost
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[10.0],
-            scenarios=(Scenario(label=1, coeffs=[[-1000.0]], rhs=[-5000.0]),
-                       Scenario(label=2, coeffs=[[-5e-7]], rhs=[0.0])),
-        )
+        prog = program([1.0], [0.0], [10.0],
+                       [(1, [-1000.0], -5000.0), (2, [-5e-7], 0.0)])
         assert reoptimized_without(prog, 1) == 0.0
         assert reoptimized_without(prog, 1, stop=4.0) == 0.0
         assert solve(prog.assemble({2})[0]).objective == pytest.approx(0.0)
@@ -1055,10 +996,8 @@ class TestSerialization:
         assert clone.m == prog.m
         assert clone.labels == prog.labels
         np.testing.assert_array_equal(clone.cost, prog.cost)
-        for lab in sorted(prog.labels):
-            np.testing.assert_array_equal(
-                clone.scenario(lab).coeffs, prog.scenario(lab).coeffs
-            )
+        for (_, got, _), (_, want, _) in zip(blocks(clone), blocks(prog)):
+            np.testing.assert_array_equal(got, want)
 
     def test_infinite_bounds_become_null(self):
         rng = np.random.default_rng(73)
@@ -1081,59 +1020,69 @@ class TestSerialization:
     def test_largest_int64_label_round_trips(self):
         # the rows of label 2**63 - 1 are found without forming label + 1
         top = 2**63 - 1
-        prog = ScenarioProgram(
-            cost=[1.0], lower=[0.0], upper=[1.0],
-            scenarios=(Scenario(label=top, coeffs=[[-1.0]], rhs=[-0.4]),
-                       Scenario(label=5, coeffs=[[-1.0], [-2.0]],
-                                rhs=[-0.1, -0.3])),
-        )
-        assert prog.scenario(top).rhs.tolist() == [-0.4]
+        prog = program([1.0], [0.0], [1.0],
+                       [(top, [-1.0], -0.4), (5, [[-1.0], [-2.0]], [-0.1, -0.3])])
+        assert prog.to_dict()["scenarios"][0] == {
+            "label": top, "rows": [{"a": [-1.0], "b": -0.4}]}
         clone = ScenarioProgram.from_json(prog.to_json())
-        assert [s.label for s in clone.scenarios] == [top, 5]
+        scenarios = clone.to_dict()["scenarios"]
+        assert [s["label"] for s in scenarios] == [top, 5]
         assert clone.to_dict() == prog.to_dict()
-        assert clone.scenario(5).rhs.tolist() == [-0.1, -0.3]
+        assert [row["b"] for row in scenarios[1]["rows"]] == [-0.1, -0.3]
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(LpInputError):
             ScenarioProgram.from_dict({"d": 1, "cost": [1.0]})
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(LpInputError):
-            ScenarioProgram(
-                cost=[1.0], lower=[0.0], upper=[1.0],
-                scenarios=(
-                    Scenario(label=1, coeffs=[[-1.0]], rhs=[-0.1]),
-                    Scenario(label=1, coeffs=[[-1.0]], rhs=[-0.2]),
-                ),
-            )
+        with pytest.raises(LpInputError, match="must be distinct"):
+            ScenarioProgram.from_dict(program_dict([
+                {"label": 1, "rows": [{"a": [-1.0], "b": -0.1}]},
+                {"label": 1, "rows": [{"a": [-1.0], "b": -0.2}]},
+            ]))
 
 
-def program_dict(scenarios, d=1):
+def program_dict(scenarios, d=1, **fields):
     return {"d": d, "cost": [1.0] * d, "bounds": [[0.0, 1.0]] * d,
-            "scenarios": scenarios}
+            "scenarios": scenarios, **fields}
 
 
-@pytest.mark.parametrize("scenarios, d, message", [
-    ([{"label": 1.7, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+ONE_ROW = [{"label": 1, "rows": [{"a": [-1.0], "b": -0.1}]}]
+
+
+@pytest.mark.parametrize("data, message", [
+    (program_dict([{"label": 1.7, "rows": [{"a": [-1.0], "b": -0.1}]}]),
      "not an integer"),
-    ([{"label": 1.2, "rows": [{"a": [-1.0], "b": -0.1}]},
-      {"label": 1.7, "rows": [{"a": [-1.0], "b": -0.2}]}], 1,
+    (program_dict([{"label": 1.2, "rows": [{"a": [-1.0], "b": -0.1}]},
+                   {"label": 1.7, "rows": [{"a": [-1.0], "b": -0.2}]}]),
      "not an integer"),
-    ([{"label": -3, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+    (program_dict([{"label": -3, "rows": [{"a": [-1.0], "b": -0.1}]}]),
      "not positive"),
-    ([{"label": 2**70, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+    (program_dict([{"label": 2**70, "rows": [{"a": [-1.0], "b": -0.1}]}]),
      "scenario label 1180591620717411303424 exceeds 2\\*\\*63 - 1"),
-    ([{"label": -2**70, "rows": [{"a": [-1.0], "b": -0.1}]}], 1,
+    (program_dict([{"label": -2**70, "rows": [{"a": [-1.0], "b": -0.1}]}]),
      "scenario label -1180591620717411303424 is not positive"),
-    ([{"label": 1, "rows": []}], 1, "must be non-empty"),
-    ([{"label": 1, "rows": [{"a": [-1.0, 0.5], "b": -0.1},
-                            {"a": [-1.0, 0.5, 2.0], "b": -0.2}]}], 2,
+    (program_dict([{"label": 1, "rows": []}]), "must be non-empty"),
+    (program_dict([{"label": 1, "rows": [{"a": [-1.0, 0.5], "b": -0.1},
+                                         {"a": [-1.0, 0.5, 2.0], "b": -0.2}]}],
+                  d=2),
      "has 3 coefficients, expected 2"),
-    ([{"label": 1, "rows": [{"a": ["x"], "b": -0.1}]}], 1, "malformed"),
+    (program_dict([{"label": 1, "rows": [{"a": ["x"], "b": -0.1}]}]),
+     "malformed"),
+    # JSON numbers only: no strings, booleans or out-of-range integers
+    (program_dict([{"label": 1, "rows": [{"a": [-1.0], "b": "-0.5"}]}]),
+     "'-0.5' is not a number"),
+    (program_dict([{"label": 1, "rows": [{"a": [True], "b": -0.5}]}]),
+     "True is not a number"),
+    (program_dict(ONE_ROW, cost=["1"]), "'1' is not a number"),
+    (program_dict(ONE_ROW, bounds=[["-inf", "inf"]]),
+     "'-inf' is not a number"),
+    (program_dict([{"label": 1, "rows": [{"a": [-1.0], "b": 10**400}]}]),
+     "too large to convert to float"),
 ])
-def test_bad_scenario_input_rejected(scenarios, d, message):
+def test_bad_scenario_input_rejected(data, message):
     with pytest.raises(LpInputError, match=message):
-        ScenarioProgram.from_dict(program_dict(scenarios, d))
+        ScenarioProgram.from_dict(data)
 
 
 @pytest.mark.parametrize("d", [1.9, 1.0, True, "1"])
@@ -1145,10 +1094,9 @@ def test_non_integer_d_rejected(d):
 
 
 def mixed_scenarios(rng, d, labels):
-    """Scenarios of one to three rows each, in the given label order."""
+    """Blocks of one to three rows each, in the given label order."""
     return [
-        Scenario(label=lab, coeffs=rng.normal(size=(h, d)),
-                 rhs=rng.normal(size=h))
+        (lab, rng.normal(size=(h, d)), rng.normal(size=h))
         for lab, h in zip(labels, rng.integers(1, 4, len(labels)).tolist())
     ]
 
@@ -1159,8 +1107,7 @@ class TestRowLayout:
         labels = rng.choice(np.arange(1, 100), size=int(rng.integers(1, 12)),
                             replace=False).tolist()  # unsorted
         scenarios = mixed_scenarios(rng, d, labels)
-        prog = ScenarioProgram(cost=np.ones(d), lower=-np.ones(d),
-                               upper=np.ones(d), scenarios=scenarios)
+        prog = program(np.ones(d), -np.ones(d), np.ones(d), scenarios)
         return d, labels, scenarios, prog
 
     def test_assemble_matches_block_stacking(self):
@@ -1182,11 +1129,12 @@ class TestRowLayout:
         rng = np.random.default_rng(89)
         for _ in range(20):
             _, labels, scenarios, prog = self.random_case(rng)
-            assert [s.label for s in prog.scenarios] == labels
-            for orig, derived in zip(scenarios, prog.scenarios):
-                assert np.array_equal(derived.coeffs, orig.coeffs)
-                assert np.array_equal(derived.rhs, orig.rhs)
-                assert not derived.coeffs.flags.writeable
+            written = prog.to_dict()["scenarios"]
+            assert [s["label"] for s in written] == labels
+            for (_, coeffs, rhs), derived in zip(scenarios, written):
+                assert [row["a"] for row in derived["rows"]] == coeffs.tolist()
+                assert [row["b"] for row in derived["rows"]] == rhs.tolist()
+            assert not prog.coeffs.flags.writeable
 
     def test_json_round_trip_is_byte_identical(self):
         rng = np.random.default_rng(97)
@@ -1202,10 +1150,8 @@ class TestRowLayout:
             _, labels, scenarios, prog = self.random_case(rng)
             keep = set(labels[: int(rng.integers(1, len(labels) + 1))])
             sub = prog.restrict(keep)
-            ref = ScenarioProgram(
-                cost=prog.cost, lower=prog.lower, upper=prog.upper,
-                scenarios=[s for s in scenarios if s.label in keep],
-            )
+            ref = program(prog.cost, prog.lower, prog.upper,
+                          [s for s in scenarios if s[0] in keep])
             assert np.array_equal(sub.coeffs, ref.coeffs)
             assert np.array_equal(sub.rhs, ref.rhs)
             assert np.array_equal(sub.owners, ref.owners)
@@ -1233,8 +1179,7 @@ class TestRowLayout:
             ([[1.0], [2.0]], [1.0, 2.0], "2 scenario rows do not match 1"),
         ]:
             with pytest.raises(LpInputError, match=message):
-                ScenarioProgram.from_rows([1.0], [0.0], [1.0], [1], [1],
-                                          coeffs, rhs)
+                ScenarioProgram([1.0], [0.0], [1.0], [1], [1], coeffs, rhs)
 
 
 @pytest.mark.parametrize("labels, message", [
@@ -1249,16 +1194,15 @@ class TestRowLayout:
 ])
 def test_label_arrays_checked(labels, message):
     with pytest.raises(LpInputError, match=message):
-        ScenarioProgram.from_rows([1.0], [0.0], [1.0], labels, [1, 1],
-                                  [[-1.0], [-1.0]], [-0.1, -0.2])
+        ScenarioProgram([1.0], [0.0], [1.0], labels, [1, 1],
+                        [[-1.0], [-1.0]], [-0.1, -0.2])
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
 def test_integer_label_arrays_accepted_whole(dtype):
-    prog = ScenarioProgram.from_rows([1.0], [0.0], [1.0],
-                                     np.array([3, 1], dtype=dtype), [1, 3],
-                                     [[-1.0], [-1.0]], [-0.1, -0.2])
-    assert [s.label for s in prog.scenarios] == [3, 1]
+    prog = ScenarioProgram([1.0], [0.0], [1.0], np.array([3, 1], dtype=dtype),
+                           [1, 3], [[-1.0], [-1.0]], [-0.1, -0.2])
+    assert [s["label"] for s in prog.to_dict()["scenarios"]] == [3, 1]
 
 
 def test_label_checks_import_no_numpy_ma():

@@ -4,7 +4,6 @@ import pytest
 from scenopt import bounds
 from scenopt.engine import (
     RemovalMode,
-    Scenario,
     cascade_solve_count,
     greedy_removal,
     greedy_solve_count,
@@ -47,8 +46,7 @@ class TestGenerators:
         src = RandomSource(seed=7)
         a = gen_analytic(20, src.generator())
         b = gen_analytic(20, src.generator())
-        for sa, sb in zip(a.scenarios, b.scenarios):
-            np.testing.assert_array_equal(sa.rhs, sb.rhs)
+        np.testing.assert_array_equal(a.rhs, b.rhs)
 
     def test_stream_regression_anchor(self):
         # pins the generator algorithm: a silent RNG change would move these
@@ -62,7 +60,7 @@ class TestGenerators:
     def test_analytic_minimizer_is_max(self):
         src = RandomSource(seed=3)
         prog = gen_analytic(25, src.generator())
-        deltas = np.array([-s.rhs[0] for s in prog.scenarios])
+        deltas = -prog.rhs
         sol = solve(prog.assemble(prog.labels)[0])
         assert sol.x[0] == pytest.approx(deltas.max(), abs=1e-9)
 
@@ -72,16 +70,15 @@ class TestGenerators:
         prog = gen_analytic(30, src.generator())
         trace = run_cascade(prog, 4, mode=RemovalMode.FULLY_SUPPORTED)
         for k, stage in enumerate(trace.stages[:-1]):
-            removed_value = max(
-                -prog.scenario(lab).rhs[0] for lab in stage.removed
-            )
+            removed_value = max(-prog.rhs[prog.owners == lab][0]
+                                for lab in stage.removed)
             for later in trace.stages[k + 1:]:
                 assert removed_value > later.minimizer[0]
 
     def test_resource_zero_feasible_and_monotone(self):
         src = RandomSource(seed=11)
         prog = gen_resource(2, 2, 60, src.generator())
-        assert all(np.all(s.rhs >= 0) for s in prog.scenarios)
+        assert np.all(prog.rhs >= 0)
         trace = run_cascade(prog, 3, mode=RemovalMode.REGULARIZED)
         objs = [s.objective for s in trace.stages]
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
@@ -100,13 +97,12 @@ class TestGenerators:
 
     def test_generate_matches_scenario_construction(self):
         # the families stack their sampled blocks directly; the program must
-        # equal one built from per-scenario objects over the same draws
+        # equal the block-by-block stacking of the same draws
         for family in (AnalyticFamily(m=9), ResourceFamily(d=3, n=2, m=9)):
             prog = family.generate(RandomSource(seed=47).generator())
             coeffs, rhs = family.sample_blocks(
                 family.m, RandomSource(seed=47).generator())
-            scenarios = [Scenario(label=i + 1, coeffs=coeffs[i], rhs=rhs[i])
-                         for i in range(family.m)]
+            scenarios = [(i + 1, coeffs[i], rhs[i]) for i in range(family.m)]
             for sub in ({1, 2, 3, 4, 5, 6, 7, 8, 9}, {2, 5, 9}, set()):
                 lp, owners = prog.assemble(sub)
                 ref_coeffs, ref_rhs, ref_owners = assemble_blocks(
