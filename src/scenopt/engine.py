@@ -28,6 +28,7 @@ distinct programs may run concurrently since all inputs are immutable.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -106,9 +107,11 @@ def _is_int(value) -> bool:
 
 
 def _number(value) -> float:
-    """A JSON number (int or float, not bool or str) as a float."""
+    """A finite JSON number (int or float, not bool or str) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LpInputError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise LpInputError(f"{value!r} is not a finite number")
     return float(value)
 
 

@@ -13,9 +13,8 @@ standard-form matrix is built once per LinearProgram, on its first solve,
 with a column for every row, for every pin row refinement may add, for
 every finite bound and for every phase-1 artificial; mask selections of the
 LP share it.  Each LP core is one _solve_core call, which runs both phases
-on that matrix.  Cores differ only in their prices, +inf on every column a
-core may not use, and in the signs of their rows, which a core applies to
-the columns it reads and never writes back.
+on that matrix as it is stored.  Cores differ only in their prices, +inf on
+every column a core may not use, and in the objective each minimizes.
 
 The basis inverse is kept in product form (Dantzig & Orchard-Hays, 1954):
 each pivot updates it with one rank-1 eta step instead of solving with the
@@ -138,6 +137,9 @@ class LinearProgram:
             raise LpInputError("bounds contain NaN")
         if np.any(lower > upper):
             raise LpInputError("some lower bound exceeds its upper bound")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise LpInputError("a lower bound of +inf or an upper bound of "
+                               "-inf leaves the box empty")
         self._freeze(cost, coeffs, rhs, lower, upper)
 
     def _freeze(self, cost, coeffs, rhs, lower, upper):
@@ -203,7 +205,8 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Simplex kernel on standard form: min q.z  s.t.  A z = h, z >= 0, h >= 0.
+# Simplex kernel on standard form: min q.z  s.t.  E z = h, z >= 0, from a
+# basis B with B^-1 h >= 0.
 # ---------------------------------------------------------------------------
 
 
@@ -215,75 +218,39 @@ _STALL_LIMIT = 64
 _REFACTOR_EVERY = 32
 
 
-class _Core:
-    """One LP core's standard-form matrix A, read off a shared dual form E.
-
-    A is E with row i times sign[i] = +-1, chosen by the core so that its
-    h >= 0, except that the artificial columns (the last E.shape[0], the
-    unit column of each row) stay unit columns: artificial column r is
-    multiplied by sign[r] once more.  Sign flips are exact, so A is E up to
-    signs entry by entry, and E itself is only read.
-    """
-
-    def __init__(self, E, sign, h):
-        self.E, self.sign, self.h = E, sign, h
-        self.art = E.shape[1] - E.shape[0]
-
-    def columns(self, cols):
-        """The columns cols (an index array) of A."""
-        B = self.E[:, cols] * self.sign[:, None]
-        art = cols >= self.art
-        if art.any():
-            B[:, art] *= self.sign[cols[art] - self.art]
-        return B
-
-    def column(self, col):
-        a = self.E[:, col] * self.sign
-        if col >= self.art:
-            a *= self.sign[col - self.art]
-        return a
-
-    def row_times(self, y, out):
-        """y @ A, written to out."""
-        np.matmul(y * self.sign, self.E, out=out)
-        out[self.art:] *= self.sign
-        return out
-
-
-def _entering(core, pi, q, reduced, basis, use_bland):
+def _entering(E, pi, q, reduced, basis, use_bland):
     """The entering column at simplex multipliers pi, or None at
-    optimality.  The reduced costs q - pi A are written to reduced; the
+    optimality.  The reduced costs q - pi E are written to reduced; the
     entering column has the most negative one (Dantzig), or the lowest
     eligible index (Bland); ties go to the lowest index either way."""
-    np.subtract(q, core.row_times(pi, reduced), out=reduced)
+    np.subtract(q, np.matmul(pi, E, out=reduced), out=reduced)
     reduced[basis] = 0.0
     enter = int((reduced < -PIVOT_TOL).argmax() if use_bland else reduced.argmin())
     return enter if reduced[enter] < -PIVOT_TOL else None
 
 
-def _iterate(core, q, basis):
+def _iterate(E, h, q, basis):
     """Pivot in place until optimal or unbounded; returns the simplex
     multipliers pi at optimality, or None when the program is unbounded.
 
-    q prices every column of the core's matrix A; a column priced +inf never
-    enters.  basis (an index array) holds one column per row, forming a
-    nonsingular basis B.  The kernel keeps B^-1 and the basic values
-    x_b = B^-1 h in product form: each pivot prices with pi = q_B B^-1,
-    takes the entering direction as B^-1 A[:, enter], and applies one
-    rank-1 eta step to both.  B^-1 is inverted afresh on entry and after
-    every _REFACTOR_EVERY eta steps.  When the eta-priced costs show no
-    eligible column, pi is solved exactly from B' pi = q_B and priced once
-    more; that pi is returned when nothing is eligible, otherwise pivoting
-    goes on from a fresh inverse.  An entering column with no blocking row
-    after eta steps is likewise priced again on a fresh inverse before the
-    kernel reports unbounded.  Pricing is Dantzig (most negative reduced
-    cost, lowest index on ties) and switches permanently to Bland's
-    lowest-index rule after a degenerate stall, so termination is
-    guaranteed while typical runs stay short.  Reduced costs and ratios go
-    into buffers taken once per call, so no pivot allocates an array as
-    wide as A.
+    q prices every column of E; a column priced +inf never enters.  basis
+    (an index array) holds one column per row, forming a nonsingular basis
+    B = E[:, basis] with B^-1 h >= 0.  The kernel keeps B^-1 and the basic
+    values x_b = B^-1 h in product form: each pivot prices with
+    pi = q_B B^-1, takes the entering direction as B^-1 E[:, enter], and
+    applies one rank-1 eta step to both.  B^-1 is inverted afresh on entry
+    and after every _REFACTOR_EVERY eta steps.  When the eta-priced costs
+    show no eligible column, pi is solved exactly from B' pi = q_B and
+    priced once more; that pi is returned when nothing is eligible,
+    otherwise pivoting goes on from a fresh inverse.  An entering column
+    with no blocking row after eta steps is likewise priced again on a
+    fresh inverse before the kernel reports unbounded.  Pricing is Dantzig
+    (most negative reduced cost, lowest index on ties) and switches
+    permanently to Bland's lowest-index rule after a degenerate stall, so
+    termination is guaranteed while typical runs stay short.  Reduced costs
+    and ratios go into buffers taken once per call, so no pivot allocates
+    an array as wide as E.
     """
-    h = core.h
     n_rows = h.shape[0]
     reduced = np.empty(q.shape[0])
     ratios = np.empty(n_rows)
@@ -293,19 +260,19 @@ def _iterate(core, q, basis):
     try:
         for pivots in range(_MAX_PIVOTS):
             if inv is None:
-                inv = np.linalg.inv(core.columns(basis))
+                inv = np.linalg.inv(E[:, basis])
                 x_b = inv @ h
                 etas = 0
-            enter = _entering(core, q[basis] @ inv, q, reduced, basis, use_bland)
+            enter = _entering(E, q[basis] @ inv, q, reduced, basis, use_bland)
             if enter is None:
-                pi = np.linalg.solve(core.columns(basis).T, q[basis])
-                enter = _entering(core, pi, q, reduced, basis, use_bland)
+                pi = np.linalg.solve(E[:, basis].T, q[basis])
+                enter = _entering(E, pi, q, reduced, basis, use_bland)
                 if enter is None:
                     return pi
-                inv = np.linalg.inv(core.columns(basis))
+                inv = np.linalg.inv(E[:, basis])
                 x_b = inv @ h
                 etas = 0
-            direction = inv @ core.column(enter)
+            direction = inv @ E[:, enter]
             positive = direction > PIVOT_TOL
             if not positive.any():
                 if etas:
@@ -341,38 +308,35 @@ def _iterate(core, q, basis):
     raise SimplexStallError(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
-def _phase_one(core, q, basis, uncovered) -> bool:
-    """Cover the uncovered rows with their artificial columns and minimize
-    the artificials' sum over the columns q prices finitely (the ones phase
-    2 may use); on success leave a basis of those columns in place and
-    return True, or return False when the artificials cannot reach zero
-    (infeasible)."""
-    n_rows = core.h.shape[0]
+def _phase_one(E, h, q, basis) -> bool:
+    """Minimize the sum of the artificial columns in basis (the columns from
+    E.shape[1] - 2 E.shape[0] on) over those and the columns q prices
+    finitely (the ones phase 2 may use); on success leave a basis of usable
+    columns in place and return True, or return False when the artificials
+    cannot reach zero (infeasible)."""
+    n_rows = h.shape[0]
+    art = E.shape[1] - 2 * n_rows
     usable = np.isfinite(q)
     q1 = np.where(usable, 0.0, np.inf)
-    for r in uncovered:
-        q1[core.art + r] = 1.0
-        basis[r] = core.art + r
-    if _iterate(core, q1, basis) is None:
+    q1[basis[basis >= art]] = 1.0
+    if _iterate(E, h, q1, basis) is None:
         raise SimplexStallError("the artificial sum cannot be unbounded")
-    x_b = np.linalg.solve(core.columns(basis), core.h)
-    infeas = float(
-        sum(x_b[i] for i, b in enumerate(basis) if b >= core.art)
-    )
-    if infeas > max(FEAS_TOL, FEAS_TOL * np.abs(core.h).max(initial=1.0)):
+    x_b = np.linalg.solve(E[:, basis], h)
+    infeas = float(sum(x_b[i] for i, b in enumerate(basis) if b >= art))
+    if infeas > max(FEAS_TOL, FEAS_TOL * np.abs(h).max(initial=1.0)):
         return False
 
     # Drive leftover artificials out of the basis: the one at row_pos leaves
-    # on a usable column where row row_pos of B^-1 A is nonzero.  Every dual
+    # on a usable column where row row_pos of B^-1 E is nonzero.  Every dual
     # row of _solve_core owns a signed unit column, so the usable columns
     # have full row rank.
     tableau_row = np.empty(q.shape[0])
     for row_pos in range(n_rows):
-        if basis[row_pos] < core.art:
+        if basis[row_pos] < art:
             continue
         unit = np.zeros(n_rows)
         unit[row_pos] = 1.0
-        core.row_times(np.linalg.solve(core.columns(basis).T, unit), tableau_row)
+        np.matmul(np.linalg.solve(E[:, basis].T, unit), E, out=tableau_row)
         pivot_cols = [
             int(c)
             for c in np.flatnonzero(usable & (np.abs(tableau_row) > 1e-8))
@@ -405,8 +369,9 @@ class _DualForm(NamedTuple):
     variable contributes a signed unit column).  E holds, in this order:
     a column per row of R; a column per pin row P (a row a core may add,
     such as refinement's pinned cost and axes); I_up and -I_lo over the
-    finite bounds; and the identity, one artificial column per dual row.
-    A core prices the columns it uses and sets +inf on the rest.
+    finite bounds; and two phase-1 artificial columns per dual row r, +e_r
+    and then -e_r, pair after pair in row order.  A core prices the columns
+    it uses and sets +inf on the rest.
     """
 
     E: np.ndarray
@@ -444,14 +409,16 @@ def _dual_form(coeffs, pins, lower, upper) -> _DualForm:
     pins_at = coeffs.shape[0]
     bounds_at = pins_at + pins.shape[0]
     art_at = bounds_at + up_idx.size + lo_idx.size
-    E = np.zeros((dim, art_at + dim))
+    E = np.zeros((dim, art_at + 2 * dim))
     for start, rows in ((0, coeffs), (pins_at, pins)):
         block = slice(start, start + rows.shape[0])
         E[:d, block] = rows.T
         E[d:, block] = -rows[:, free].T
     E[up_idx, bounds_at + np.arange(up_idx.size)] = 1.0
     E[lo_idx, bounds_at + up_idx.size + np.arange(lo_idx.size)] = -1.0
-    E[np.arange(dim), art_at + np.arange(dim)] = 1.0
+    pairs = art_at + 2 * np.arange(dim)
+    E[np.arange(dim), pairs] = 1.0
+    E[np.arange(dim), pairs + 1] = -1.0
     E.setflags(write=False)
     return _DualForm(E, free, pins_at, bounds_at, up_idx, lo_idx,
                      np.concatenate([up[up_idx], -lo[lo_idx]]), lower, upper)
@@ -464,35 +431,35 @@ def _solve_core(form, objective, q):
     optimal.
 
     The simplex multipliers of the dual at optimality are the primal
-    minimizer.  Dual rows with c_j > 0 are negated so that the kernel's
-    h = |c|.  Each row starts phase 2 on its positive unit column where it
-    has one (v_j if kept, w_j if negated); only the rest get phase-1
-    artificials.  A stall or a singular basis raises SimplexStallError
-    naming the phase, the dual rows and the columns the core prices.
+    minimizer.  The kernel's h is -c, and each dual row j starts on a unit
+    column with the sign of h_j, so that the starting x_b is |h| >= 0: on
+    v_j (+e_j) when h_j >= 0 and w_j (-e_j) when h_j < 0 where the bound
+    has one, otherwise on a phase-1 artificial.  A stall or a singular
+    basis raises SimplexStallError naming the phase, the dual rows and the
+    columns the core prices.
     """
     d = objective.shape[0]
     free = form.free
     cost = np.concatenate([objective, -objective[free]]) if free.size else objective
     dim = cost.shape[0]
     h = -cost
-    flip = h < 0
-    h[flip] *= -1.0
-    core = _Core(form.E, np.where(flip, -1.0, 1.0), h)
+    negative = h < 0
 
     up_idx, lo_idx = form.up_idx, form.lo_idx
-    basis = np.full(dim, -1)
-    covers = ~flip[up_idx]
+    art = form.E.shape[1] - 2 * dim
+    basis = art + 2 * np.arange(dim) + negative
+    covers = ~negative[up_idx]
     basis[up_idx[covers]] = form.bounds + np.flatnonzero(covers)
-    covers = flip[lo_idx]
+    covers = negative[lo_idx]
     basis[lo_idx[covers]] = form.bounds + up_idx.size + np.flatnonzero(covers)
-    uncovered = np.flatnonzero(basis < 0).tolist()
 
     phase = 1
     try:
-        dual_feasible = not uncovered or _phase_one(core, q, basis, uncovered)
+        dual_feasible = ((basis < art).all()
+                         or _phase_one(form.E, h, q, basis))
         if dual_feasible:
             phase = 2
-            duals = _iterate(core, q, basis)
+            duals = _iterate(form.E, h, q, basis)
     except (SimplexStallError, np.linalg.LinAlgError) as exc:
         raise SimplexStallError(
             f"simplex phase {phase} (rows={dim}, "
@@ -507,8 +474,6 @@ def _solve_core(form, objective, q):
     if duals is None:
         # Dual unbounded below means the primal feasible set is empty.
         return LpStatus.INFEASIBLE, None, None
-    # Duals are read against the unnegated rows.
-    duals = np.where(flip, -duals, duals)
     x = duals[:d]
     if free.size:
         x[free] -= duals[d:]
@@ -554,10 +519,10 @@ def _componentwise_min(form, basis) -> bool:
 
     A cost core prices neither pin nor artificial columns, so its basis
     holds row and bound columns, and a finite box splits no free variable.
-    So the columns of N = form.E[:, basis] are the normals a_i of n = d
-    constraints a_i.x <= q_i tight at x0: the LP rows as given, x_j <= u_j
-    as +e_j and -x_j <= -l_j as -e_j.  Any feasible x has slacks
-    s = N'(x0 - x) >= 0, so x - x0 = -N^-T s, that is
+    So the columns of N = form.E[:, basis], the core's final basis matrix,
+    are the normals a_i of n = d constraints a_i.x <= q_i tight at x0: the
+    LP rows as given, x_j <= u_j as +e_j and -x_j <= -l_j as -e_j.  Any
+    feasible x has slacks s = N'(x0 - x) >= 0, so x - x0 = -N^-T s, that is
     x_j - x0_j = -sum_i (N^-1)_ij s_i.  When N^-1 <= 0 entrywise, x >= x0:
     each -N^-1 e_j >= 0 is an optimal dual for min x_j on this basis
     (Dantzig, Orden & Wolfe, 1955).
@@ -672,7 +637,7 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
 
     Every core runs on the dual form lp shares (LinearProgram.select): the
     cores differ only in their prices, where a pin row takes part once its
-    right-hand side is priced, and in their row signs.
+    right-hand side is priced, and in the objective each minimizes.
     """
     owner, rows = lp._shares or (lp, slice(0, lp.n_rows))
     form = owner._form
@@ -705,6 +670,8 @@ def check_feasible(lp: LinearProgram, x: Sequence[float]) -> bool:
     x = _as_float_vector(x, "x")
     if x.shape[0] != lp.d:
         raise LpInputError(f"x has length {x.shape[0]}, expected {lp.d}")
+    if not np.isfinite(x).all():
+        return False
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         return False
     if lp.n_rows and np.any(lp.row_coeffs @ x > lp.row_rhs + FEAS_TOL):

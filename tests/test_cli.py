@@ -221,6 +221,25 @@ class TestCascadeCommand:
         assert err == ("error: malformed scenario program: "
                        "'-0.5' is not a number\n")
 
+    @pytest.mark.parametrize("bounds, value", [
+        pytest.param([[float("inf"), None]], "inf", id="lower-Infinity"),
+        pytest.param([[None, float("-inf")]], "-inf", id="upper--Infinity"),
+        pytest.param([[0.0, float("nan")]], "nan", id="upper-NaN")])
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, bounds, value):
+        # json reads Infinity and NaN, but only null means an unbounded side
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps({
+            "d": 1, "cost": [1.0], "bounds": bounds,
+            "scenarios": [{"label": 1, "rows": [{"a": [-1.0], "b": -0.5}]}],
+        }))
+        code, _, err = run_cli(
+            capsys, "cascade", "--input", str(path), "--ell", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT
+        assert err == ("error: malformed scenario program: "
+                       f"{value} is not a finite number\n")
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from contextlib import contextmanager
 
@@ -17,7 +18,6 @@ from scenopt.lp import (
     LpInputError,
     LpStatus,
     SimplexStallError,
-    _Core,
     _phase_one,
     check_feasible,
     solve,
@@ -208,12 +208,12 @@ class TestSelect:
 
 def test_dependent_equality_rows_raise_a_stall():
     # the second row of E's two usable columns is zero, so its phase-1
-    # artificial (the last two columns are the artificials) stays basic
-    E = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    core = _Core(E, np.ones(2), np.array([1.0, 0.0]))
-    q = np.array([0.0, 0.0, np.inf, np.inf])  # phase 2 prices no artificial
+    # artificial (the last four columns are the +-e_r pairs) stays basic
+    E = np.array([[1.0, 1.0, 1.0, -1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]])
+    q = np.array([0.0, 0.0] + [np.inf] * 4)  # phase 2 prices no artificial
     with pytest.raises(SimplexStallError, match="linearly dependent"):
-        _phase_one(core, q, np.full(2, -1), [0, 1])
+        _phase_one(E, np.array([1.0, 0.0]), q, np.array([2, 4]))
 
 
 def test_stall_errors_name_the_phase_shape_and_pivots(monkeypatch):
@@ -411,6 +411,16 @@ def solve_outcomes(lps, refine=True):
                                             for lp in lps)]
 
 
+def outcome_digest(outcomes):
+    """sha256 of (status, x) outcomes, each zero of x written as +0.0."""
+    digest = hashlib.sha256()
+    for status, x in outcomes:
+        digest.update(status.value.encode())
+        if x is not None:
+            digest.update((x + 0.0).tobytes())
+    return digest.hexdigest()
+
+
 class TestKernelAgreement:
     """A fresh inverse at every pivot and eta steps alone (no refactoring)
     reach the statuses and minimizers of the default kernel."""
@@ -431,6 +441,17 @@ class TestKernelAgreement:
         removed = {42, 363, 527, 550, 604, 737, 840, 951, 1453, 1485, 1738}
         lps = [resource_stage(), prog.assemble(prog.labels - removed)[0]]
         return lps, solve_outcomes(lps)
+
+    def test_outcomes_match_their_recorded_digests(self, corpus,
+                                                   resource_lps):
+        # refined, then unrefined: the statuses and minimizers bit for bit,
+        # up to the sign of a zero
+        lps = corpus[0] + resource_lps[0]
+        digests = [outcome_digest(corpus[1] + resource_lps[1]),
+                   outcome_digest(solve_outcomes(lps, refine=False))]
+        assert digests == [
+            "3a63466470fd62775404f5da08e24d0aad704f6b7a6688e5bf1400caa1fee9ef",
+            "83c29360df85460a9d93f70c07760d390b1571922d85179f526d85906d4ed8b3"]
 
     @staticmethod
     def assert_agree(got, expected):
@@ -472,6 +493,13 @@ class TestValidation:
         with pytest.raises(LpInputError):
             box_lp([1.0], [[1.0]], [1.0], [2.0], [1.0])
 
+    @pytest.mark.parametrize("lower, upper", [([np.inf], [np.inf]),
+                                              ([-np.inf], [-np.inf])])
+    def test_infinite_bound_on_the_wrong_side_rejected(self, lower, upper):
+        # the box is empty; an infinite bound must not read as no bound
+        with pytest.raises(LpInputError):
+            box_lp([1.0], [[-1.0]], [-0.5], lower, upper)
+
     def test_check_feasible_dimension(self):
         lp = box_lp([1.0], [[-1.0]], [-0.7], [0.0], [1.0])
         with pytest.raises(LpInputError):
@@ -482,6 +510,13 @@ class TestCheckFeasible:
     def test_boundary_inclusive(self):
         lp = box_lp([1.0], [[-1.0]], [-0.7], [0.0], [1.0])
         assert check_feasible(lp, [0.7])
+
+    @pytest.mark.parametrize("rows, rhs, x", [
+        (np.zeros((0, 1)), [], np.nan), (np.zeros((0, 1)), [], np.inf),
+        (np.zeros((0, 1)), [], -np.inf), ([[-1.0]], [-0.5], np.nan)])
+    def test_non_finite_point_is_infeasible(self, rows, rhs, x):
+        lp = box_lp([1.0], rows, rhs, [-np.inf], [np.inf])
+        assert not check_feasible(lp, [x])
 
     def test_violated_beyond_tolerance(self):
         lp = box_lp([1.0], [[-1.0]], [-0.7], [0.0], [1.0])
