@@ -37,7 +37,6 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from scenopt.lp import (
-    ACTIVE_TOL,
     FEAS_TOL,
     X_TOL,
     LinearProgram,
@@ -45,7 +44,7 @@ from scenopt.lp import (
     LpSolution,
     LpStatus,
     SimplexStallError,
-    checked_inverse,
+    read_vertex,
     reoptimize,
     solve,
 )
@@ -407,52 +406,43 @@ def _naming_stalls(where):
 
 
 class _Stage(NamedTuple):
-    """A solved stage: the LP over `labels`, the owner of each of its rows
-    and its lex-min solution sol, with the LP's constraints as the rows of
-    G x <= h: the LP rows, then x <= upper and -x <= -lower over the finite
-    bounds.  active lists the constraints tight at sol.x within ACTIVE_TOL,
-    LP rows first.  When there are exactly d of them and their matrix M has
-    a checked inverse (lp.checked_inverse), the vertex is simple and inv =
-    M^-1, the start of lp.reoptimize; otherwise inv is None."""
+    """A solved stage: the LP over `labels`, its lex-min solution sol, and
+    the LP read at sol.x by lp.read_vertex: its constraints as E' x <= q
+    over the columns q prices finitely, the columns active at sol.x, and
+    inv, the checked inverse of their matrix when there are exactly d of
+    them (the vertex is simple, the start of lp.reoptimize), else None.
+    The program's rows are E's first columns, in order
+    (LinearProgram.select), and `owners` is the label of each."""
 
     labels: frozenset
     lp: LinearProgram
     owners: np.ndarray
     sol: LpSolution
-    G: np.ndarray
-    h: np.ndarray
+    E: np.ndarray
+    q: np.ndarray
     active: np.ndarray
     inv: Optional[np.ndarray]
 
     def cost_without(self, label, stop=-np.inf) -> Optional[float]:
-        """lp.reoptimize from a simple vertex past label's rows, stopped at
-        the first vertex below stop; None when the vertex is not simple."""
+        """lp.reoptimize from a simple vertex past the run of label's rows,
+        stopped at the first vertex below stop; None when it is not simple."""
         if self.inv is None:
             return None
-        dropped = np.zeros(self.h.shape[0], dtype=bool)
-        dropped[:self.lp.n_rows] = self.owners == label
-        return reoptimize(self.G, self.h, self.lp.cost, self.active, dropped,
+        run = slice(self.owners.searchsorted(label),
+                    self.owners.searchsorted(label, "right"))
+        return reoptimize(self.E, self.q, self.lp.cost, self.active, run,
                           self.inv, stop)
 
 
 def _solved_stage(program, labels, where="stage program") -> _Stage:
     """The stage over labels, solved; a non-optimal LP raises StageSolveError."""
     labels = frozenset(labels)
-    lp, owners = program.assemble(labels)
+    lp, _ = program.assemble(labels)
     with _naming_stalls(where):
         sol = solve(lp)
     if not sol.is_optimal:
         raise StageSolveError(where, sol.status, lp.n_rows)
-    x = sol.x
-    up, lo = np.isfinite(lp.upper), np.isfinite(lp.lower)
-    eye = np.eye(lp.d)
-    G = np.vstack([lp.row_coeffs, eye[up], -eye[lo]])
-    h = np.concatenate([lp.row_rhs, lp.upper[up], -lp.lower[lo]])
-    slack = np.concatenate([lp.row_coeffs @ x - lp.row_rhs,
-                            (lp.upper - x)[up], (x - lp.lower)[lo]])
-    active = np.flatnonzero(np.abs(slack) <= ACTIVE_TOL)
-    inv = checked_inverse(G[active]) if active.size == lp.d else None
-    return _Stage(labels, lp, owners, sol, G, h, active, inv)
+    return _Stage(labels, lp, program.owners, sol, *read_vertex(lp, sol.x))
 
 
 def _support_from_solution(program, stage, counts, where=None):
@@ -487,7 +477,7 @@ def _support_from_solution(program, stage, counts, where=None):
     """
     sol = stage.sol
     margin = 2.0 * np.abs(program.cost).sum() * X_TOL + FEAS_TOL
-    rows = stage.active[stage.active < stage.lp.n_rows]
+    rows = stage.active[stage.active < stage.owners.size]
     support = set()
     for lab in sorted(set(stage.owners[rows].tolist())):
         counts.support_solves += 1

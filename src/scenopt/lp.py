@@ -33,16 +33,17 @@ when the cost core's final basis does not already prove its vertex the
 componentwise minimum of the feasible set, hence the lex-min: over a finite
 box, with the inverse of the basis constraints' normals <= 0 entrywise.
 
-solve returns the minimizer and its cost; which constraints are active
-there is for the caller to read against ACTIVE_TOL.
+solve returns the minimizer and its cost; read_vertex reads the LP there,
+with the package's one scan of the constraints active against ACTIVE_TOL.
 
 reoptimize answers a related question without a cold start: from a vertex
-of G x <= h and its basis of d tight rows, it takes primal simplex steps to
-the optimal cost once some rows are dropped.  It is the one answer to "what
-does the program cost without this scenario" at a stage vertex: run to the
-optimum for greedy removal's candidates, or stopped at the first vertex
-below a given cost for support detection; either end vertex is returned only
-when it passes a feasibility check.
+of E' x <= q, the LP's rows and finite bounds as columns of its dual form,
+and its basis of d tight columns, it takes primal simplex steps to the
+optimal cost once a run of columns is dropped.  It is the one answer to
+"what does the program cost without this scenario" at a stage vertex: run
+to the optimum for greedy removal's candidates, or stopped at the first
+vertex below a given cost for support detection; either end vertex is
+returned only when it passes a feasibility check.
 
 The numerical tolerances FEAS_TOL, ACTIVE_TOL, X_TOL and PIVOT_TOL are
 absolute module constants, shared by the whole package.
@@ -166,7 +167,8 @@ class LinearProgram:
 
         A mask keeps the rows in their order, so its LP also runs on this
         LP's dual form (see solve), where the columns of the rows left out
-        never enter; only the kept rows are copied.  An index array may
+        never enter; only the kept rows are copied, and the form's first
+        columns are the owner's rows, in order.  An index array may
         reorder the rows, so its LP builds a form of its own on its first
         solve.  Either way the columns a core may use keep their relative
         order, so the pivot rules, which break ties by column index, choose
@@ -551,45 +553,91 @@ def _componentwise_min(form, basis) -> bool:
     return bool(eps * (width @ np.abs(N)).sum() <= X_TOL)
 
 
-def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
-               ) -> Optional[float]:
-    """Optimal cost of  min cost.x  s.t.  G x <= h  over the rows not dropped,
-    by primal simplex steps from a vertex of G x <= h (h finite).
+def _unique_optimum(form, cost, basis) -> bool:
+    """Whether the cost core's final basis proves its vertex x0 the one
+    optimum (Mangasarian, 1979): every basic column is a row or bound
+    column, and every basic value x_b = B^-1 h exceeds PIVOT_TOL (1 + |c|_1).
 
-    basis lists the d rows tight at the vertex; their matrix M must be
-    nonsingular and the vertex must satisfy every row.  inv is
-    checked_inverse(M), and the first step uses it.  Each step solves
-    x = M^-1 h_basis and the multipliers mu = -M^-T cost, the vertex's
-    optimality certificate when mu >= 0.  A dropped basis row leaves first,
-    along the edge M^-1 e_k signed so that the cost does not rise; otherwise
-    the most negative mu_k below -PIVOT_TOL leaves along -M^-1 e_k.  The
-    ratio test over the rows not dropped picks the entering row, the lowest
-    index among ties.  Viewed on the dual program this is Lemke's (1954) dual
-    simplex, warm-started from the vertex's basis.
+    h is -c, so x_b are the multipliers of the basic constraints, all tight
+    at x0, and a feasible x costs c.(x - x0) = sum_k x_b[k] s_k more, s_k >= 0
+    its slack in basic constraint k.  With every x_b[k] > 0 an optimum has
+    every s_k = 0, which the d independent normals fix at x0: the pinned
+    face is that one point.  The floor is the kernel's zero, PIVOT_TOL, at
+    the scale |c|_1 of h: below it a basic value may be a zero multiplier,
+    the mark of a dual-degenerate optimum whose face can hold more than x0.
+    Above it x_b, one backward-stable solve with B and so the exact
+    multipliers of a basis within rounding of B, are positive.  A free
+    variable's split lower-bound columns hold multipliers that are zero at
+    every dual solution, so a basis that needs them fails.
+    """
+    h = -np.concatenate([cost, -cost[form.free]])
+    art = form.E.shape[1] - 2 * h.size
+    if (((basis >= form.pins) & (basis < form.bounds)) | (basis >= art)).any():
+        return False
+    x_b = np.linalg.solve(form.E[:, basis], h)
+    return bool(x_b.min() > PIVOT_TOL * (1.0 + np.abs(cost).sum()))
+
+
+def read_vertex(lp: LinearProgram, x) -> tuple:
+    """lp read at its minimizer x on the dual form it shares: (E, q, active,
+    inv), the start of reoptimize.  E is the form's first d rows; its row
+    and finite-bound columns are the normals of lp's constraints (x_j <= u_j
+    as +e_j, -x_j <= -l_j as -e_j), priced by q with their right-hand sides,
+    and q is +inf on every other column, a free variable's split included.
+    active lists the columns with |q - x E| <= ACTIVE_TOL; inv is
+    checked_inverse(E[:, active]') when there are d of them, else None.
+    """
+    owner, rows = lp._shares or (lp, slice(0, lp.n_rows))
+    form = owner._form
+    q = form.prices(rows, lp.row_rhs)
+    if form.free.size:  # the split's lower bounds bound no coordinate of x
+        split = np.isin(form.lo_idx, form.free) | (form.lo_idx >= lp.d)
+        q[form.bounds + form.up_idx.size + np.flatnonzero(split)] = np.inf
+    E = form.E[:lp.d]
+    active = np.flatnonzero(np.abs(q - x @ E) <= ACTIVE_TOL)
+    inv = checked_inverse(E[:, active].T) if active.size == lp.d else None
+    return E, q, active, inv
+
+
+def reoptimize(E, q, cost, basis, dropped, inv, stop=-np.inf
+               ) -> Optional[float]:
+    """Optimal cost of  min cost.x  s.t.  E' x <= q  over the columns q prices
+    finitely less the slice dropped, by primal simplex steps from a vertex.
+
+    basis lists d columns tight at the vertex; their matrix M = E[:, basis]'
+    must be nonsingular and the vertex must satisfy every constraint.  inv
+    is checked_inverse(M), and the first step uses it.  Each step solves
+    x = M^-1 q_basis and the multipliers mu = -M^-T cost, the vertex's
+    optimality certificate when mu >= 0.  A dropped basis column leaves
+    first, along the edge M^-1 e_k signed so that the cost does not rise;
+    otherwise the most negative mu_k below -PIVOT_TOL leaves along
+    -M^-1 e_k.  The ratio test, on the full products x E and M^-1 e_k E,
+    picks the entering column among those left, the lowest index among
+    ties.  On the dual program this is Lemke's (1954) dual simplex.
 
     The run ends at the first vertex whose mu >= -PIVOT_TOL with no dropped
-    row in its basis, or at the first vertex a ratio test reaches below
+    column in its basis, or at the first vertex a ratio test reaches below
     stop: at step theta that vertex costs cost.x - theta*|mu_k|.  The end
-    vertex is checked against the rows not dropped within FEAS_TOL, since
-    the ratio test lets a row of slope at most PIVOT_TOL be crossed; its
+    vertex is checked against the columns left within FEAS_TOL, since the
+    ratio test lets a constraint of slope at most PIVOT_TOL be crossed; its
     cost is returned if it passes, else None.
 
     Otherwise returns -inf when an edge lowers the cost by more than
-    PIVOT_TOL per unit and no row blocks it (the program is unbounded), or
+    PIVOT_TOL per unit and nothing blocks it (the program is unbounded), or
     None when the step is undecided: M is singular or off its inverse by
-    more than PIVOT_TOL, a cost-neutral edge of a dropped row is unblocked,
-    or more than _STALL_LIMIT steps in a row are degenerate.
+    more than PIVOT_TOL, a cost-neutral edge of a dropped column is
+    unblocked, or more than _STALL_LIMIT steps in a row are degenerate.
     """
     basis = np.array(basis, dtype=np.intp)
     stall = 0
     for steps in range(_MAX_PIVOTS):
         if steps:
-            inv = checked_inverse(G[basis])
+            inv = checked_inverse(E[:, basis].T)
             if inv is None:
                 return None
-        x = inv @ h[basis]
+        x = inv @ q[basis]
         mu = -(cost @ inv)
-        gone = np.flatnonzero(dropped[basis])
+        gone = np.flatnonzero((basis >= dropped.start) & (basis < dropped.stop))
         if gone.size:
             k = gone[0]
             sign = 1.0 if mu[k] >= 0.0 else -1.0
@@ -600,13 +648,14 @@ def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
                 break
             sign = -1.0
         direction = sign * inv[:, k]
-        slope = G @ direction
+        slack = q - x @ E
+        slope = direction @ E
         slope[basis] = 0.0
         slope[dropped] = 0.0
-        blocking = np.flatnonzero(slope > PIVOT_TOL)
+        blocking = np.flatnonzero((slope > PIVOT_TOL) & (slack < np.inf))
         if not blocking.size:
             return -np.inf if abs(mu[k]) > PIVOT_TOL else None
-        ratios = np.maximum(h[blocking] - G[blocking] @ x, 0.0) / slope[blocking]
+        ratios = np.maximum(slack[blocking], 0.0) / slope[blocking]
         theta = ratios.min()
         value = cost @ x - theta * abs(mu[k])
         if value < stop:
@@ -618,8 +667,9 @@ def reoptimize(G, h, cost, basis, dropped, inv, stop=-np.inf
             return None
     else:
         return None
-    excess = G @ x - h
-    return None if (excess[~dropped] > FEAS_TOL).any() else float(value)
+    excess = x @ E - q
+    excess[dropped] = 0.0
+    return None if (excess > FEAS_TOL).any() else float(value)
 
 
 def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
@@ -633,7 +683,10 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
     lex-min and is returned as it is.  Otherwise the refine loop pins the
     achieved cost with an extra row, then minimizes each coordinate in turn
     over the shrinking optimal face, pinning each minimized coordinate in
-    turn: d more LP cores.
+    turn: d more LP cores.  A core that finds the pinned face empty raises
+    SimplexStallError naming it, unless the cost core's basis proves the
+    optimum unique (_unique_optimum): then the face is the cost core's
+    vertex, which is returned.
 
     Every core runs on the dual form lp shares (LinearProgram.select): the
     cores differ only in their prices, where a pin row takes part once its
@@ -648,6 +701,7 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
         return LpSolution(status=status, x=None, objective=np.nan)
     if refine and not _componentwise_min(form, basis):
         q[form.pins] = float(cost @ x)
+        x0 = x
         for j in range(lp.d):
             axis = np.zeros(lp.d)
             axis[j] = 1.0
@@ -657,7 +711,12 @@ def solve(lp: LinearProgram, refine: bool = True) -> LpSolution:
                 # lexicographic minimum exists, so uniqueness is unattainable.
                 return LpSolution(status=LpStatus.UNBOUNDED, x=None, objective=np.nan)
             if status_j is not LpStatus.OPTIMAL:
-                raise SimplexStallError("refinement face lost feasibility")
+                if _unique_optimum(form, cost, basis):
+                    x = x0  # the face is the one point x0, lost to rounding
+                    break
+                raise SimplexStallError(
+                    f"refinement face lost feasibility in refinement core "
+                    f"{j + 1} of {lp.d} (minimizing x{j + 1})")
             x = x_j
             if j + 1 < lp.d:
                 q[form.pins + 1 + j] = float(x[j])

@@ -477,6 +477,22 @@ class TestExperimentCommand:
         trials = (tmp_path / "resource_compare_trials.csv").read_text()
         assert trials.splitlines()[0].startswith("epsilon,r_cascade")
 
+    @pytest.mark.parametrize("seed", ["3508169390", "2602730630"])
+    def test_unique_optimum_survives_a_lost_refinement_face(self, capsys,
+                                                            tmp_path, seed):
+        # each seed has an LP with a unique optimum (all ten multipliers
+        # positive, the smallest 3.1e-7 and 8.6e-6) whose pinned face, that
+        # one point, a refinement core loses to rounding: the stage program
+        # of greedy step 1 (first core), and the program without label 1923
+        # in greedy step 3's support test (second core)
+        code, out, err = run_cli(
+            capsys, "experiment", "resource-compare", "--d", "10", "--n", "2",
+            "--m", "2000", "--beta", "1e-6", "--eps-grid", "0.01:0.005:0.035",
+            "--seed", seed, "--out", str(tmp_path),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert len(parse_json(out)["points"]) == 6
+
     @pytest.mark.parametrize("grid", ["0.01:0.005:inf", "nan:0.01:0.05",
                                       "0.01:inf:0.05"])
     def test_non_finite_grid_exits_2(self, capsys, tmp_path, grid):

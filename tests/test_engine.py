@@ -253,9 +253,10 @@ class TestSupportFromTheVertex:
         # violates it by only 4e-7 < FEAS_TOL, so the ratio test must stop
         # the edge there, and the next edge reaches x1 = 0.  That needs
         # ACTIVE_TOL < FEAS_TOL, which the package's values do not give, so
-        # both are set in the modules this test runs through.
+        # both are set in the modules that read them: the activity scan
+        # lives in lp alone.
+        monkeypatch.setattr(lp_module, "ACTIVE_TOL", 1e-8)
         for module in (lp_module, engine):
-            monkeypatch.setattr(module, "ACTIVE_TOL", 1e-8)
             monkeypatch.setattr(module, "FEAS_TOL", 1e-6)
         prog = program([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [
             (1, [-1.0, 0.0], -0.5),
@@ -893,11 +894,25 @@ def sparse_resource(rng, d, n, m, density):
     )
 
 
+def free_and_one_sided(prog):
+    """prog with x1 free and x2 reflected (x2 -> -x2), so that x2 is bounded
+    above only and every other coordinate below only: the dual form splits
+    x1 and holds one bound column per coordinate but x1."""
+    flip = np.ones(prog.d)
+    flip[1] = -1.0
+    lower, upper = np.zeros(prog.d), np.full(prog.d, np.inf)
+    lower[:2], upper[1] = -np.inf, 0.0
+    return ScenarioProgram(prog.cost * flip, lower, upper, sorted(prog.labels),
+                           prog.owners, prog.coeffs * flip, prog.rhs)
+
+
 class TestReoptimize:
-    @pytest.mark.parametrize("d, m, sparse_m, density",
-                             [(2, 40, 10, 0.3), (5, 60, 15, 0.2),
-                              (10, 150, 40, 0.1)])
-    def test_matches_unrefined_resolve(self, d, m, sparse_m, density):
+    @pytest.mark.parametrize("d, m, sparse_m, density, move", [
+        (2, 40, 10, 0.3, None), (5, 60, 15, 0.2, None),
+        (10, 150, 40, 0.1, None), (3, 40, 10, 0.3, free_and_one_sided),
+    ], ids=["2-40-10-0.3", "5-60-15-0.2", "10-150-40-0.1",
+            "free-and-one-sided"])
+    def test_matches_unrefined_resolve(self, d, m, sparse_m, density, move):
         # every support candidate of each stage vertex: the objective
         # reached by pivoting past the candidate's rows is the unrefined
         # re-solve's, and an unbounded edge means an unbounded re-solve.
@@ -907,6 +922,8 @@ class TestReoptimize:
         programs = [random_resource(rng, d, 2, m) for _ in range(5)]
         programs += [sparse_resource(rng, d, 2, sparse_m, density)
                      for _ in range(40)]
+        if move is not None:
+            programs = [move(prog) for prog in programs]
         verdicts = Counter()
         for prog in programs:
             try:
@@ -916,7 +933,8 @@ class TestReoptimize:
             assert stage.inv is not None
             stop = stage.sol.objective - (
                 2.0 * np.abs(prog.cost).sum() * X_TOL + FEAS_TOL)
-            rows = stage.active[stage.active < stage.lp.n_rows]
+            # the program's rows are the first columns of stage.E
+            rows = stage.active[stage.active < stage.owners.size]
             for lab in sorted(set(stage.owners[rows].tolist())):
                 obj = stage.cost_without(lab)
                 stopped = stage.cost_without(lab, stop)

@@ -386,6 +386,55 @@ class TestLexCertificate:
         assert verdicts == [False]
 
 
+@contextmanager
+def refinement_cores_report_infeasible(after=0):
+    """Every LP core after the cost core and `after` refinement cores
+    reports the pinned face infeasible."""
+    real = lp_module._solve_core
+    calls = []
+
+    def lossy(form, objective, q):
+        calls.append(None)
+        if len(calls) > 1 + after:
+            return LpStatus.INFEASIBLE, None, None
+        return real(form, objective, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_solve_core", lossy)
+        yield calls
+
+
+class TestLostRefinementFace:
+    """A refinement core that loses its pinned face ends the refine loop
+    with the cost core's vertex when that basis proves the optimum unique,
+    and raises otherwise."""
+
+    def test_a_dual_degenerate_optimum_still_raises(self):
+        # the cost tie of TestLexCertificate: x2 <= 1 is basic with a zero
+        # multiplier, so the face {x1 = 0} holds more than the cost vertex
+        lp = box_lp([1.0, 0.0], np.zeros((0, 2)), [], [0.0, 0.0], [1.0, 1.0])
+        with refinement_cores_report_infeasible(), pytest.raises(
+                SimplexStallError, match="refinement core 1 of 2"):
+            solve(lp)
+        with refinement_cores_report_infeasible(after=1), pytest.raises(
+                SimplexStallError, match=r"refinement core 2 of 2 \(minim"):
+            solve(lp)
+
+    @pytest.mark.parametrize("after", [0, 1])
+    def test_a_unique_optimum_returns_the_cost_vertex(self, after):
+        # min x1 + x2 over x1 + 2 x2 >= 1, 2 x1 + x2 >= 1 in an unbounded
+        # box: both multipliers are 1/3, but the box is not finite, so the
+        # refine loop runs and its cores lose the face
+        lp = box_lp([1.0, 1.0], [[-1.0, -2.0], [-2.0, -1.0]], [-1.0, -1.0],
+                    [0.0, 0.0], [np.inf, np.inf])
+        with refinement_cores_report_infeasible(after) as calls:
+            sol = solve(lp)
+        assert len(calls) == 2 + after
+        assert sol.is_optimal
+        np.testing.assert_allclose(sol.x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        assert sol.x.tolist() == solve(lp, refine=False).x.tolist()
+
+
 def random_corpus_lp(rng):
     """d 1-10 and up to 300 rows, feasible at the origin nine times in ten;
     a quarter have small integer data, whose vertices are often degenerate
