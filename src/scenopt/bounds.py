@@ -40,8 +40,19 @@ exactly, as an integer count of 2**-1074 (every double is a whole number
 of these units), and rounds it once per candidate r; integer true division
 rounds correctly just as math.fsum does, so each rounded prefix equals the
 tail a per-r evaluation would return, bit for bit.  Its sweep starts at the
-window's first index.  invert_epsilon computes each log C(m, i) at most
-once, on the first bisection step whose window holds i.
+window's first index.
+
+invert_epsilon computes each log C(m, i) at most once, on the first
+bisection step that reads i.  A step needs only a verdict, bound <= beta.
+On the log-space path it walks the window down from its top index, and
+stops as soon as a certified lower or upper bound on the window's exact sum
+(the float running sum widened by the error bound of recursive summation,
+plus a geometric bound on the terms not yet read) settles the verdict; the
+bound formulas round monotonically in the tail, so that verdict is the one
+the exact tail gives (_tail_accepted).  Only when the two bounds straddle
+beta, a near-tie, is the whole window read and summed exactly.  So every
+verdict, and every answer, is the one exact summation gives, bit for bit,
+from the largest few dozen terms of each window.
 """
 
 from __future__ import annotations
@@ -81,6 +92,11 @@ _LOG_ARG_ERR = 2.0**-40
 
 # The most terms a tail may evaluate (and max_removable may sweep).
 _MAX_TERMS = 2**22
+
+# invert_epsilon's certified decision (_tail_accepted): the relative slack
+# that outweighs the roundings of its bounds, and the subnormal spacing.
+_SLACK = 1.0 + 2.0**-40
+_TINY = 2.0**-1074
 
 
 def _check_m(m: int) -> None:
@@ -178,8 +194,7 @@ def _log_window(m: int, k_max: int, eps: float, log_eps: float,
     mirror image.  Indices mu - 1 .. mu + 1 are always kept.
     """
     lg_m = math.lgamma(m + 1)
-    floor = _LOG_ZERO - 2.0 * _LOG_ARG_ERR * (
-        3.0 * lg_m + m * (abs(log_eps) + abs(log_1m)))
+    floor = _LOG_ZERO - 2.0 * _log_arg_err(m, log_eps, log_1m)
 
     def above(i: int) -> bool:
         return (lg_m - math.lgamma(i + 1) - math.lgamma(m - i + 1)
@@ -193,8 +208,8 @@ def _log_window(m: int, k_max: int, eps: float, log_eps: float,
     return lo, _first_true(lambda i: not above(i), mu + 2, k_max + 1) - 1
 
 
-def _recurrence_terms(m: int, eps: float, log_t0: float, k_max: int):
-    term = math.exp(log_t0)
+def _recurrence_terms(m: int, eps: float, log_1m: float, k_max: int):
+    term = math.exp(m * log_1m)
     ratio = eps / (1.0 - eps)
     yield term
     for i in range(1, k_max + 1):
@@ -202,6 +217,37 @@ def _recurrence_terms(m: int, eps: float, log_t0: float, k_max: int):
         if term == 0.0:
             return  # every later term is 0.0 times a finite factor
         yield term
+
+
+def _log_arg_err(m: int, log_eps: float, log_1m: float) -> float:
+    """E: how far a log-space term's argument, or _log_window's g(i), may
+    sit from R(i) (see _log_window)."""
+    return _LOG_ARG_ERR * (3.0 * math.lgamma(m + 1)
+                           + m * (abs(log_eps) + abs(log_1m)))
+
+
+def _log_space(m: int, eps: float, k_max: int):
+    """(lo, hi, log_eps, log_1m) when the terms of T(m, k_max, eps), eps <
+    1, are evaluated in log space on the window [lo, hi]; None when they
+    come from the term recurrence.  Raises ValueError when the window
+    exceeds _MAX_TERMS, before any term is evaluated."""
+    log_1m = math.log1p(-eps)
+    if m * log_1m > -700.0:
+        return None
+    log_eps = math.log(eps)
+    lo, hi = _log_window(m, k_max, eps, log_eps, log_1m)
+    if hi - lo + 1 > _MAX_TERMS:
+        raise ValueError(
+            f"the binomial tail at m={m}, eps={eps} spans {hi - lo + 1} "
+            f"terms that may be nonzero, more than the cap of 2**22 terms")
+    return lo, hi, log_eps, log_1m
+
+
+def _log_term(m: int, i: int, log_comb: float, log_eps: float,
+              log_1m: float) -> float:
+    """The log-space term C(m, i) eps^i (1-eps)^(m-i), from log C(m, i);
+    every log-space term is evaluated here."""
+    return math.exp(log_comb + i * log_eps + (m - i) * log_1m)
 
 
 def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
@@ -219,24 +265,93 @@ def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
     """
     if eps == 1.0:
         return k_max + 1, ()  # only the i = m term is nonzero
-    log_1m = math.log1p(-eps)
-    log_t0 = m * log_1m
-    if log_t0 > -700.0:
-        return 0, _recurrence_terms(m, eps, log_t0, k_max)
-    log_eps = math.log(eps)
-    lo, hi = _log_window(m, k_max, eps, log_eps, log_1m)
-    if hi - lo + 1 > _MAX_TERMS:
-        raise ValueError(
-            f"the binomial tail at m={m}, eps={eps} spans {hi - lo + 1} "
-            f"terms that may be nonzero, more than the cap of 2**22 terms")
+    space = _log_space(m, eps, k_max)
+    if space is None:
+        return 0, _recurrence_terms(m, eps, math.log1p(-eps), k_max)
+    lo, hi, log_eps, log_1m = space
     coeffs = log_combs(lo, hi) if log_combs is not None else _log_combs(m, lo)
-    return lo, (math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+    return lo, (_log_term(m, i, log_comb, log_eps, log_1m)
                 for i, log_comb in zip(range(lo, hi + 1), coeffs))
 
 
 def _tail(m: int, k_max: int, eps: float, log_combs=None) -> float:
     _, terms = _tail_terms(m, eps, k_max, log_combs)
+    return _exact_sum(terms)
+
+
+def _exact_sum(terms) -> float:
+    """The correctly rounded sum of the terms, clamped to 1."""
     return min(1.0, math.fsum(sorted(terms, reverse=True)))
+
+
+def _descending(log_combs, lo: int, hi: int):
+    """(i, log C(m, i)) for i = hi, hi - 1, ..., lo, drawn from the memo
+    log_combs in runs of 16, 32, 64, ... indices."""
+    size = 16
+    while hi >= lo:
+        a = max(lo, hi - size + 1)
+        yield from zip(range(hi, a - 1, -1), reversed(list(log_combs(a, hi))))
+        hi, size = a - 1, 2 * size
+
+
+def _tail_accepted(m: int, k_max: int, eps: float, accepts, log_combs) -> bool:
+    """accepts(T(m, k_max, eps)) for 0 < eps < 1, where accepts is a
+    predicate on tails in [0, 1] that turns false from some tail upward.
+
+    On the log-space path the window is walked from its top index down,
+    keeping the float running sum s of the n terms seen.  Recursive
+    summation of positive terms is off by at most gamma_{n-1} < g = (n+4)
+    2**-52 of their exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2), so L = s (1 - g) bounds the sum of the window from
+    below, and U = (s + rest) (1 + g) from above, where rest bounds the
+    terms below index j, the last one seen; each is rounded once more
+    outward with math.nextafter.  Floats that bound the exact sum also
+    bound its correctly rounded value, the tail _tail returns, and accepts
+    is monotone: not accepts(L) decides false and accepts(U) decides true,
+    each with the verdict of the exact sum.
+
+    rest: R(i) (see _log_window) is concave, so exp(R(i - 1) - R(i)) =
+    rho_i = i / (m - i + 1) exp(log_1m - log_eps) grows with i, and once
+    rho_j < 1 the terms below j add up to at most exp(R(j)) rho_j /
+    (1 - rho_j).  A computed term lies within a factor exp(E) and one ulp
+    of exp(R(i)), E = _log_arg_err, or within 2**-1074 when subnormal, so
+    rest = pad (t_j + 2**-1074) rho_j / (1 - rho_j) + (j - lo + 1) 2**-1074
+    with pad = exp(2E) (1 + 2**-40) and rho_j rounded up by 2**-40: these
+    slacks outweigh every rounding of the few float operations involved.
+    Past E = 300 (m beyond a few 10**12) exp(2E) nears overflow, and the
+    window is summed exactly instead.
+
+    When the whole window is read and neither bound decides, the tail lies
+    within a factor 1 +- g of the verdict's turning point: the exact sum of
+    the terms seen, which are the whole window, decides.  The recurrence
+    path is summed exactly as _tail does.
+    """
+    space = _log_space(m, eps, k_max)
+    if space is None:
+        return accepts(_tail(m, k_max, eps, log_combs))
+    lo, hi, log_eps, log_1m = space
+    err = _log_arg_err(m, log_eps, log_1m)
+    if err > 300.0:
+        return accepts(_tail(m, k_max, eps, log_combs))
+    pad = math.exp(2.0 * err) * _SLACK
+    ratio = math.exp(log_1m - log_eps) * _SLACK
+    seen = []
+    s = 0.0
+    for j, log_comb in _descending(log_combs, lo, hi):
+        t = _log_term(m, j, log_comb, log_eps, log_1m)
+        seen.append(t)
+        s += t
+        g = (len(seen) + 4) * 2.0**-52
+        if not accepts(min(1.0, math.nextafter(s * (1.0 - g), 0.0))):
+            return False
+        rho = j / (m - j + 1) * ratio
+        if rho >= 1.0:
+            continue
+        rest = 0.0 if j == lo else (
+            (t + _TINY) * (pad * rho / (1.0 - rho)) + (j - lo + 1) * _TINY)
+        if accepts(min(1.0, math.nextafter((s + rest) * (1.0 + g), math.inf))):
+            return True
+    return accepts(_exact_sum(seen))
 
 
 def _prefix_sums(terms):
@@ -380,9 +495,13 @@ def invert_epsilon(
     boundary flag is set and 0 is returned.
 
     log C(m, i) does not depend on eps: each is computed at most once per
-    call, on the first step whose window holds i, and shared by every later
-    step.  Each step returns exactly the value of the public bound function
-    at its eps, and raises the same ValueError past the 2**22-term cap.
+    call, on the first step that reads i, and shared by every later step.
+    Each step's verdict, bound(eps) <= beta, is the one the public bound
+    function's value at eps gives.  On the log-space path it comes from
+    certified bounds on the tail built from its largest terms, and from
+    the exact sum of the whole window only when they straddle beta
+    (_tail_accepted).  A step raises the same ValueError past the
+    2**22-term cap, before any term is evaluated.
     """
     beta = float(beta)
     if not beta > 0.0:
@@ -395,15 +514,15 @@ def invert_epsilon(
         _check_query(m, d, r)
     log_combs = _memo_log_combs(m)
 
-    def bound(eps: float) -> float:
-        return _bound_value(formula, d, r, _tail(m, r + d - 1, eps, log_combs))
+    def accepts(tail: float) -> bool:
+        return _bound_value(formula, d, r, tail) <= beta
 
-    if bound(0.0) <= beta:
+    if accepts(_tail(m, r + d - 1, 0.0)):
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if bound(mid) <= beta:
+        if _tail_accepted(m, r + d - 1, mid, accepts, log_combs):
             hi = mid
         else:
             lo = mid

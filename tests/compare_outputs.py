@@ -12,7 +12,13 @@ below runs in a fresh interpreter with that tree's src/ first on the path:
 - TestKernelAgreement's LP corpus (tests/test_lp.py), solved refined and
   unrefined, with its two outcome digests;
 - a seeded corpus of 330 cascade and greedy traces: analytic d=1 and
-  resource d=1, 2 and 10.
+  resource d=1, 2 and 10;
+- a seeded corpus of 506 bound queries: 250 invert_epsilon and 250
+  max_removable queries over the three formulas, m from 30 to 60,000 (the
+  recurrence and both log-space tail paths), half of the confidence levels
+  set to the bound at a bisection midpoint or at a removal count, so that
+  decisions meet exact ties, and the six queries that hit the 2**22-term
+  cap.
 
 The inputs (argvs and corpus builders) are read from the tree this script
 lives in, so both sides run the same inputs.  Every CSV and JSON output is
@@ -21,7 +27,8 @@ strings, booleans, nulls, the shape of the data, a CLI's exit code) are
 identical, with the first difference, and gives the number of floats and
 their largest relative drift |a - b| / max(|a|, |b|).  The script exits 1
 on a discrete difference, a file missing on one side, or a drift above
-1e-12, and prints the new sha256 of every file a digest pins, beside the
+1e-12 (above 0 for the bound queries, whose answers must agree bit for
+bit), and prints the new sha256 of every file a digest pins, beside the
 pinned value.  pytest does not collect it.
 """
 
@@ -109,6 +116,76 @@ json.dump(out, open(sys.argv[2], "w"), indent=1)
 '''
 
 
+# Child program: the seeded bound-query corpus.  argv: seed, out_file.
+BOUNDS = r'''
+import json, math, random, sys
+from scenopt.bounds import (bound_cascade, bound_classical, bound_compression,
+                            invert_epsilon, max_removable)
+
+FORMULAS = ("cascade", "classical", "compression")
+
+
+def bound(formula, m, d, r, eps):
+    if formula == "cascade":
+        return bound_cascade(m, d, r, eps).value
+    if formula == "classical":
+        return bound_classical(m, d, r, eps).value
+    return bound_compression(m, r + d, eps).value
+
+
+def draw_beta(rng, tie):
+    """tie() half the time, when it lies in (0, 1); else log-uniform on
+    [1e-14, 0.9]."""
+    if rng.random() < 0.5:
+        beta = tie()
+        if 0.0 < beta < 1.0:
+            return beta
+    return math.exp(rng.uniform(math.log(1e-14), math.log(0.9)))
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
+rng = random.Random(int(sys.argv[1]))
+out = []
+for n in range(500):
+    formula = FORMULAS[n % 3]
+    m = round(math.exp(rng.uniform(math.log(30), math.log(60_000))))
+    d = rng.randint(1, 10)
+    if rng.random() < 0.5:
+        r = rng.randint(0, min(50, m - d - 1))
+    else:
+        r = int(rng.uniform(0.0, 0.2) * (m - d - 1))
+    if n % 2 == 0:
+        # a tie: the bound at a dyadic eps, which bisection steps can meet
+        j = rng.randint(1, 30)
+        eps = rng.randrange(1, 2**j, 2) / 2**j
+        beta = draw_beta(rng, lambda: bound(formula, m, d, r, eps))
+        query = ["invert_epsilon", m, d, r, beta, formula]
+        got = outcome(lambda: list(vars(invert_epsilon(*query[1:])).values()))
+    else:
+        eps = rng.uniform(0.0, 0.5) if rng.random() < 0.5 else math.exp(
+            rng.uniform(math.log(1e-4), 0.0))
+        beta = draw_beta(rng, lambda: bound(formula, m, d, r, eps))
+        query = ["max_removable", m, d, eps, beta, formula, rng.random() < 0.5]
+        got = outcome(lambda: max_removable(*query[1:]))
+    out.append([query, got])
+for formula in FORMULAS:
+    for query in (["invert_epsilon", 10**15, 1, 5 * 10**14, 1e-6, formula],
+                  ["max_removable", 10**15, 1, 0.5, 1e-6, formula]):
+        call = {"invert_epsilon": invert_epsilon,
+                "max_removable": max_removable}[query[0]]
+        got = outcome(lambda: call(*query[1:]))
+        out.append([query, got if isinstance(got, dict) else "no error"])
+json.dump(out, open(sys.argv[2], "w"), indent=1)
+'''
+BOUNDS_SEED = 5
+
+
 def _literal(path, name):
     """The literal value assigned to a module-level name in a source file."""
     for node in ast.parse(path.read_text()).body:
@@ -144,6 +221,7 @@ def jobs():
                           [*command, *argv, "--out", "{out}"], pinned))
     found.append(("TestKernelAgreement corpus", "kernel", None, {}))
     found.append(("trace corpus", "traces", None, {}))
+    found.append(("bound-query corpus", "bounds", None, {}))
     return found
 
 
@@ -164,8 +242,9 @@ def run_job(tree, kind, payload, out_dir):
         if stdout.strip():
             (out_dir / "stdout.json").write_text(stdout)
     else:
-        program = KERNEL if kind == "kernel" else TRACES
-        args = [str(HERE / "test_lp.py")] if kind == "kernel" else []
+        program = {"kernel": KERNEL, "traces": TRACES, "bounds": BOUNDS}[kind]
+        args = {"kernel": [str(HERE / "test_lp.py")], "traces": [],
+                "bounds": [str(BOUNDS_SEED)]}[kind]
         subprocess.run([sys.executable, "-c", program, *args,
                         str(out_dir / f"{kind}.json")],
                        env=env, check=True, timeout=3600)
@@ -239,7 +318,8 @@ def main(argv=None):
                 failed = True
                 continue
             diff, count, drift = compare(_load(old[fname]), _load(new[fname]))
-            bad = diff is not None or drift > MAX_DRIFT
+            bad = diff is not None or drift > (0.0 if kind == "bounds"
+                                               else MAX_DRIFT)
             failed |= bad
             print(f"{label}: discrete {'identical' if diff is None else 'DIFFER'}"
                   f"; {count} floats, max relative drift {drift:.3g}"

@@ -159,14 +159,18 @@ def _classical(d, r, tail):
                     + math.log(tail))
 
 
-def invert_epsilon_bisect(m, d, r, beta, formula="cascade", tol=1e-9):
+def invert_epsilon_bisect(m, d, r, beta, formula="cascade", tol=1e-9,
+                          midpoints=None):
     """(epsilon, at_lower_boundary): bisection in eps over the public bound
-    function, evaluated from scratch at each step."""
+    function, evaluated from scratch at each step.  Each eps it evaluates
+    after eps = 0 is appended to the list midpoints, when one is given."""
     if _public_bound(formula, m, d, r, 0.0) <= beta:
         return 0.0, True
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if midpoints is not None:
+            midpoints.append(mid)
         if _public_bound(formula, m, d, r, mid) <= beta:
             hi = mid
         else:

@@ -19,6 +19,7 @@ from scenopt.bounds import (
 )
 
 from oracles import (
+    _public_bound,
     binom_tail_exact,
     binom_tail_termwise,
     classical_exact,
@@ -290,6 +291,71 @@ class TestInversion:
             assert 0 < min(seen) and max(seen) <= r + 9, m
             assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
                 m, 10, r, 1e-6)
+
+    @pytest.mark.parametrize("below", (False, True), ids=("at", "below"))
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,d,r", [(10_000, 10, 440), (20_000, 10, 660)],
+                             ids=("exact-comb", "log-gamma"))
+    def test_exact_sum_decides_a_near_tie(self, m, d, r, formula, below,
+                                          monkeypatch):
+        """beta is the public bound at the last midpoint of the bisection
+        for beta = 1e-6 that takes this log-space path with a bound in
+        (0, 1), or the float just below it.  The bisection for that beta
+        meets the midpoint again, where no certified interval can separate
+        the tail from beta: the exact sum of its window decides, and the
+        answer is the reference one."""
+        path = "exact-comb" if m <= 10_000 else "log-gamma"
+        midpoints = []
+        invert_epsilon_bisect(m, d, r, 1e-6, formula, midpoints=midpoints)
+        mid, beta = [(eps, bound) for eps in midpoints
+                     if tail_path(m, eps) == path
+                     for bound in [_public_bound(formula, m, d, r, eps)]
+                     if 0.0 < bound < 1.0][-1]
+        if below:
+            beta = math.nextafter(beta, 0.0)
+        midpoints.clear()
+        expected = invert_epsilon_bisect(m, d, r, beta, formula,
+                                         midpoints=midpoints)
+        assert mid in midpoints
+        sums = []
+        exact_sum = bounds._exact_sum
+
+        def spy(terms):
+            sums.append(exact_sum(terms))
+            return sums[-1]
+
+        monkeypatch.setattr(bounds, "_exact_sum", spy)
+        inv = invert_epsilon(m, d, r, beta, formula)
+        assert (inv.epsilon, inv.at_lower_boundary) == expected
+        assert binom_tail(m, r + d - 1, mid) in sums
+
+    def test_certified_steps_evaluate_a_tenth_of_the_terms(self, monkeypatch):
+        """Summing every window, as each step did before the certified
+        decision, evaluates 16,823 log-space terms at this query (measured);
+        a step now stops after its largest few dozen."""
+        seen = []
+        log_term = bounds._log_term
+
+        def spy(m, i, *args):
+            seen.append(i)
+            return log_term(m, i, *args)
+
+        expected = invert_epsilon_bisect(20_000, 10, 660, 1e-6)
+        monkeypatch.setattr(bounds, "_log_term", spy)
+        inv = invert_epsilon(20_000, 10, 660, 1e-6)
+        assert (inv.epsilon, inv.at_lower_boundary) == expected
+        assert 0 < len(seen) <= 16_823 // 10
+
+    @pytest.mark.parametrize("m,r,formula", [
+        (10**11, 10**5, "classical"),  # E about 8: terms may sit e^8 off
+        (10**15, 10, "cascade"),       # E about 10**5: exp(2E) overflows
+    ])
+    def test_matches_bisection_at_huge_m(self, m, r, formula):
+        """E, the allowance for a log-space term's argument, grows with m;
+        past E = 300 the certified decision gives way to the exact sum."""
+        inv = invert_epsilon(m, 1, r, 1e-6, formula)
+        assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
+            m, 1, r, 1e-6, formula)
 
     def test_round_trip(self):
         for m, d, r in [(2000, 10, 10), (200, 2, 4), (50, 1, 5)]:

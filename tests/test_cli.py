@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -138,6 +139,32 @@ class TestBoundCommand:
         assert eps_star == pytest.approx(0.4496, abs=1e-4)
         _, out, _ = run_cli(capsys, *args, "--eps", str(eps_star))
         assert parse_json(out)["value"] == pytest.approx(0.1, abs=1e-8)
+
+
+def workload_literal(name):
+    """A literal assigned at the top level of perfbench/workloads.py, read
+    from its source: perfbench is not imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    body = ast.parse(path.read_text()).body
+    return next(
+        ast.literal_eval(node.value) for node in body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    )
+
+
+@pytest.mark.parametrize("query", workload_literal("BOUND_QUERIES"))
+def test_benchmark_bound_answers(capsys, query):
+    """perfbench's bound-sizing workload fails a run whose answer fields
+    differ from BOUND_ANSWERS; each of its queries is checked here too."""
+    code, out, _ = run_cli(capsys, "bound", *query.split())
+    assert code == EXIT_OK
+    payload = parse_json(out)
+    key = "{formula} m={m} d={d} r={r} eps={epsilon}".format(**payload)
+    fields = ("max_removable", "max_removable_batched", "epsilon_star",
+              "at_lower_boundary", "value")
+    assert {f: payload[f] for f in fields if f in payload} == (
+        workload_literal("BOUND_ANSWERS")[key])
 
 
 def test_one_parser_serves_every_call(capsys, tmp_path):
