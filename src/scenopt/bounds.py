@@ -17,11 +17,11 @@ fraction of the uncertainty.  Three formulas are exposed:
 All functions are pure.  The terms of the tail come from one source: a
 multiplicative recurrence seeded by (1-eps)^m, or, when that product
 underflows, per-term evaluation in log space, so that huge binomial
-coefficients and tiny tail products neither overflow nor underflow.  When
-C(m, i) is representable in double precision its exact integer value, built
-from C(m, i-1) by an exact integer recurrence, anchors the term; otherwise
-log C(m, i) comes from math.lgamma.  This keeps the absolute error of the
-sum comfortably below 1e-12 in the ranges this package works in.
+coefficients and tiny tail products neither overflow nor underflow.  A
+log-space term takes log C(m, i) from _log_comb: the log of the exact
+integer math.comb(m, i) while that is at most 1e300 and m <= 10,000, and
+log-gamma otherwise.  This keeps the absolute error of the sum comfortably
+below 1e-12 in the ranges this package works in.
 
 Only terms that can be nonzero are evaluated; a term equal to 0.0 adds
 nothing to an exact sum.  The recurrence stops at its first term that is
@@ -42,8 +42,7 @@ rounds correctly just as math.fsum does, so each rounded prefix equals the
 tail a per-r evaluation would return, bit for bit.  Its sweep starts at the
 window's first index.
 
-invert_epsilon computes each log C(m, i) at most once, on the first
-bisection step that reads i.  A step needs only a verdict, bound <= beta.
+Each bisection step of invert_epsilon needs only a verdict, bound <= beta.
 On the log-space path it walks the window down from its top index, and
 stops as soon as a certified lower or upper bound on the window's exact sum
 (the float running sum widened by the error bound of recursive summation,
@@ -58,14 +57,15 @@ from the largest few dozen terms of each window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import count
 
 _FORMULAS = ("cascade", "classical", "compression")
 
 # Exact binomial coefficients above this are replaced by log-gamma, and so
 # are all of them beyond _MAX_EXACT_COMB_M samples; these switches fix which
-# terms an exact integer anchors, and so the bits of every tail.
+# log C(m, i) come from the exact integer (_log_comb), and so the bits of
+# every tail.
 _MAX_EXACT_COMB = 1e300
 _MAX_EXACT_COMB_M = 10_000
 
@@ -99,6 +99,19 @@ _SLACK = 1.0 + 2.0**-40
 _TINY = 2.0**-1074
 
 
+def _check_ints(**counts: int) -> list[int]:
+    """The counts as ints.  Python and numpy integers pass; a float, a
+    string or any other non-integer raises ValueError instead of being
+    truncated."""
+    ints = []
+    for name, value in counts.items():
+        try:
+            ints.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return ints
+
+
 def _check_m(m: int) -> None:
     if m > _MAX_M:
         raise ValueError(f"m must be at most 2**53, got {m}")
@@ -111,46 +124,21 @@ def _validate_eps(eps: float) -> float:
     return eps
 
 
-def _log_combs(m: int, start: int = 0):
-    """Yield log C(m, i) for i = start, start + 1, ..., m: the log of the
-    exact integer, carried from math.comb(m, start) by C(m, i+1) =
-    C(m, i) * (m-i) // (i+1), wherever the switches above allow it, and
-    log-gamma elsewhere."""
-    exact = m <= _MAX_EXACT_COMB_M
-    comb = math.comb(m, start) if exact else 0
-    for i in count(start):
-        if exact and comb <= _MAX_EXACT_COMB:
-            yield math.log(comb)
-        else:
-            yield math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
-        if exact:
-            comb = comb * (m - i) // (i + 1)
+def _log_comb(m: int, i: int) -> float:
+    """log C(m, i): the log of the exact integer math.comb(m, i) where the
+    switches above allow it, and log-gamma elsewhere.
 
-
-def _memo_log_combs(m: int):
-    """log_combs(lo, hi) -> log C(m, i) for i = lo .. hi, computing each
-    value once, from one exact anchor per run of indices not seen before."""
-    memo: dict[int, float] = {}
-    spans: list[tuple[int, int]] = []  # index ranges already in memo
-
-    def fill(lo: int, hi: int) -> None:
-        memo.update(zip(range(lo, hi + 1), _log_combs(m, lo)))
-
-    def log_combs(lo: int, hi: int):
-        i = lo
-        for a, b in sorted(spans):
-            if a > hi:
-                break
-            if a > i:
-                fill(i, a - 1)
-            i = max(i, b + 1)
-        if i <= hi:
-            fill(i, hi)
-        if lo <= hi:
-            spans.append((lo, hi))
-        return map(memo.__getitem__, range(lo, hi + 1))
-
-    return log_combs
+    log(1e300) = 690.78, and for m <= _MAX_EXACT_COMB_M the rounding of the
+    log-gamma expression lg is below 1e-9, so every C(m, i) <= 1e300 has
+    lg < 691: math.comb runs for each index whose exact integer is used
+    (and a few just above the switch), never for the rest.
+    """
+    lg = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+    if m <= _MAX_EXACT_COMB_M and lg < 691.0:
+        comb = math.comb(m, i)
+        if comb <= _MAX_EXACT_COMB:
+            return math.log(comb)
+    return lg
 
 
 def _first_true(pred, lo: int, hi: int) -> int:
@@ -243,14 +231,13 @@ def _log_space(m: int, eps: float, k_max: int):
     return lo, hi, log_eps, log_1m
 
 
-def _log_term(m: int, i: int, log_comb: float, log_eps: float,
-              log_1m: float) -> float:
-    """The log-space term C(m, i) eps^i (1-eps)^(m-i), from log C(m, i);
-    every log-space term is evaluated here."""
-    return math.exp(log_comb + i * log_eps + (m - i) * log_1m)
+def _log_term(m: int, i: int, log_eps: float, log_1m: float) -> float:
+    """The log-space term C(m, i) eps^i (1-eps)^(m-i); every log-space term
+    is evaluated here."""
+    return math.exp(_log_comb(m, i) + i * log_eps + (m - i) * log_1m)
 
 
-def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
+def _tail_terms(m: int, eps: float, k_max: int):
     """(first, terms): the terms C(m, i) eps^i (1-eps)^(m-i) for i = first,
     first + 1, ... (at most to k_max < m) that can be nonzero, in index
     order, as a lazy iterable.  Every term left out is exactly 0.0.
@@ -259,9 +246,8 @@ def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
     log of the i=0 term; every term stays a moderate float even when the
     binomial coefficient alone would overflow.  When (1-eps)^m itself
     underflows, each term of _log_window's window is evaluated on its own
-    in log space from log C(m, i): log_combs(lo, hi) supplies them
-    (_memo_log_combs, for a caller that evaluates many eps), else
-    _log_combs.  Raises ValueError when the window exceeds _MAX_TERMS.
+    in log space (_log_term).  Raises ValueError when the window exceeds
+    _MAX_TERMS.
     """
     if eps == 1.0:
         return k_max + 1, ()  # only the i = m term is nonzero
@@ -269,13 +255,11 @@ def _tail_terms(m: int, eps: float, k_max: int, log_combs=None):
     if space is None:
         return 0, _recurrence_terms(m, eps, math.log1p(-eps), k_max)
     lo, hi, log_eps, log_1m = space
-    coeffs = log_combs(lo, hi) if log_combs is not None else _log_combs(m, lo)
-    return lo, (_log_term(m, i, log_comb, log_eps, log_1m)
-                for i, log_comb in zip(range(lo, hi + 1), coeffs))
+    return lo, (_log_term(m, i, log_eps, log_1m) for i in range(lo, hi + 1))
 
 
-def _tail(m: int, k_max: int, eps: float, log_combs=None) -> float:
-    _, terms = _tail_terms(m, eps, k_max, log_combs)
+def _tail(m: int, k_max: int, eps: float) -> float:
+    _, terms = _tail_terms(m, eps, k_max)
     return _exact_sum(terms)
 
 
@@ -284,17 +268,7 @@ def _exact_sum(terms) -> float:
     return min(1.0, math.fsum(sorted(terms, reverse=True)))
 
 
-def _descending(log_combs, lo: int, hi: int):
-    """(i, log C(m, i)) for i = hi, hi - 1, ..., lo, drawn from the memo
-    log_combs in runs of 16, 32, 64, ... indices."""
-    size = 16
-    while hi >= lo:
-        a = max(lo, hi - size + 1)
-        yield from zip(range(hi, a - 1, -1), reversed(list(log_combs(a, hi))))
-        hi, size = a - 1, 2 * size
-
-
-def _tail_accepted(m: int, k_max: int, eps: float, accepts, log_combs) -> bool:
+def _tail_accepted(m: int, k_max: int, eps: float, accepts) -> bool:
     """accepts(T(m, k_max, eps)) for 0 < eps < 1, where accepts is a
     predicate on tails in [0, 1] that turns false from some tail upward.
 
@@ -328,17 +302,17 @@ def _tail_accepted(m: int, k_max: int, eps: float, accepts, log_combs) -> bool:
     """
     space = _log_space(m, eps, k_max)
     if space is None:
-        return accepts(_tail(m, k_max, eps, log_combs))
+        return accepts(_tail(m, k_max, eps))
     lo, hi, log_eps, log_1m = space
     err = _log_arg_err(m, log_eps, log_1m)
     if err > 300.0:
-        return accepts(_tail(m, k_max, eps, log_combs))
+        return accepts(_tail(m, k_max, eps))
     pad = math.exp(2.0 * err) * _SLACK
     ratio = math.exp(log_1m - log_eps) * _SLACK
     seen = []
     s = 0.0
-    for j, log_comb in _descending(log_combs, lo, hi):
-        t = _log_term(m, j, log_comb, log_eps, log_1m)
+    for j in range(hi, lo - 1, -1):
+        t = _log_term(m, j, log_eps, log_1m)
         seen.append(t)
         s += t
         g = (len(seen) + 4) * 2.0**-52
@@ -374,8 +348,7 @@ def binom_tail(m: int, k_max: int, eps: float) -> float:
     The correctly rounded sum of the first k_max + 1 terms, clamped to 1.
     Raises ValueError when more than 2**22 of them can be nonzero.
     """
-    m = int(m)
-    k_max = int(k_max)
+    m, k_max = _check_ints(m=m, k_max=k_max)
     eps = _validate_eps(eps)
     if m < 1:
         raise ValueError("m must be positive")
@@ -396,14 +369,14 @@ class BoundValue:
 
 def bound_cascade(m: int, d: int, r: int, eps: float) -> BoundValue:
     """Batched-removal bound T(m, r+d-1, eps); requires m > r + d."""
-    _check_query(m, d, r)
+    m, d, r = _check_query(m, d, r)
     value = binom_tail(m, r + d - 1, eps)
     return BoundValue(value=value, raw=value, formula="cascade")
 
 
 def bound_classical(m: int, d: int, r: int, eps: float) -> BoundValue:
     """Classical bound C(r+d-1, r) * T(m, r+d-1, eps); raw may exceed 1."""
-    _check_query(m, d, r)
+    m, d, r = _check_query(m, d, r)
     raw = _classical_raw(d, r, binom_tail(m, r + d - 1, eps))
     return BoundValue(value=min(raw, 1.0), raw=raw, formula="classical")
 
@@ -421,8 +394,7 @@ def _classical_raw(d: int, r: int, tail: float) -> float:
 
 def bound_compression(m: int, zeta: int, eps: float) -> BoundValue:
     """Compression equality T(m, zeta-1, eps) for cardinality zeta < m."""
-    m, zeta = int(m), int(zeta)
-    _check_zeta(m, zeta)
+    m, zeta = _check_zeta(m, zeta)
     value = binom_tail(m, zeta - 1, eps)
     return BoundValue(value=value, raw=value, formula="compression")
 
@@ -435,14 +407,14 @@ def analytic_violation_cdf(m: int, r: int, eps: float) -> float:
     exactly when at most r samples exceed 1 - eps.  Coincides with the
     cascade bound at d = 1, which is what makes that bound tight.
     """
-    m, r = int(m), int(r)
+    m, r = _check_ints(m=m, r=r)
     if not 0 <= r < m:
         raise ValueError(f"r must satisfy 0 <= r < m, got r={r} m={m}")
     return binom_tail(m, r, eps)
 
 
-def _check_query(m: int, d: int, r: int) -> None:
-    m, d, r = int(m), int(d), int(r)
+def _check_query(m: int, d: int, r: int) -> tuple[int, int, int]:
+    m, d, r = _check_ints(m=m, d=d, r=r)
     _check_m(m)
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -450,12 +422,15 @@ def _check_query(m: int, d: int, r: int) -> None:
         raise ValueError("r must be nonnegative")
     if m <= r + d:
         raise ValueError(f"m must exceed r + d, got m={m}, r+d={r + d}")
+    return m, d, r
 
 
-def _check_zeta(m: int, zeta: int) -> None:
+def _check_zeta(m: int, zeta: int) -> tuple[int, int]:
+    m, zeta = _check_ints(m=m, zeta=zeta)
     _check_m(m)
     if not 0 < zeta < m:
         raise ValueError(f"zeta must satisfy 0 < zeta < m, got zeta={zeta} m={m}")
+    return m, zeta
 
 
 def _check_formula(formula: str) -> None:
@@ -494,8 +469,6 @@ def invert_epsilon(
     already satisfies beta (only possible for beta >= the eps=0 value), the
     boundary flag is set and 0 is returned.
 
-    log C(m, i) does not depend on eps: each is computed at most once per
-    call, on the first step that reads i, and shared by every later step.
     Each step's verdict, bound(eps) <= beta, is the one the public bound
     function's value at eps gives.  On the log-space path it comes from
     certified bounds on the tail built from its largest terms, and from
@@ -506,13 +479,12 @@ def invert_epsilon(
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    m, d, r = int(m), int(d), int(r)
+    m, d, r = _check_ints(m=m, d=d, r=r)
     _check_formula(formula)
     if formula == "compression":
         _check_zeta(m, r + d)
     else:
         _check_query(m, d, r)
-    log_combs = _memo_log_combs(m)
 
     def accepts(tail: float) -> bool:
         return _bound_value(formula, d, r, tail) <= beta
@@ -522,7 +494,7 @@ def invert_epsilon(
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _tail_accepted(m, r + d - 1, mid, accepts, log_combs):
+        if _tail_accepted(m, r + d - 1, mid, accepts):
             hi = mid
         else:
             lo = mid
@@ -556,9 +528,8 @@ def max_removable(
     eps = _validate_eps(eps)
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    m, d = int(m), int(d)
     _check_formula(formula)
-    _check_query(m, d, 0)
+    m, d, _ = _check_query(m, d, 0)
     r_last = m - d - 1  # the largest r with m > r + d; its prefix is k = m - 2
     first, terms = _tail_terms(m, eps, m - 2)
     k, tail = first - 1, 0.0

@@ -18,7 +18,8 @@ below runs in a fresh interpreter with that tree's src/ first on the path:
   recurrence and both log-space tail paths), half of the confidence levels
   set to the bound at a bisection midpoint or at a removal count, so that
   decisions meet exact ties, and the six queries that hit the 2**22-term
-  cap.
+  cap.  Each of the 500 records the public bound's value at its query's
+  eps beside the answer, so the tails are compared, not just the answers.
 
 The inputs (argvs and corpus builders) are read from the tree this script
 lives in, so both sides run the same inputs.  Every CSV and JSON output is
@@ -173,7 +174,7 @@ for n in range(500):
         beta = draw_beta(rng, lambda: bound(formula, m, d, r, eps))
         query = ["max_removable", m, d, eps, beta, formula, rng.random() < 0.5]
         got = outcome(lambda: max_removable(*query[1:]))
-    out.append([query, got])
+    out.append([query, got, bound(formula, m, d, r, eps)])
 for formula in FORMULAS:
     for query in (["invert_epsilon", 10**15, 1, 5 * 10**14, 1e-6, formula],
                   ["max_removable", 10**15, 1, 0.5, 1e-6, formula]):

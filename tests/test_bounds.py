@@ -1,13 +1,14 @@
 import math
-from itertools import count, islice
+from itertools import count
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scenopt import bounds
 from scenopt.bounds import (
-    _log_combs,
+    _log_comb,
     _prefix_sums,
     analytic_violation_cdf,
     binom_tail,
@@ -137,24 +138,24 @@ class TestBinomTail:
         assert binom_tail(10**15, 10**6, 0.5) == 0.0
         assert binom_tail(10**6, 480_000, 0.5) == 0.0
 
-    @pytest.mark.parametrize("m", [9_999, 10_000])
+    @pytest.mark.parametrize("m", [2_000, 9_999, 10_000, 10_001])
     def test_log_coefficients_match_per_index_comb(self, m):
-        # the exact-comb log below 1e300 and log-gamma above it, as computed
-        # from math.comb(m, i) afresh for each i
+        # up to m = 10,000 the exact-comb log below 1e300 and log-gamma above
+        # it, as computed from math.comb(m, i) afresh for each i; log-gamma
+        # alone beyond
         def reference(i):
-            if (c := math.comb(m, i)) <= 1e300:
+            if m <= 10_000 and (c := math.comb(m, i)) <= 1e300:
                 return math.log(c)
             return math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
 
-        got = list(islice(_log_combs(m), m + 1))
-        indices = [*range(400), *range(m // 2 - 3, m // 2 + 4),
-                   *range(m - 400, m + 1)]
-        assert {math.comb(m, i) <= 1e300 for i in indices} == {True, False}
-        for i in indices:
-            assert got[i] == reference(i), i
-        # a window's exact anchor, math.comb(m, start), continues the same
-        for start in (0, 1, 399, m // 2 - 3, m - 400):
-            assert list(islice(_log_combs(m, start), 300)) == got[start:start + 300]
+        # s: the first index past the 1e300 switch, mirrored at m - s
+        s = next(i for i in count() if math.comb(m, i) > 1e300)
+        switch = [*range(s - 3, s + 3), *range(m - s - 2, m - s + 4)]
+        indices = {*range(400), *range(m // 2 - 3, m // 2 + 4),
+                   *range(m - 400, m + 1), *switch}
+        assert {math.comb(m, i) <= 1e300 for i in switch} == {True, False}
+        for i in sorted(indices):
+            assert _log_comb(m, i) == reference(i), i
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -228,6 +229,27 @@ class TestBoundFormulas:
             with pytest.raises(ValueError, match="at most 2\\*\\*53"):
                 guarded(2**53 + 1)
 
+    @pytest.mark.parametrize("func,kwargs,name", [
+        pytest.param(func, kwargs, name, id=f"{func.__name__}-{name}")
+        for func, kwargs in [
+            (binom_tail, dict(m=100, k_max=5, eps=0.1)),
+            (bound_cascade, dict(m=100, d=2, r=3, eps=0.1)),
+            (bound_classical, dict(m=100, d=2, r=3, eps=0.1)),
+            (bound_compression, dict(m=100, zeta=3, eps=0.1)),
+            (analytic_violation_cdf, dict(m=100, r=3, eps=0.1)),
+            (invert_epsilon, dict(m=100, d=2, r=3, beta=1e-3)),
+            (max_removable, dict(m=100, d=2, eps=0.1, beta=1e-3)),
+        ]
+        for name in kwargs if name in ("m", "d", "r", "zeta", "k_max")])
+    def test_counts_must_be_integers(self, func, kwargs, name):
+        """A count given as a float or a string raises ValueError instead of
+        being truncated; numpy integers are counts."""
+        want = func(**kwargs)
+        for bad in (kwargs[name] + 0.7, float(kwargs[name]), str(kwargs[name])):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                func(**{**kwargs, name: bad})
+        assert func(**{**kwargs, name: np.int64(kwargs[name])}) == want
+
 
 class TestPrefixSums:
     """The exact running sum behind max_removable's one-pass scan."""
@@ -271,23 +293,21 @@ class TestInversion:
         assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
             m, d, r, beta, formula)
 
-    def test_each_log_coefficient_computed_once_inside_a_window(
-            self, monkeypatch):
+    def test_log_coefficients_read_inside_the_window(self, monkeypatch):
         seen = []
-        log_combs = bounds._log_combs
+        log_comb = bounds._log_comb
 
-        def spy(m, start=0):
-            for i, value in zip(count(start), log_combs(m, start)):
-                seen.append(i)
-                yield value
+        def spy(m, i):
+            seen.append(i)
+            return log_comb(m, i)
 
-        monkeypatch.setattr(bounds, "_log_combs", spy)
+        monkeypatch.setattr(bounds, "_log_comb", spy)
         # exact-comb and log-gamma coefficients; at the answer the leading
         # terms underflow, so no window reaches i = 0
         for m, r in ((9_000, 3_000), (100_000, 20_000)):
             seen.clear()
             inv = invert_epsilon(m, 10, r, 1e-6)
-            assert seen and len(seen) == len(set(seen)), m
+            assert seen, m
             assert 0 < min(seen) and max(seen) <= r + 9, m
             assert (inv.epsilon, inv.at_lower_boundary) == invert_epsilon_bisect(
                 m, 10, r, 1e-6)
