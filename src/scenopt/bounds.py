@@ -35,13 +35,6 @@ thousand indices).  Each tail is the correctly rounded sum of its terms
 (math.fsum), which does not depend on their order; they go in largest
 first, which keeps fsum's list of partials short.
 
-Sizing queries sweep the terms once.  max_removable keeps the running sum
-exactly, as an integer count of 2**-1074 (every double is a whole number
-of these units), and rounds it once per candidate r; integer true division
-rounds correctly just as math.fsum does, so each rounded prefix equals the
-tail a per-r evaluation would return, bit for bit.  Its sweep starts at the
-window's first index.
-
 Each bisection step of invert_epsilon needs only a verdict, bound <= beta.
 On the log-space path it walks the window down from its top index, and
 stops as soon as a certified lower or upper bound on the window's exact sum
@@ -51,7 +44,19 @@ bound formulas round monotonically in the tail, so that verdict is the one
 the exact tail gives (_tail_accepted).  Only when the two bounds straddle
 beta, a near-tie, is the whole window read and summed exactly.  So every
 verdict, and every answer, is the one exact summation gives, bit for bit,
-from the largest few dozen terms of each window.
+from the largest few dozen terms of each window.  The check bound <= beta
+is built once per query, with its classical factor (_accepts).
+
+Sizing queries (max_removable) look for the first removal count r whose
+bound fails.  On the log-space path, when it lies below the tail's mode,
+they bisect in r with the same certified verdicts: the verdicts are
+monotone in r, so the search finds the first failure a sweep finds, from
+a few dozen terms (_search).  Otherwise they sweep the terms once from the
+window's first index, keeping the running sum exactly, as an integer count
+of 2**-1074 (every double is a whole number of these units), and rounding
+it once per candidate r; integer true division rounds correctly just as
+math.fsum does, so each rounded prefix equals the tail a per-r evaluation
+would return, bit for bit (_sweep).
 """
 
 from __future__ import annotations
@@ -156,6 +161,13 @@ def _first_true(pred, lo: int, hi: int) -> int:
     return lo
 
 
+def _mode(m: int, eps: float) -> int:
+    """mu = floor((m + 1) eps), computed in integers from eps's binary
+    value; the exact log-pmf of Bin(m, eps) peaks within one index of it."""
+    a, q = eps.as_integer_ratio()
+    return (m + 1) * a // q
+
+
 def _log_window(m: int, k_max: int, eps: float, log_eps: float,
                 log_1m: float) -> tuple[int, int]:
     """(lo, hi): every log-space term with index outside [lo, hi] is 0.0.
@@ -188,8 +200,7 @@ def _log_window(m: int, k_max: int, eps: float, log_eps: float,
         return (lg_m - math.lgamma(i + 1) - math.lgamma(m - i + 1)
                 + i * log_eps + (m - i) * log_1m) >= floor
 
-    a, q = eps.as_integer_ratio()
-    mu = (m + 1) * a // q
+    mu = _mode(m, eps)
     lo = _first_true(above, 0, max(mu - 1, 0))
     if k_max < mu + 2:
         return lo, k_max
@@ -377,19 +388,22 @@ def bound_cascade(m: int, d: int, r: int, eps: float) -> BoundValue:
 def bound_classical(m: int, d: int, r: int, eps: float) -> BoundValue:
     """Classical bound C(r+d-1, r) * T(m, r+d-1, eps); raw may exceed 1."""
     m, d, r = _check_query(m, d, r)
-    raw = _classical_raw(d, r, binom_tail(m, r + d - 1, eps))
+    raw = _classical_raw(d, r)(binom_tail(m, r + d - 1, eps))
     return BoundValue(value=min(raw, 1.0), raw=raw, formula="classical")
 
 
-def _classical_raw(d: int, r: int, tail: float) -> float:
-    """C(r+d-1, r) * tail, through logarithms once the factor passes 1e300."""
+def _classical_raw(d: int, r: int):
+    """The map tail -> C(r+d-1, r) * tail, with the factor computed once:
+    a product with the exact integer while that is at most 1e300 (an int
+    times a float is the int rounded to a float times the float, so
+    rounding it here first gives the same bits), and through logarithms
+    past it."""
     factor = math.comb(r + d - 1, r)
     if factor <= _MAX_EXACT_COMB:
-        return factor * tail
-    if tail == 0.0:
-        return 0.0
+        factor = float(factor)
+        return lambda tail: factor * tail
     log_factor = math.lgamma(r + d) - math.lgamma(r + 1) - math.lgamma(d)
-    return math.exp(log_factor + math.log(tail))
+    return lambda tail: math.exp(log_factor + math.log(tail)) if tail else 0.0
 
 
 def bound_compression(m: int, zeta: int, eps: float) -> BoundValue:
@@ -438,11 +452,15 @@ def _check_formula(formula: str) -> None:
         raise ValueError(f"unknown formula {formula!r}; expected one of {_FORMULAS}")
 
 
-def _bound_value(formula: str, d: int, r: int, tail: float) -> float:
-    """A formula's clamped value at removal count r, from T(m, r+d-1, eps)."""
-    if formula == "classical":
-        return min(_classical_raw(d, r, tail), 1.0)
-    return tail
+def _accepts(formula: str, d: int, r: int, beta: float):
+    """The check bound(m, d, r, eps) <= beta on a tail T(m, r+d-1, eps) in
+    [0, 1]: the public bound's clamped value, built once per (formula, d,
+    r, beta), so a query's classical factor is computed once, not per
+    tail."""
+    if formula != "classical":
+        return lambda tail: tail <= beta
+    raw = _classical_raw(d, r)
+    return lambda tail: min(raw(tail), 1.0) <= beta
 
 
 @dataclass(frozen=True)
@@ -486,9 +504,7 @@ def invert_epsilon(
     else:
         _check_query(m, d, r)
 
-    def accepts(tail: float) -> bool:
-        return _bound_value(formula, d, r, tail) <= beta
-
+    accepts = _accepts(formula, d, r, beta)
     if accepts(_tail(m, r + d - 1, 0.0)):
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
     lo, hi = 0.0, 1.0
@@ -511,18 +527,20 @@ def max_removable(
 ) -> int:
     """Largest r with bound(m, d, r, eps) <= beta; 0 when even r=0 fails.
 
-    The bound increases with r, so an upward scan stops at the first
-    failure.  The scan is one sweep over the tail's terms that can be
-    nonzero: r's tail T(m, r+d-1, eps) is the previous one plus one term,
-    summed exactly and rounded once, which equals math.fsum of the prefix
-    bit for bit.  Every r whose prefix ends before the first such term has
-    tail 0 <= beta, so the sweep starts there; past the last one the tail
-    stays put.  So the answer is the one a per-r evaluation of the public
-    bound functions gives, in time linear in the nonzero terms swept, which
-    grow as sqrt(m eps (1-eps)), not with the answer.  When more than 2**22
-    terms up to k = m - 2 can be nonzero, ValueError is raised before any
-    is evaluated.  With batch=True the result is floored to the nearest
-    multiple of d, matching schemes that can only discard whole batches.
+    The bound increases with r, so the answer is one below the first r
+    whose bound fails, found by a search or a sweep that both give the
+    answer a per-r evaluation of the public bound functions gives, bit for
+    bit.  When more than 2**22 terms up to k = m - 2 can be nonzero,
+    ValueError is raised before any is evaluated.  With batch=True the
+    result is floored to the nearest multiple of d, matching schemes that
+    can only discard whole batches.
+
+    The search runs on the log-space path with 0 < eps < 1 when the bound
+    already fails at r_top = mu - 2 - d + 1, mu = floor((m+1) eps): it
+    bisects [0, r_top] for the first failing r (_search).  The sweep runs
+    in every other case: on the recurrence path, at eps of 0 or 1, at
+    beta >= 1 (where no clamped bound fails), for answers at or above the
+    mode, and for a classical factor above 1e300 at r_top (_sweep).
     """
     beta = float(beta)
     eps = _validate_eps(eps)
@@ -530,23 +548,80 @@ def max_removable(
         raise ValueError(f"beta must be positive, got {beta}")
     _check_formula(formula)
     m, d, _ = _check_query(m, d, 0)
+    space = None if eps == 1.0 else _log_space(m, eps, m - 2)
+    r = None if space is None else _search(m, d, eps, beta, formula, space[0])
+    if r is None:
+        r = _sweep(m, d, eps, beta, formula)
+    best = max(r - 1, 0)
+    if batch:
+        best -= best % d
+    return best
+
+
+def _search(m: int, d: int, eps: float, beta: float, formula: str,
+            lo: int) -> int | None:
+    """The first r whose bound fails, by a certified bisection below the
+    mode; None when the sweep must decide.  lo is the first index of the
+    log-space window, where every tail with k < lo is exactly 0.
+
+    Each verdict is not _tail_accepted(m, r + d - 1, eps, ...): certified
+    from the largest terms of T(m, r + d - 1, eps), and decided by the
+    exact sum of its window at a near-tie, so it is the verdict of the
+    public bound's value at r.  The verdicts are monotone in r:
+      - computed tails never decrease in k: each is the correctly rounded
+        sum of the window's terms up to k, the window's first index does
+        not depend on k, and a larger k only adds terms >= 0;
+      - the classical factor C(r+d-1, r) never decreases in r;
+      - rounding is monotone: the factor's float, its product with the
+        tail, and the clamp to 1.
+    So every r past the first failure fails too, and bisection finds the
+    first failure the sweep finds.  The last point needs the exact factor,
+    so the classical search runs only while C(r_top + d - 1, r_top) is at
+    most 1e300; past it the product goes through logarithms, whose
+    rounding is not monotone in r.  k <= top = mu - 2, at most the top
+    index of the window up to m - 2, keeps every window on the rising side
+    of the terms, where the largest come first and a verdict reads a few
+    of them.
+    """
+    top = _mode(m, eps) - 2
+    r_top = top - d + 1
+    if r_top < 0 or (formula == "classical"
+                     and math.comb(top, d - 1) > _MAX_EXACT_COMB):
+        return None
+
+    def fails(r: int) -> bool:
+        accepts = _accepts(formula, d, r, beta)
+        return not _tail_accepted(m, r + d - 1, eps, accepts)
+
+    if not fails(r_top):
+        return None
+    return _first_true(fails, max(lo - d + 1, 0), r_top)
+
+
+def _sweep(m: int, d: int, eps: float, beta: float, formula: str) -> int:
+    """The first r whose bound fails, or m - d when none does, by one sweep
+    over the tail's terms that can be nonzero.
+
+    r's tail T(m, r+d-1, eps) is the previous one plus one term, summed
+    exactly and rounded once, which equals math.fsum of the prefix bit for
+    bit.  Every r whose prefix ends before the first such term has tail
+    0 <= beta, so the sweep starts there; past the last one the tail stays
+    put.  Its time is linear in the nonzero terms swept, which grow as
+    sqrt(m eps (1-eps)), not with the answer.
+    """
     r_last = m - d - 1  # the largest r with m > r + d; its prefix is k = m - 2
     first, terms = _tail_terms(m, eps, m - 2)
     k, tail = first - 1, 0.0
     for k, tail in enumerate(_prefix_sums(terms), first):
         r = k - d + 1
-        if r >= 0 and _bound_value(formula, d, r, min(1.0, tail)) > beta:
-            break
-    else:
-        # Past the last nonzero term every prefix sums to this tail.  The
-        # cascade and compression bounds stay put, and so does the classical
-        # one at d = 1; beta >= 1 passes every clamped value.  Otherwise the
-        # classical factor C(r+d-1, r) >= r + 1 grows until it fails.
-        r = max(k - d + 2, 0)
-        constant = formula != "classical" or d == 1 or beta >= 1.0
-        while r <= r_last and _bound_value(formula, d, r, min(1.0, tail)) <= beta:
-            r = r_last + 1 if constant else r + 1
-    best = max(r - 1, 0)
-    if batch:
-        best -= best % d
-    return best
+        if r >= 0 and not _accepts(formula, d, r, beta)(min(1.0, tail)):
+            return r
+    # Past the last nonzero term every prefix sums to this tail.  The
+    # cascade and compression bounds stay put, and so does the classical
+    # one at d = 1; beta >= 1 passes every clamped value.  Otherwise the
+    # classical factor C(r+d-1, r) >= r + 1 grows until it fails.
+    r = max(k - d + 2, 0)
+    constant = formula != "classical" or d == 1 or beta >= 1.0
+    while r <= r_last and _accepts(formula, d, r, beta)(min(1.0, tail)):
+        r = r_last + 1 if constant else r + 1
+    return r

@@ -476,6 +476,93 @@ class TestMaxRemovable:
         assert max_removable(m, d, eps, beta, formula, batch) == (
             max_removable_sweep(m, d, eps, beta, formula, batch))
 
+    # (m, d, eps, beta, oracle): log-space queries whose answer lies below
+    # the mode, where the first failing r is found by a certified search;
+    # the per-r rescan checks the small answers, the sweep the others
+    BELOW_MODE = [
+        (10_000, 10, 0.07, 1e-6, "sweep"),
+        (10_000, 2, 0.075, 1e-250, "rescan"),
+        (20_000, 10, 0.04, 1e-6, "sweep"),
+        (20_000, 5, 0.04, 1e-200, "rescan"),
+        (10**6, 1, 0.0008, 1e-200, "rescan"),
+        (10**6, 3, 0.002, 1e-6, "sweep"),
+    ]
+    ORACLES = {"rescan": max_removable_rescan, "sweep": max_removable_sweep}
+
+    def test_below_mode_grid_covers_both_log_space_paths(self):
+        assert {tail_path(m, eps) for m, _, eps, _, _ in self.BELOW_MODE} == {
+            "exact-comb", "log-gamma"}
+
+    @pytest.mark.parametrize("tie", (None, 0, 1),
+                             ids=("plain", "tie-at", "tie-next"))
+    @pytest.mark.parametrize("batch", (False, True))
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,d,eps,beta,oracle", BELOW_MODE)
+    def test_search_below_the_mode_matches_the_oracles(
+            self, m, d, eps, beta, oracle, formula, batch, tie):
+        """beta as listed, or the public bound at r* or r* + 1, r* the
+        answer at the listed beta: an exact tie at the answer or just past
+        it."""
+        oracle = self.ORACLES[oracle]
+        r_star = oracle(m, d, eps, beta, formula)
+        # the first failure, r* + 2 at most, lies at or below the mode's
+        # r_top = mu - 2 - d + 1, so the search runs
+        assert r_star + 2 <= bounds._mode(m, eps) - 2 - d + 1
+        if tie is not None:
+            beta = _public_bound(formula, m, d, r_star + tie, eps)
+        assert max_removable(m, d, eps, beta, formula, batch) == oracle(
+            m, d, eps, beta, formula, batch)
+
+    @pytest.mark.parametrize("m,eps,answer,cap", [
+        (10_000, 0.07, 572, 583 // 10),
+        (20_000, 0.04, 662, 658 // 10 + 1),
+    ], ids=("exact-comb", "log-gamma"))
+    def test_search_evaluates_a_tenth_of_the_terms(self, m, eps, answer, cap,
+                                                   monkeypatch):
+        """The two log-space --max-r queries of the bound-sizing benchmark.
+        Sweeping up from the window's first index evaluates 583 and 658
+        log-space terms (measured); each verdict of the search reads the
+        largest few terms of its window."""
+        assert max_removable_sweep(m, 10, eps, 1e-6) == answer
+        seen = []
+        log_term = bounds._log_term
+
+        def spy(m, i, *args):
+            seen.append(i)
+            return log_term(m, i, *args)
+
+        monkeypatch.setattr(bounds, "_log_term", spy)
+        assert max_removable(m, 10, eps, 1e-6) == answer
+        assert 0 < len(seen) <= cap
+
+    @pytest.mark.parametrize("below", (False, True), ids=("at", "below"))
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize("m,eps", [(10_000, 0.07), (20_000, 0.04)],
+                             ids=("exact-comb", "log-gamma"))
+    def test_exact_sum_decides_a_near_tie(self, m, eps, formula, below,
+                                          monkeypatch):
+        """beta is the public bound at r*, the answer for beta = 1e-6, or
+        the float just below it.  The search meets r*, where no certified
+        interval can separate the tail from beta: the exact sum of its
+        window decides, and the answer is the sweep's."""
+        d = 10
+        r_star = max_removable_sweep(m, d, eps, 1e-6, formula)
+        beta = _public_bound(formula, m, d, r_star, eps)
+        if below:
+            beta = math.nextafter(beta, 0.0)
+        expected = max_removable_sweep(m, d, eps, beta, formula)
+        assert expected == (r_star - 1 if below else r_star)
+        sums = []
+        exact_sum = bounds._exact_sum
+
+        def spy(terms):
+            sums.append(exact_sum(terms))
+            return sums[-1]
+
+        monkeypatch.setattr(bounds, "_exact_sum", spy)
+        assert max_removable(m, d, eps, beta, formula) == expected
+        assert binom_tail(m, r_star + d - 1, eps) in sums
+
     @pytest.mark.parametrize("args,message", [
         ((10, 10, 0.5, 1e-6), "m must exceed r \\+ d"),
         ((10, 12, 0.5, 1e-6, "classical"), "m must exceed r \\+ d"),

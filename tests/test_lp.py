@@ -782,6 +782,17 @@ class TestPathologicalCorpus:
         assert sol.status is LpStatus.OPTIMAL
         assert_matches_enumeration(lp, sol)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: the kernel's absolute PIVOT_TOL ignores the 1e-9 "
+        "coefficient and reports INFEASIBLE"))
+    @pytest.mark.parametrize("refine", (True, False))
+    def test_row_scaled_by_1e_minus_9(self, refine):
+        # min x s.t. 1e-9 x >= 1e-6, 0 <= x <= 1e4: the optimum is x = 1000
+        lp = box_lp([1.0], [[-1e-9]], [-1e-6], [0.0], [1e4])
+        sol = solve(lp, refine=refine)
+        assert sol.status is LpStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [1000.0], rtol=1e-9)
+
     @pytest.mark.parametrize("case", PATHOLOGICAL_CORPUS)
     def test_matches_the_forced_refine_loop(self, case):
         # where the lex-min certificate skips refinement (the analytic
