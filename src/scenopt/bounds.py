@@ -279,9 +279,10 @@ def _exact_sum(terms) -> float:
     return min(1.0, math.fsum(sorted(terms, reverse=True)))
 
 
-def _tail_accepted(m: int, k_max: int, eps: float, accepts) -> bool:
+def _tail_accepted(m: int, k_max: int, eps: float, accepts, space) -> bool:
     """accepts(T(m, k_max, eps)) for 0 < eps < 1, where accepts is a
-    predicate on tails in [0, 1] that turns false from some tail upward.
+    predicate on tails in [0, 1] that turns false from some tail upward,
+    and space is the caller's _log_space(m, eps, k_max).
 
     On the log-space path the window is walked from its top index down,
     keeping the float running sum s of the n terms seen.  Recursive
@@ -311,7 +312,6 @@ def _tail_accepted(m: int, k_max: int, eps: float, accepts) -> bool:
     the terms seen, which are the whole window, decides.  The recurrence
     path is summed exactly as _tail does.
     """
-    space = _log_space(m, eps, k_max)
     if space is None:
         return accepts(_tail(m, k_max, eps))
     lo, hi, log_eps, log_1m = space
@@ -397,13 +397,20 @@ def _classical_raw(d: int, r: int):
     a product with the exact integer while that is at most 1e300 (an int
     times a float is the int rounded to a float times the float, so
     rounding it here first gives the same bits), and through logarithms
-    past it."""
+    past it, where a product above the largest double is inf."""
     factor = math.comb(r + d - 1, r)
     if factor <= _MAX_EXACT_COMB:
         factor = float(factor)
         return lambda tail: factor * tail
     log_factor = math.lgamma(r + d) - math.lgamma(r + 1) - math.lgamma(d)
-    return lambda tail: math.exp(log_factor + math.log(tail)) if tail else 0.0
+
+    def raw(tail: float) -> float:
+        try:
+            return math.exp(log_factor + math.log(tail)) if tail else 0.0
+        except OverflowError:  # the product exceeds the largest double
+            return math.inf
+
+    return raw
 
 
 def bound_compression(m: int, zeta: int, eps: float) -> BoundValue:
@@ -504,13 +511,14 @@ def invert_epsilon(
     else:
         _check_query(m, d, r)
 
+    k = r + d - 1
     accepts = _accepts(formula, d, r, beta)
-    if accepts(_tail(m, r + d - 1, 0.0)):
+    if accepts(_tail(m, k, 0.0)):
         return EpsilonInversion(epsilon=0.0, at_lower_boundary=True)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _tail_accepted(m, r + d - 1, mid, accepts):
+        if _tail_accepted(m, k, mid, accepts, _log_space(m, mid, k)):
             hi = mid
         else:
             lo = mid
@@ -549,7 +557,7 @@ def max_removable(
     _check_formula(formula)
     m, d, _ = _check_query(m, d, 0)
     space = None if eps == 1.0 else _log_space(m, eps, m - 2)
-    r = None if space is None else _search(m, d, eps, beta, formula, space[0])
+    r = None if space is None else _search(m, d, eps, beta, formula, space)
     if r is None:
         r = _sweep(m, d, eps, beta, formula)
     best = max(r - 1, 0)
@@ -559,10 +567,11 @@ def max_removable(
 
 
 def _search(m: int, d: int, eps: float, beta: float, formula: str,
-            lo: int) -> int | None:
+            space) -> int | None:
     """The first r whose bound fails, by a certified bisection below the
-    mode; None when the sweep must decide.  lo is the first index of the
-    log-space window, where every tail with k < lo is exactly 0.
+    mode; None when the sweep must decide.  space is _log_space(m, eps,
+    m - 2), whose window starts at lo: a probe at k <= mu - 2 has the
+    window (lo, k) (see _log_window), inside the one the term cap passed.
 
     Each verdict is not _tail_accepted(m, r + d - 1, eps, ...): certified
     from the largest terms of T(m, r + d - 1, eps), and decided by the
@@ -589,9 +598,12 @@ def _search(m: int, d: int, eps: float, beta: float, formula: str,
                      and math.comb(top, d - 1) > _MAX_EXACT_COMB):
         return None
 
+    lo, _, log_eps, log_1m = space
+
     def fails(r: int) -> bool:
+        k = r + d - 1
         accepts = _accepts(formula, d, r, beta)
-        return not _tail_accepted(m, r + d - 1, eps, accepts)
+        return not _tail_accepted(m, k, eps, accepts, (lo, k, log_eps, log_1m))
 
     if not fails(r_top):
         return None

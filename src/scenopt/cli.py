@@ -255,14 +255,10 @@ def _cmd_experiment(args) -> int:
         # probability, and reports the two-sided verdict
         _require(args, "m", "ell", "eps")
         tightness = name == "analytic-tightness"
-        analytic = tightness or args.generator == "analytic"
         family = (
             experiments.AnalyticFamily(m=args.m)
-            if analytic
+            if tightness or args.generator == "analytic"
             else experiments.ResourceFamily(d=args.d, n=args.n, m=args.m)
-        )
-        mode = (
-            RemovalMode.FULLY_SUPPORTED if analytic else RemovalMode.REGULARIZED
         )
         config = {
             "experiment": name, "m": args.m, "ell": args.ell,
@@ -273,33 +269,30 @@ def _cmd_experiment(args) -> int:
                           n=getattr(family, "n", None), n_inner=args.n_inner)
         result = experiments.run_outer_mc(
             family, args.ell, args.eps, args.trials, source,
-            mode=mode, n_inner=args.n_inner,
+            n_inner=args.n_inner,
         )
         trials_csv = experiments.rows_to_csv(
             ["seed", "trial", "final_objective", "violation", "exceed",
              "excluded"],
             result.rows,
         )
-        est = result.estimate
+        fields = {"estimate": result.point,
+                  "half_width_95": result.half_width_95}
         if tightness:
-            fields = {"estimate": est.point,
-                      "half_width_95": est.half_width_95,
-                      "analytic_value": result.bound_value}
+            fields["analytic_value"] = result.bound_value
             verdict = "tight"
         else:
-            fields = {"estimate": est.point,
-                      "half_width_95": est.half_width_95,
-                      "combined_half_width": est.combined_half_width,
-                      "bound_value": result.bound_value}
+            fields["combined_half_width"] = result.combined_half_width
+            fields["bound_value"] = result.bound_value
             verdict = "valid"
         summary_csv = experiments.rows_to_csv(
             [*fields, "exceed_count", "excluded_count", verdict],
-            [[*fields.values(), est.exceed_count, est.excluded_count,
+            [[*fields.values(), result.exceed_count, result.excluded_count,
               int(getattr(result, verdict))]],
         )
         stem = name.replace("-", "_")
         payload = {**fields, verdict: getattr(result, verdict),
-                   "excluded": est.excluded_count}
+                   "excluded": result.excluded_count}
     elif name == "resource-compare":
         _require(args, "m", "eps-grid")
         grid = _parse_grid(args.eps_grid)

@@ -12,6 +12,9 @@ Two scenario families are built in:
              scenario resource rows A(delta_i) x <= 1, where A entries are
              0.04 times Laplace draws with mean 1 and variance 3.
 
+Each family fixes the removal mode of its cascades (its mode attribute):
+fully supported for analytic, regularized for resource.
+
 Two pipelines run on them.  run_outer_mc estimates a cascade's outer
 probability against the batched bound T(m, ell*d + d - 1, eps); on the
 analytic family (d = 1, fully supported) that bound is the exact outer
@@ -31,7 +34,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,30 +82,6 @@ class ViolationEstimate:
     half_width_95: float
 
 
-@dataclass(frozen=True)
-class OuterProbabilityEstimate:
-    """Monte Carlo estimate of the outer probability P^m{violation > eps}."""
-
-    epsilon: float
-    trials: int
-    exceed_count: int
-    excluded_count: int
-    point: float
-    half_width_95: float
-    borderline_rate: float = 0.0
-
-    @property
-    def combined_half_width(self) -> float:
-        """Outer half-width widened by the rate of borderline inner calls.
-
-        Trials whose nested violation estimate lands within its own inner
-        half-width of eps can flip the exceedance indicator either way;
-        counting their frequency on top of the outer half-width gives a
-        conservative combined uncertainty.
-        """
-        return self.half_width_95 + self.borderline_rate
-
-
 def _half_width(point: float, n: int) -> float:
     return _Z95 * math.sqrt(max(point * (1.0 - point), 0.0) / n)
 
@@ -125,10 +104,8 @@ class AnalyticFamily:
     """1-D uniform family: min x on [0,1] with x >= delta_i."""
 
     m: int
-
-    @property
-    def d(self) -> int:
-        return 1
+    d = 1
+    mode = RemovalMode.FULLY_SUPPORTED
 
     def sample_blocks(self, count: int, rng: np.random.Generator):
         deltas = rng.uniform(0.0, 1.0, count)
@@ -159,6 +136,7 @@ class ResourceFamily:
     d: int
     n: int
     m: int
+    mode = RemovalMode.REGULARIZED
 
     def sample_blocks(self, count: int, rng: np.random.Generator):
         coeffs = _ENTRY_SCALE * rng.laplace(
@@ -217,50 +195,85 @@ def estimate_violation(
 
 
 # ---------------------------------------------------------------------------
-# Outer-probability Monte Carlo.
+# Experiment pipelines (consumed by the CLI and the acceptance suite).
 # ---------------------------------------------------------------------------
 
 
-def outer_probability_mc(
+@dataclass(frozen=True)
+class OuterMcResult:
+    """Monte Carlo estimate of the outer probability P^m{violation > eps},
+    the batched-removal bound beside it, and one CSV row dict per trial.
+
+    combined_half_width widens the outer half-width by the rate of
+    borderline inner calls: trials whose nested violation estimate lands
+    within its own inner half-width of eps can flip the exceedance
+    indicator either way, so counting their frequency on top gives a
+    conservative combined uncertainty.  valid is the one-sided check
+    against the bound within three combined half-widths; tight is a
+    two-sided match within three outer half-widths.
+    """
+
+    exceed_count: int
+    excluded_count: int
+    point: float
+    half_width_95: float
+    borderline_rate: float
+    bound_value: float
+    rows: tuple
+
+    @property
+    def combined_half_width(self) -> float:
+        return self.half_width_95 + self.borderline_rate
+
+    @property
+    def valid(self) -> bool:
+        return self.point <= self.bound_value + 3.0 * self.combined_half_width
+
+    @property
+    def tight(self) -> bool:
+        return abs(self.point - self.bound_value) <= 3.0 * self.half_width_95
+
+
+def run_outer_mc(
     family,
     ell: int,
     epsilon: float,
     trials: int,
     source: RandomSource,
-    mode: RemovalMode = RemovalMode.REGULARIZED,
     n_inner: int = 10_000,
-    per_trial: Optional[list] = None,
-) -> OuterProbabilityEstimate:
-    """Estimate P^m{ violation of the cascade's final solution > epsilon }.
+) -> OuterMcResult:
+    """Outer probability of a cascade vs the batched-removal bound.
 
-    Draws a fresh m-sample per trial, runs the cascade with ell stages of
-    removal, and measures the violation of the final solution: exactly
-    where the family provides a closed form, otherwise with n_inner fresh
-    scenarios.  Trials aborted by AssumptionViolated are excluded and
+    The bound T(m, ell*d + d - 1, eps) is checked, and the query rejected,
+    before any trial runs.  Each trial draws a fresh m-sample, runs the
+    cascade with ell stages of removal in the family's removal mode
+    (family.mode), and measures the violation of the final solution:
+    exactly where the family provides a closed form, otherwise with n_inner
+    fresh scenarios.  Trials aborted by AssumptionViolated are excluded and
     counted; AllTrialsExcluded is raised when no trial is left to estimate
-    from.  When per_trial is a list, one row dict per trial is appended for
-    CSV emission.
+    from.  The analytic family, fully supported, attains the bound: at
+    d = 1 it is the family's exact outer probability, so tight is the
+    tightness verdict there.
     """
+    d = family.d
+    value = bounds.bound_cascade(family.m, d, ell * d, epsilon).value
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    exceed = 0
-    excluded = 0
-    borderline = 0
-    evaluated = 0
+    exceed = excluded = borderline = 0
+    rows = []
     for t in range(trials):
         rng = source.generator(t)
         program = family.generate(rng)
         try:
             trace = run_cascade(
-                program, ell, mode=mode, record_degeneracy=False
+                program, ell, mode=family.mode, record_degeneracy=False
             )
         except AssumptionViolated:
             excluded += 1
-            if per_trial is not None:
-                per_trial.append(
-                    {"seed": source.seed, "trial": t, "final_objective": "",
-                     "violation": "", "exceed": "", "excluded": 1}
-                )
+            rows.append(
+                {"seed": source.seed, "trial": t, "final_objective": "",
+                 "violation": "", "exceed": "", "excluded": 1}
+            )
             continue
         x = trace.final_x
         if family.exact_violation is not None:
@@ -270,74 +283,25 @@ def outer_probability_mc(
             viol = est.point
             if abs(viol - epsilon) <= est.half_width_95:
                 borderline += 1
-        evaluated += 1
         hit = viol > epsilon
         exceed += int(hit)
-        if per_trial is not None:
-            per_trial.append(
-                {"seed": source.seed, "trial": t,
-                 "final_objective": trace.final_objective,
-                 "violation": viol, "exceed": int(hit), "excluded": 0}
-            )
+        rows.append(
+            {"seed": source.seed, "trial": t,
+             "final_objective": trace.final_objective,
+             "violation": viol, "exceed": int(hit), "excluded": 0}
+        )
+    evaluated = trials - excluded
     if evaluated == 0:
         raise AllTrialsExcluded(trials)
     point = exceed / evaluated
-    return OuterProbabilityEstimate(
-        epsilon=epsilon,
-        trials=trials,
+    return OuterMcResult(
         exceed_count=exceed,
         excluded_count=excluded,
         point=point,
         half_width_95=_half_width(point, evaluated),
         borderline_rate=borderline / evaluated,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Experiment pipelines (consumed by the CLI and the acceptance suite).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OuterMcResult:
-    estimate: OuterProbabilityEstimate
-    bound_value: float
-    valid: bool
-    tight: bool
-    rows: tuple
-
-
-def run_outer_mc(
-    family,
-    ell: int,
-    epsilon: float,
-    trials: int,
-    source: RandomSource,
-    mode: RemovalMode = RemovalMode.REGULARIZED,
-    n_inner: int = 10_000,
-) -> OuterMcResult:
-    """Outer probability of a cascade vs the batched-removal bound.
-
-    The bound T(m, ell*d + d - 1, eps) is checked, and the query rejected,
-    before any trial runs.  valid records the one-sided check against the
-    bound within three combined half-widths; tight records a two-sided
-    match within three outer half-widths.  The analytic family in
-    fully-supported mode attains the bound: at d = 1 it is the family's
-    exact outer probability, so tight is the tightness verdict there.
-    """
-    d = family.d
-    value = bounds.bound_cascade(family.m, d, ell * d, epsilon).value
-    per_trial: list = []
-    est = outer_probability_mc(
-        family, ell, epsilon, trials, source,
-        mode=mode, n_inner=n_inner, per_trial=per_trial,
-    )
-    return OuterMcResult(
-        estimate=est,
         bound_value=value,
-        valid=est.point <= value + 3.0 * est.combined_half_width,
-        tight=abs(est.point - value) <= 3.0 * est.half_width_95,
-        rows=tuple(per_trial),
+        rows=tuple(rows),
     )
 
 

@@ -32,7 +32,6 @@ from scenopt.experiments import (
     ResourceFamily,
     gen_analytic,
     gen_resource,
-    outer_probability_mc,
     run_outer_mc,
     run_resource_compare,
 )
@@ -129,23 +128,21 @@ def test_criterion_3_tightness_of_analytic_outer_probability():
     m, ell, eps, trials = 50, 5, 0.2, 20_000
     result = run_outer_mc(
         AnalyticFamily(m=m), ell, eps, trials, RandomSource(seed=101),
-        mode=RemovalMode.FULLY_SUPPORTED,
     )
-    est = result.estimate
     # the cascade bound at d = 1 is the family's exact outer probability
     analytic = result.bound_value
     assert analytic == bounds.analytic_violation_cdf(m, ell, eps)
-    gap = abs(est.point - analytic)
+    gap = abs(result.point - analytic)
     # trials aborted by a numerically collapsed support set (two uniform
     # draws within X_TOL of each other) are excluded and counted; more than
     # 1% of them would indicate a numerics problem rather than bad luck
-    exclusion_rate = est.excluded_count / trials
-    ok = (result.tight and gap <= 3.0 * est.half_width_95
+    exclusion_rate = result.excluded_count / trials
+    ok = (result.tight and gap <= 3.0 * result.half_width_95
           and exclusion_rate <= 0.01)
     line = _report(
         3, ok,
-        f"mc={est.point:.5f} analytic={analytic:.5f} |gap|={gap:.5f} "
-        f"3hw={3 * est.half_width_95:.5f} excluded={est.excluded_count} "
+        f"mc={result.point:.5f} analytic={analytic:.5f} |gap|={gap:.5f} "
+        f"3hw={3 * result.half_width_95:.5f} excluded={result.excluded_count} "
         f"({100 * exclusion_rate:.2f}%)"
     )
     assert ok, line
@@ -177,16 +174,15 @@ def test_criterion_4_validity_on_resource_program():
     assert value == pytest.approx(0.2, abs=1e-3)
     result = run_outer_mc(
         ResourceFamily(d=d, n=n, m=m), ell, eps, trials,
-        RandomSource(seed=202), mode=RemovalMode.REGULARIZED, n_inner=10_000,
+        RandomSource(seed=202), n_inner=10_000,
     )
-    est = result.estimate
-    slack = value + 3.0 * est.combined_half_width - est.point
-    ok = result.valid and est.excluded_count == 0
+    slack = value + 3.0 * result.combined_half_width - result.point
+    ok = result.valid and result.excluded_count == 0
     line = _report(
         4, ok,
-        f"mc={est.point:.4f} bound={value:.4f} "
-        f"3chw={3 * est.combined_half_width:.4f} slack={slack:+.4f} "
-        f"excluded={est.excluded_count}"
+        f"mc={result.point:.4f} bound={value:.4f} "
+        f"3chw={3 * result.combined_half_width:.4f} slack={slack:+.4f} "
+        f"excluded={result.excluded_count}"
     )
     assert ok, line
 
@@ -351,11 +347,10 @@ def test_criterion_9_monotonicity_properties():
         if g0.final_objective != full.objective:
             problems.append("greedy r=0 differs from full solve")
 
-    est = outer_probability_mc(
+    result = run_outer_mc(
         AnalyticFamily(m=12), 1, 1.0, 25, RandomSource(seed=4),
-        mode=RemovalMode.FULLY_SUPPORTED,
     )
-    if est.exceed_count != 0:
+    if result.exceed_count != 0:
         problems.append("violation probability exceeded 1")
 
     ok = not problems

@@ -192,6 +192,13 @@ class TestBoundFormulas:
         assert v.raw > 1.0
         assert v.value == 1.0
 
+    def test_classical_log_route_overflow_is_inf(self):
+        # C(1399, 1000) is about 4e361, past the 1e300 switch to logarithms,
+        # and the tail is about 1, so factor * tail exceeds the largest double
+        v = bound_classical(2000, 400, 1000, 0.5)
+        assert v.raw == math.inf
+        assert v.value == 1.0
+
     def test_cascade_matches_compression_index_algebra(self):
         for m, d, r, eps in [(100, 2, 4, 0.2), (50, 1, 5, 0.2)]:
             assert bound_cascade(m, d, r, eps).value == bound_compression(
@@ -576,6 +583,15 @@ class TestMaxRemovable:
 
     def test_classical_batch_floors_to_zero_at_low_eps(self):
         assert max_removable(2000, 10, 0.03, 1e-6, "classical", batch=True) == 0
+
+    def test_classical_factor_overflow_fails_the_bound(self):
+        # past C(r + 199, r) ~ 1e818 the first nonzero tail overflows the
+        # product: raw is inf, so that r is the first failure
+        m, d, eps, beta = 10**9, 200, 0.001, 1e-300
+        r = max_removable(m, d, eps, beta, "classical")
+        assert r == 961_665
+        assert bound_classical(m, d, r, eps).value <= beta
+        assert bound_classical(m, d, r + 1, eps).raw == math.inf
 
 
 class TestTermCap:

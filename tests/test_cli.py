@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,23 @@ class TestBoundCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and "cap of 2**22 terms" in err
+
+    def test_classical_factor_overflow_exits_0(self, capsys):
+        # the classical factor's log route returns inf for a product past the
+        # largest double; the clamped value is 1
+        code, out, _ = run_cli(
+            capsys, "bound", "--formula", "classical", "--m", "2000",
+            "--d", "400", "--r", "1000", "--eps", "0.5",
+        )
+        assert code == EXIT_OK
+        payload = parse_json(out)
+        assert payload["value"] == 1.0 and payload["raw"] == math.inf
+        code, out, _ = run_cli(
+            capsys, "bound", "--formula", "classical", "--m", "1000000000",
+            "--d", "200", "--eps", "0.001", "--beta", "1e-300", "--max-r",
+        )
+        assert code == EXIT_OK
+        assert parse_json(out)["max_removable"] == 961_665
 
     def test_analytic_is_one_dimensional(self, capsys):
         args = ["bound", "--formula", "analytic", "--m", "10", "--r", "2"]
@@ -614,7 +632,7 @@ class TestExperimentCommand:
         def excluded(*args, **kwargs):
             raise experiments.AllTrialsExcluded(10)
 
-        monkeypatch.setattr(experiments, "outer_probability_mc", excluded)
+        monkeypatch.setattr(experiments, "run_outer_mc", excluded)
         code, _, err = run_cli(
             capsys, "experiment", "analytic-tightness", "--m", "20",
             "--ell", "1", "--eps", "0.3", "--trials", "10",

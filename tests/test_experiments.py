@@ -18,7 +18,6 @@ from scenopt.experiments import (
     gen_analytic,
     gen_resource,
     metadata_blob,
-    outer_probability_mc,
     rows_to_csv,
     run_outer_mc,
     run_resource_compare,
@@ -163,34 +162,29 @@ class TestViolationEstimation:
 
 class TestOuterProbability:
     def test_eps_one_never_exceeded(self):
-        est = outer_probability_mc(
+        res = run_outer_mc(
             AnalyticFamily(m=15), 2, 1.0, 50, RandomSource(seed=29),
-            mode=RemovalMode.FULLY_SUPPORTED,
         )
-        assert est.exceed_count == 0
+        assert res.exceed_count == 0
 
     def test_trial_results_order_independent(self):
         # per-trial generators derive from (seed, trial), so a rerun of any
         # single trial reproduces its result
         src = RandomSource(seed=31)
         fam = AnalyticFamily(m=20)
-        rows: list = []
-        outer_probability_mc(fam, 2, 0.2, 10, src,
-                             mode=RemovalMode.FULLY_SUPPORTED, per_trial=rows)
+        rows = run_outer_mc(fam, 2, 0.2, 10, src).rows
         prog7 = fam.generate(src.generator(7))
         trace7 = run_cascade(prog7, 2, mode=RemovalMode.FULLY_SUPPORTED)
         assert rows[7]["final_objective"] == trace7.final_objective
 
     def test_all_trials_excluded_raises(self):
         with pytest.raises(AllTrialsExcluded, match="all 4 trials") as err:
-            outer_probability_mc(
+            run_outer_mc(
                 TiedMaxFamily(m=8), 1, 0.2, 4, RandomSource(seed=43),
-                mode=RemovalMode.FULLY_SUPPORTED,
             )
         assert err.value.trials == 4
         with pytest.raises(ValueError, match="trials must be positive"):
-            outer_probability_mc(TiedMaxFamily(m=8), 1, 0.2, 0,
-                                 RandomSource(seed=43))
+            run_outer_mc(TiedMaxFamily(m=8), 1, 0.2, 0, RandomSource(seed=43))
 
 
 def _logical_counts(cascade_trace, greedy_trace):
@@ -230,16 +224,15 @@ class TestPipelines:
     def test_tightness_small_run(self):
         res = run_outer_mc(
             AnalyticFamily(m=50), 5, 0.2, 400, RandomSource(seed=53),
-            mode=RemovalMode.FULLY_SUPPORTED,
         )
         assert res.bound_value == pytest.approx(
             bounds.analytic_violation_cdf(50, 5, 0.2)
         )
-        assert abs(res.estimate.point - res.bound_value) <= 4 * max(
-            res.estimate.half_width_95, 1e-3
+        assert abs(res.point - res.bound_value) <= 4 * max(
+            res.half_width_95, 1e-3
         )
-        assert res.tight == (abs(res.estimate.point - res.bound_value)
-                             <= 3.0 * res.estimate.half_width_95)
+        assert res.tight == (abs(res.point - res.bound_value)
+                             <= 3.0 * res.half_width_95)
         assert len(res.rows) == 400
 
     def test_outer_mc_resource_valid(self):
@@ -282,15 +275,12 @@ class TestPipelines:
 class TestCsvEmission:
     def test_deterministic_bytes(self):
         def render(seed):
-            rows: list = []
-            outer_probability_mc(
+            res = run_outer_mc(
                 AnalyticFamily(m=15), 2, 0.2, 10, RandomSource(seed=seed),
-                mode=RemovalMode.FULLY_SUPPORTED,
-                per_trial=rows,
             )
             return rows_to_csv(
                 ["seed", "trial", "final_objective", "violation", "exceed", "excluded"],
-                rows,
+                res.rows,
             )
 
         assert render(71) == render(71)
